@@ -4,8 +4,8 @@ Multinets, orbifold pencils, translated jump-locus components and Aomoto
 complex torsion, all in exact arithmetic over Q(sqrt 5)(sin 2pi/5).
 """
 
-from .field import (FieldElement, Rational, embed_real, parse_element,
-                    serialize_element, trig_constants)
+from .field import (FieldElement, parse_element, serialize_element,
+                    trig_constants)
 from .mpoly import (MultiPoly, UniPoly, dehomogenize, exact_divide,
                     factor_multiplicity, homogenize, kth_root,
                     restrict_to_line, uni_squarefree)

@@ -116,7 +116,7 @@ def build(lines, name: str = "") -> Arrangement:
     seen = {}
     for item in lines:
         ln = item if isinstance(item, Line) else Line(item[0], item[1])
-        key = tuple(c.coords() for c in ln.covector)
+        key = ln.covector
         if key in seen:
             raise DuplicateLine(
                 f"line {ln.label!r} duplicates {seen[key]!r} projectively")
@@ -142,10 +142,9 @@ def _compute_lattice(A: Arrangement):
             if pt is None:
                 # cannot happen for projectively distinct lines
                 raise ZeroCovector("coincident lines in lattice computation")
-            key = tuple(c.coords() for c in pt)
-            if key not in points:
+            if pt not in points:
                 incident = [k for k in range(A.n) if A.lines[k].contains(pt)]
-                points[key] = IntersectionPoint(pt, incident)
+                points[pt] = IntersectionPoint(pt, incident)
     return sorted(points.values(), key=lambda p: tuple(
         c.coords() for c in p.coords))
 

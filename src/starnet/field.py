@@ -2,61 +2,40 @@
 
 Here r is a square root of 5 and s satisfies s^2 = (5 + r)/8, so under the
 real embedding r -> +sqrt(5) the generator s maps to sin(2*pi/5).  Every
-element is stored on the fixed basis {1, r, s, r*s} with Fraction
-coordinates, which makes equality, hashing and serialization canonical.
+element is stored on the fixed basis {1, r, s, r*s} as four integer
+numerators over one positive common denominator, reduced so that the five
+integers are coprime.  That form is unique, which makes equality, hashing
+and serialization canonical, and each ring operation costs one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 
-Rational = Fraction
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-# s^2 = _S2A + _S2B * r
-_S2A = Fraction(5, 8)
-_S2B = Fraction(1, 8)
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _ratio(v):
     if isinstance(v, int):
-        return Fraction(v)
+        return v, 1
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
-
-
-# -- arithmetic on Q(r) elements, represented as (a, b) meaning a + b*r ----
-
-def _qr_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c + 5 * b * d, a * d + b * c)
-
-
-def _qr_inv(x):
-    a, b = x
-    n = a * a - 5 * b * b
-    if n == 0:
-        raise ZeroDivisionError("zero element of Q(r)")
-    return (a / n, -b / n)
 
 
 class FieldElement:
     """An element a + b*r + c*s + d*r*s of the tower Q(r)(s)."""
 
-    __slots__ = ("a", "b", "c", "d")
+    # _v = (a, b, c, d, den): the element (a + b*r + c*s + d*r*s) / den,
+    # with den > 0 and gcd(a, b, c, d, den) = 1
+    __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "c", _as_fraction(c))
-        object.__setattr__(self, "d", _as_fraction(d))
+        ratios = [_ratio(v) for v in (a, b, c, d)]
+        den = lcm(*(q for _, q in ratios))
+        # over the lcm of reduced denominators the five ints are coprime
+        _set(self, tuple(p * (den // q) for p, q in ratios) + (den,))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -65,104 +44,126 @@ class FieldElement:
 
     @classmethod
     def from_rational(cls, q) -> "FieldElement":
-        return cls(_as_fraction(q))
+        return cls(q)
 
     def coords(self):
-        return (self.a, self.b, self.c, self.d)
+        a, b, c, d, den = self._v
+        return (Fraction(a, den), Fraction(b, den), Fraction(c, den),
+                Fraction(d, den))
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return self._v == _ZERO_V
 
     @property
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        _, b, c, d, _ = self._v
+        return not (b or c or d)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return self._v != _ZERO_V
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = FieldElement(other)
-        if not isinstance(other, FieldElement):
+        o = other if isinstance(other, FieldElement) else _coerce(other)
+        if o is None:
             return NotImplemented
-        return self.coords() == other.coords()
+        return self._v == o._v
 
     def __hash__(self):
-        return hash(self.coords())
+        return hash(self._v)
+
+    def sign(self) -> int:
+        """Sign (-1, 0 or 1) under the real embedding, decided exactly."""
+        a, b, c, d, _ = self._v
+        sa = _sign_qr(a, b)
+        sb = _sign_qr(c, d)
+        if sa == sb or not sb:
+            return sa
+        if not sa:
+            return sb
+        # A + B*s with A, B of opposite signs: the larger of |A| and |B|*s
+        # wins, and A^2 - B^2*s^2 = (u + v*r)/8 says which
+        return sa if _sign_qr(*_s_norm8(a, b, c, d)) > 0 else sb
 
     # -- ring operations -----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(other)
-        if isinstance(other, FieldElement):
-            return other
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, FieldElement) else _coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        a, b, c, d, D = self._v
+        e, f, g, h, E = o._v
+        if D == E:
+            return _make(a + e, b + f, c + g, d + h, D)
+        return _make(a * E + e * D, b * E + f * D, c * E + g * D,
+                     d * E + h * D, D * E)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, den = self._v
+        return _wrap((-a, -b, -c, -d, den))
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, FieldElement) else _coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        a, b, c, d, D = self._v
+        e, f, g, h, E = o._v
+        if D == E:
+            return _make(a - e, b - f, c - g, d - h, D)
+        return _make(a * E - e * D, b * E - f * D, c * E - g * D,
+                     d * E - h * D, D * E)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, FieldElement) else _coerce(other)
         if o is None:
             return NotImplemented
-        # (A + B*s)(C + D*s) = A*C + B*D*s^2 + (A*D + B*C)*s over Q(r)
-        A = (self.a, self.b)
-        B = (self.c, self.d)
-        C = (o.a, o.b)
-        D = (o.c, o.d)
-        ac = _qr_mul(A, C)
-        bd = _qr_mul(B, D)
-        q = _qr_mul(bd, (_S2A, _S2B))
-        e0 = (ac[0] + q[0], ac[1] + q[1])
-        ad = _qr_mul(A, D)
-        bc = _qr_mul(B, C)
-        e1 = (ad[0] + bc[0], ad[1] + bc[1])
-        return FieldElement(e0[0], e0[1], e1[0], e1[1])
+        a, b, c, d, D = self._v
+        e, f, g, h, E = o._v
+        if not (b or c or d):
+            return _make(a * e, a * f, a * g, a * h, D * E)
+        if not (f or g or h):
+            return _make(a * e, b * e, c * e, d * e, D * E)
+        # (A + B*s)(C + G*s) = A*C + B*G*s^2 + (A*G + B*C)*s over Q(r),
+        # with B*G = p + q*r and s^2 = (5 + r)/8
+        p = c * g + 5 * d * h
+        q = c * h + d * g
+        return _make(8 * (a * e + 5 * b * f) + 5 * (p + q),
+                     8 * (a * f + b * e) + p + 5 * q,
+                     8 * (a * g + 5 * b * h + c * e + 5 * d * f),
+                     8 * (a * h + b * g + c * f + d * e),
+                     8 * D * E)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        # (A + B*s)^-1 = (A - B*s) / (A^2 - B^2 * s^2), the norm down to Q(r)
-        A = (self.a, self.b)
-        B = (self.c, self.d)
-        a2 = _qr_mul(A, A)
-        b2q = _qr_mul(_qr_mul(B, B), (_S2A, _S2B))
-        n = _qr_inv((a2[0] - b2q[0], a2[1] - b2q[1]))
-        na = _qr_mul(A, n)
-        nb = _qr_mul((-B[0], -B[1]), n)
-        return FieldElement(na[0], na[1], nb[0], nb[1])
+        a, b, c, d, den = self._v
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return _make(den, 0, 0, 0, a)
+        # (A + B*s)^-1 = (A - B*s) / (A^2 - B^2*s^2), the norm down to Q(r)
+        # being (u + v*r)/8, whose inverse is 8*(u - v*r)/(u^2 - 5*v^2)
+        u, v = _s_norm8(a, b, c, d)
+        k = 8 * den
+        return _make(k * (a * u - 5 * b * v), k * (b * u - a * v),
+                     k * (5 * d * v - c * u), k * (c * v - d * u),
+                     u * u - 5 * v * v)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -187,13 +188,12 @@ class FieldElement:
         """Value under r -> +sqrt(5), s -> sin(2*pi/5) at `precision` bits."""
         if precision < 64:
             raise ValueError("precision must be at least 64 bits")
+        a, b, c, d, den = self._v
         with mpmath.workprec(precision + 16):
             r = mpmath.sqrt(5)
             s = mpmath.sin(2 * mpmath.pi / 5)
-            val = (mpmath.mpf(self.a.numerator) / self.a.denominator
-                   + r * mpmath.mpf(self.b.numerator) / self.b.denominator
-                   + s * mpmath.mpf(self.c.numerator) / self.c.denominator
-                   + r * s * mpmath.mpf(self.d.numerator) / self.d.denominator)
+            val = (mpmath.mpf(a) / den + r * mpmath.mpf(b) / den
+                   + s * mpmath.mpf(c) / den + r * s * mpmath.mpf(d) / den)
         return val
 
     def __float__(self):
@@ -211,7 +211,7 @@ class FieldElement:
             return ZERO
         for cand in _sqrt_candidates(self):
             if cand * cand == self:
-                return cand if float(cand) >= 0 else -cand
+                return -cand if cand.sign() < 0 else cand
         return None
 
     def kth_root(self, k: int):
@@ -239,7 +239,7 @@ class FieldElement:
         root = _odd_root(cur, m)
         if root is None:
             return None
-        if k % 2 == 0 and float(root) < 0:
+        if k % 2 == 0 and root.sign() < 0:
             root = -root
         return root
 
@@ -252,72 +252,122 @@ class FieldElement:
         return serialize_element(self)
 
     def __repr__(self) -> str:
-        return f"FieldElement({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
+        a, b, c, d = self.coords()
+        return f"FieldElement({a!r}, {b!r}, {c!r}, {d!r})"
+
+
+_set = FieldElement._v.__set__
+_ZERO_V = (0, 0, 0, 0, 1)
+
+
+def _wrap(v) -> FieldElement:
+    """A FieldElement over an already canonical 5-tuple."""
+    x = object.__new__(FieldElement)
+    _set(x, v)
+    return x
+
+
+def _make(a, b, c, d, den) -> FieldElement:
+    """The element (a + b*r + c*s + d*r*s) / den, den != 0, reduced."""
+    g = gcd(a, b, c, d, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return _wrap((a // g, b // g, c // g, d // g, den // g))
+    return _wrap((a, b, c, d, den))
+
+
+def _coerce(other):
+    if isinstance(other, FieldElement):
+        return other
+    if isinstance(other, int):
+        return _wrap((int(other), 0, 0, 0, 1))  # int() maps bools to 0, 1
+    if isinstance(other, Fraction):
+        return _wrap((other.numerator, 0, 0, 0, other.denominator))
+    return None
+
+
+def _s_norm8(a, b, c, d):
+    """(u, v) with 8*(A^2 - B^2*s^2) = u + v*r, for A = a + b*r, B = c + d*r."""
+    p = c * c + 5 * d * d
+    q = 2 * c * d
+    return 8 * (a * a + 5 * b * b) - 5 * (p + q), 16 * a * b - p - 5 * q
+
+
+def _sign_qr(a, b) -> int:
+    """Sign of a + b*sqrt(5) for integers a, b."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > 5 * b * b else sb
 
 
 ZERO = FieldElement(0)
 ONE = FieldElement(1)
 R = FieldElement(0, 1)
 S = FieldElement(0, 0, 1)
+_S2 = S * S
 
 
-def _frac_sqrt(q: Fraction):
-    if q < 0:
+def _exact_isqrt(n: int):
+    """The integer m >= 0 with m*m == n, or None."""
+    if n < 0:
         return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    m = isqrt(n)
+    return m if m * m == n else None
 
 
-def _qr_sqrt_candidates(c):
-    """Candidate square roots of c0 + c1*r inside Q(r)."""
-    c0, c1 = c
+def _rat_sqrt(n: int, d: int):
+    """The nonnegative rational square root of n/d (d > 0), or None.
+
+    n/d is a rational square exactly when n*d is an integer square.
+    """
+    m = _exact_isqrt(n * d)
+    return None if m is None else _make(m, 0, 0, 0, d)
+
+
+def _qr_sqrt_candidates(x: FieldElement):
+    """Candidate square roots in Q(r) of x = (a + b*r)/den."""
+    a, b, _, _, den = x._v
     out = []
-    if c1 == 0:
-        t = _frac_sqrt(c0)
+    if not b:
+        t = _rat_sqrt(a, den)
         if t is not None:
-            out.append((t, _F0))
-        t = _frac_sqrt(c0 / 5)
+            out.append(t)
+        t = _rat_sqrt(a, 5 * den)
         if t is not None:
-            out.append((_F0, t))
+            out.append(t * R)
         return out
-    disc = _frac_sqrt(c0 * c0 - 5 * c1 * c1)
-    if disc is None:
+    # (t + w*r)^2 = x: t^2 = (a +- sqrt(a^2 - 5*b^2)) / (2*den), w = b/(2*t*den)
+    e = _exact_isqrt(a * a - 5 * b * b)
+    if e is None:
         return out
-    for sign in (1, -1):
-        a2 = (c0 + sign * disc) / 2
-        a = _frac_sqrt(a2)
-        if a is not None and a != 0:
-            out.append((a, c1 / (2 * a)))
+    for n in (a + e, a - e):
+        t = _rat_sqrt(n, 2 * den)
+        if t:
+            out.append(t + _make(b, 0, 0, 0, 2 * den) / t * R)
     return out
 
 
 def _sqrt_candidates(x: FieldElement):
-    C = (x.a, x.b)
-    D = (x.c, x.d)
-    cands = []
-    if D == (_F0, _F0):
+    a, b, c, d, den = x._v
+    C = _make(a, b, 0, 0, den)
+    if not (c or d):
         # either a root inside Q(r), or a pure s-multiple B*s with B^2*s^2 = C
-        for a in _qr_sqrt_candidates(C):
-            cands.append(FieldElement(a[0], a[1]))
-        q_inv = _qr_inv((_S2A, _S2B))
-        for b in _qr_sqrt_candidates(_qr_mul(C, q_inv)):
-            cands.append(FieldElement(0, 0, b[0], b[1]))
-        return cands
+        return (_qr_sqrt_candidates(C)
+                + [B * S for B in _qr_sqrt_candidates(C / _S2)])
     # (A + B*s)^2 = A^2 + B^2*s^2 + 2*A*B*s: solve A^2 as a root of
     # t^2 - C*t + s^2*D^2/4 over Q(r)
-    d2q = _qr_mul(_qr_mul(D, D), (_S2A, _S2B))
-    disc_qr = (_qr_mul(C, C)[0] - d2q[0], _qr_mul(C, C)[1] - d2q[1])
-    for sd in _qr_sqrt_candidates(disc_qr):
-        for sign in (1, -1):
-            a2 = ((C[0] + sign * sd[0]) / 2, (C[1] + sign * sd[1]) / 2)
+    D = _make(c, d, 0, 0, den)
+    cands = []
+    for sd in _qr_sqrt_candidates(C * C - D * D * _S2):
+        for a2 in ((C + sd) / 2, (C - sd) / 2):
             for A in _qr_sqrt_candidates(a2):
-                if A == (_F0, _F0):
-                    continue
-                B = _qr_mul(D, _qr_inv((2 * A[0], 2 * A[1])))
-                cands.append(FieldElement(A[0], A[1], B[0], B[1]))
+                if A:
+                    cands.append(A + D / (2 * A) * S)
     return cands
 
 
@@ -331,9 +381,7 @@ def _odd_root(x: FieldElement, m: int):
                           maxcoeff=10 ** 14, maxsteps=5000)
     if not rel or rel[4] == 0:
         return None
-    q = -rel[4]
-    cand = FieldElement(Fraction(rel[0], q), Fraction(rel[1], q),
-                        Fraction(rel[2], q), Fraction(rel[3], q))
+    cand = _make(rel[0], rel[1], rel[2], rel[3], -rel[4])
     if cand ** m == x:
         return cand
     return None
@@ -359,10 +407,6 @@ class TrigConstants:
 
 def trig_constants() -> TrigConstants:
     return TrigConstants()
-
-
-def embed_real(a: FieldElement, precision: int = 64):
-    return a.embed(precision)
 
 
 # -- text form -------------------------------------------------------------

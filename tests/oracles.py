@@ -10,6 +10,8 @@ from itertools import combinations, product
 from math import gcd
 import random
 
+import mpmath
+
 from starnet.arrangement import Arrangement, build
 from starnet.errors import StarnetError
 from starnet.field import FieldElement
@@ -125,3 +127,80 @@ def random_rational_arrangement(rng: random.Random, max_lines: int = 7):
         seen.add(key)
         lines.append((f"h{len(lines)}", cov))
     return build(lines, name=f"random-{n}")
+
+
+# -- field tower arithmetic on Fraction coordinates ------------------------
+# Elements are 4-tuples (a, b, c, d) of Fractions meaning
+# a + b*r + c*s + d*r*s, with r^2 = 5 and s^2 = 5/8 + r/8.
+
+_S2 = (Fraction(5, 8), Fraction(1, 8))
+
+
+def _qr_mul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c + 5 * b * d, a * d + b * c)
+
+
+def _qr_inv(x):
+    a, b = x
+    n = a * a - 5 * b * b
+    if n == 0:
+        raise ZeroDivisionError("zero element of Q(r)")
+    return (a / n, -b / n)
+
+
+def ref_add(x, y):
+    return tuple(u + v for u, v in zip(x, y))
+
+
+def ref_sub(x, y):
+    return tuple(u - v for u, v in zip(x, y))
+
+
+def ref_mul(x, y):
+    # (A + B*s)(C + D*s) = A*C + B*D*s^2 + (A*D + B*C)*s over Q(r)
+    A, B, C, D = x[:2], x[2:], y[:2], y[2:]
+    ac = _qr_mul(A, C)
+    q = _qr_mul(_qr_mul(B, D), _S2)
+    ad = _qr_mul(A, D)
+    bc = _qr_mul(B, C)
+    return (ac[0] + q[0], ac[1] + q[1], ad[0] + bc[0], ad[1] + bc[1])
+
+
+def ref_inverse(x):
+    # (A + B*s)^-1 = (A - B*s) / (A^2 - B^2 * s^2), the norm down to Q(r)
+    A, B = x[:2], x[2:]
+    a2 = _qr_mul(A, A)
+    b2q = _qr_mul(_qr_mul(B, B), _S2)
+    n = _qr_inv((a2[0] - b2q[0], a2[1] - b2q[1]))
+    na = _qr_mul(A, n)
+    nb = _qr_mul((-B[0], -B[1]), n)
+    return (na[0], na[1], nb[0], nb[1])
+
+
+def ref_sign(x):
+    """Sign under r -> +sqrt(5), s -> sin(2*pi/5), by interval evaluation.
+
+    The precision doubles until the enclosing interval excludes zero, which
+    happens for every nonzero element.
+    """
+    if not any(x):
+        return 0
+    iv = mpmath.iv
+    saved = iv.prec
+    try:
+        prec = 64
+        while True:
+            iv.prec = prec
+            r = iv.sqrt(5)
+            s = iv.sin(2 * iv.pi / 5)
+            val = sum((iv.mpf(q.numerator) / q.denominator * basis
+                       for q, basis in zip(x, (1, r, s, r * s))), iv.mpf(0))
+            if val.a > 0:
+                return 1
+            if val.b < 0:
+                return -1
+            prec *= 2
+    finally:
+        iv.prec = saved

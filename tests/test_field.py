@@ -8,13 +8,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starnet.field import (FieldElement, embed_real, parse_element,
-                           serialize_element, trig_constants)
+from oracles import ref_add, ref_inverse, ref_mul, ref_sign, ref_sub
+from starnet.field import (FieldElement, parse_element, serialize_element,
+                           trig_constants)
 
 rationals = st.builds(Fraction,
                       st.integers(min_value=-50, max_value=50),
                       st.integers(min_value=1, max_value=12))
 elements = st.builds(FieldElement, rationals, rationals, rationals, rationals)
+
+R = FieldElement(0, 1)
+S = FieldElement(0, 0, 1)
+# sqrt(5) to 41 digits: this minus r is -1.8e-41, yet float() of it is
+# +3.3e-24 because the 64-bit embedding cancels catastrophically
+SQRT5_41 = Fraction(11180339887498948482045868343656381177203, 5 * 10 ** 39)
+
+
+def _near_zero_elements():
+    """Rational approximations of r, s and r*s minus the generator."""
+    out = [FieldElement(SQRT5_41, -1)]
+    with mpmath.workdps(80):
+        targets = ((mpmath.sqrt(5), R),
+                   (mpmath.sin(2 * mpmath.pi / 5), S),
+                   (mpmath.sqrt(5) * mpmath.sin(2 * mpmath.pi / 5), R * S))
+        for value, gen in targets:
+            for digits in (6, 15, 30, 45):
+                low = int(mpmath.floor(value * 10 ** digits))
+                for num in (low, low + 1):
+                    out.append(FieldElement(Fraction(num, 10 ** digits)) - gen)
+    return out
+
+
+NEAR_ZERO = _near_zero_elements()
+
+high_rationals = st.builds(Fraction,
+                           st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+                           st.integers(min_value=1, max_value=10 ** 30))
+high_elements = st.builds(FieldElement, high_rationals, high_rationals,
+                          high_rationals, high_rationals)
+near_zero = st.sampled_from(NEAR_ZERO)
+any_elements = st.one_of(elements, high_elements, near_zero,
+                         st.builds(lambda x, y: x * y, near_zero, elements),
+                         st.builds(lambda x, y: x + y * S, near_zero,
+                                   near_zero))
 
 
 @given(elements, elements, elements)
@@ -71,7 +107,7 @@ def test_trig_pythagoras_exact():
 
 def test_high_precision_embed():
     s = FieldElement(0, 0, 1)
-    val = embed_real(s, precision=200)
+    val = s.embed(200)
     with mpmath.workprec(210):
         ref = mpmath.sin(2 * mpmath.pi / 5)
         assert abs(val - ref) < mpmath.mpf(2) ** -190
@@ -112,3 +148,63 @@ def test_pow_negative():
     a = FieldElement(Fraction(2, 3), 1)
     assert a ** -2 == (a * a).inverse()
     assert a ** 0 == FieldElement(1)
+
+
+def _assert_canonical(x):
+    *nums, den = x._v
+    assert den > 0
+    assert math.gcd(*nums, den) == 1
+
+
+@settings(max_examples=200)
+@given(any_elements, any_elements)
+def test_kernel_matches_fraction_reference(x, y):
+    cx, cy = x.coords(), y.coords()
+    assert FieldElement(*cx) == x
+    for got, want in ((x + y, ref_add(cx, cy)), (x - y, ref_sub(cx, cy)),
+                      (x * y, ref_mul(cx, cy))):
+        assert got.coords() == want
+        _assert_canonical(got)
+    if not x.is_zero:
+        inv = x.inverse()
+        assert inv.coords() == ref_inverse(cx)
+        _assert_canonical(inv)
+
+
+@settings(max_examples=200)
+@given(any_elements)
+def test_sign_matches_interval_reference(x):
+    assert x.sign() == ref_sign(x.coords())
+    assert (-x).sign() == -x.sign()
+
+
+@settings(max_examples=100)
+@given(any_elements)
+def test_sqrt_matches_reference(x):
+    sq = x * x
+    root = sq.sqrt()
+    assert ref_mul(root.coords(), root.coords()) == sq.coords()
+    assert root == (x if ref_sign(x.coords()) >= 0 else -x)
+    _assert_canonical(root)
+
+
+def test_sqrt_of_near_zero_square_is_nonnegative():
+    e = FieldElement(SQRT5_41, -1)
+    assert float(e) > 0  # the 64-bit embedding gets the sign wrong
+    assert e.sign() == -1
+    assert (e * e).sqrt() == -e
+    assert (e * e).kth_root(2) == -e
+
+
+@given(any_elements, any_elements)
+def test_equal_values_hash_equal(x, y):
+    built = [x, (x + y) - y, FieldElement(*x.coords()), -(-x)]
+    if not y.is_zero:
+        built += [(x * y) / y, x / y * y]
+    for b in built:
+        assert b == x
+        assert hash(b) == hash(x)
+        _assert_canonical(b)
+    assert (x == y) == (hash(x) == hash(y))
+    assert FieldElement(Fraction(6, 4)) == Fraction(3, 2)
+    assert hash(FieldElement(2) / 2) == hash(FieldElement(1))
