@@ -9,6 +9,7 @@ with their incidences.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
@@ -87,6 +88,8 @@ class Arrangement:
         self.name = name
         self.degenerate = degenerate
         self._lattice = None
+        self._point_of_pair = None
+        self._double_point_blocks = None
 
     @property
     def n(self) -> int:
@@ -105,6 +108,26 @@ class Arrangement:
         if self._lattice is None:
             self._lattice = _compute_lattice(self)
         return self._lattice
+
+    def point_of_pair(self):
+        """{(i, j): position in lattice()} for every pair of lines i < j."""
+        if self._point_of_pair is None:
+            self._point_of_pair = {
+                pair: pi for pi, pt in enumerate(self.lattice())
+                for pair in combinations(pt.incident, 2)}
+        return self._point_of_pair
+
+    def double_point_blocks(self):
+        """The lines joined through double points, as sorted blocks.
+
+        Blocks are the components of the graph whose edges are the points
+        of multiplicity 2, ordered by their smallest line.
+        """
+        if self._double_point_blocks is None:
+            self._double_point_blocks = components(
+                range(self.n), (pt.incident for pt in self.lattice()
+                                if pt.multiplicity == 2))
+        return self._double_point_blocks
 
     def __repr__(self):
         return f"Arrangement({self.name!r}, {self.n} lines)"
@@ -125,6 +148,27 @@ def build(lines, name: str = "") -> Arrangement:
     if len(out) < 2:
         raise ValueError("an arrangement needs at least 2 lines")
     return Arrangement(out, name=name)
+
+
+def components(items, edges):
+    """Union-find: the classes of `items` joined by `edges`, each sorted,
+    ordered by their smallest item."""
+    parent = {i: i for i in items}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    out = {}
+    for i in parent:
+        out.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(sorted(c)) for c in out.values()))
 
 
 def _cross(u, v):

@@ -214,8 +214,8 @@ def _rational_roots(poly: UniPoly):
     if poly.is_zero:
         return []
     # coordinate polynomials over Q; a rational root kills all four
-    coord_polys = [[c.coords()[k] for c in poly.coeffs] for k in range(4)]
-    chosen = next((cp for cp in coord_polys if any(v != 0 for v in cp)), None)
+    coord_polys = zip(*(c.coords() for c in poly.coeffs))
+    chosen = next((cp for cp in coord_polys if any(cp)), None)
     if chosen is None:
         return []
     import sympy
@@ -492,8 +492,6 @@ def _common_root(coeff_polys):
     for c0 in _field_roots(nonzero[0]):
         if all(p.evaluate(c0).is_zero for p in nonzero[1:]):
             return c0
-    if nonzero[0].degree == 0:
-        return None
     return None
 
 

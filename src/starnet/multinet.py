@@ -1,19 +1,24 @@
 """Multinet verification, enumeration, pointed structures and pencils.
 
 A multinet is a partition of the lines into k >= 3 classes with positive
-multiplicities whose class polynomials all lie in one pencil.  The base
-locus is derived, not supplied: it is exactly the set of intersection
-points meeting lines from at least two classes, which makes the cross-class
-condition definitional.
+multiplicities whose class polynomials all lie in one pencil
+(Falk-Yuzvinsky).  The base locus is derived, not supplied: it is exactly
+the set of intersection points meeting lines from at least two classes,
+which makes the cross-class condition definitional.  Condition (c) asks for
+one n_x at each base point over every class, so the base locus meets all k
+classes.  A base point therefore has multiplicity >= k >= 3, and the two
+lines through a double point always share a class: the search enumerates
+partitions of these forced blocks of lines, not of single lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, components
 from .errors import NonPositiveMultiplicity, NotAPartition, NotAPencil
 from .field import ZERO
 from .mpoly import MultiPoly
@@ -149,54 +154,27 @@ def check_multinet(A: Arrangement, classes, mult) -> MultinetReport:
     else:
         report.set("a", False, {"class_weights": weights})
 
-    # (c) n_x well-defined over the classes present at each base point
+    # (c) n_x is the same for every class, absent classes counting 0: the
+    # base locus meets all k classes
     ok_c = True
     witness_c = None
     for pi in base:
-        pt = points[pi]
-        sums = {}
-        for i in pt.incident:
-            ci = class_of[i]
-            sums[ci] = sums.get(ci, 0) + mult[i]
-        vals = set(sums.values())
-        if len(vals) == 1:
-            report.n_x[pi] = vals.pop()
+        sums = [0] * len(classes)
+        for i in points[pi].incident:
+            sums[class_of[i]] += mult[i]
+        if len(set(sums)) == 1:
+            report.n_x[pi] = sums[0]
         else:
             ok_c = False
-            witness_c = {"point": repr(pt), "class_sums": sums}
+            witness_c = {"point": repr(points[pi]),
+                         "class_sums": dict(enumerate(sums))}
             break
     report.set("c", ok_c, witness_c)
 
     # (d) each class connected through intersections outside the base locus
-    point_of_pair = {}
-    for pi, pt in enumerate(points):
-        inc = pt.incident
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                point_of_pair[(inc[a], inc[b])] = pi
-    ok_d = True
-    witness_d = None
-    for ci, cls in enumerate(classes):
-        parent = {i: i for i in cls}
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a in range(len(cls)):
-            for b in range(a + 1, len(cls)):
-                if point_of_pair[(cls[a], cls[b])] not in base_set:
-                    ra, rb = find(cls[a]), find(cls[b])
-                    if ra != rb:
-                        parent[ra] = rb
-        roots = {find(i) for i in cls}
-        if len(roots) > 1:
-            ok_d = False
-            witness_d = {"class": ci, "components": len(roots)}
-            break
-    report.set("d", ok_d, witness_d)
+    split = _disconnected_class(A, classes, base_set)
+    report.set("d", split is None, None if split is None else
+               {"class": split[0], "components": split[1]})
 
     # (e) gcd of all multiplicities is 1
     g = 0
@@ -204,6 +182,19 @@ def check_multinet(A: Arrangement, classes, mult) -> MultinetReport:
         g = gcd(g, m)
     report.set("e", g == 1, None if g == 1 else {"gcd": g})
     return report
+
+
+def _disconnected_class(A: Arrangement, classes, base_set):
+    """(class index, component count) of the first class whose lines are
+    not connected through points outside the base locus, or None."""
+    pair_point = A.point_of_pair()
+    for ci, cls in enumerate(classes):
+        joined = (pair for pair in combinations(cls, 2)
+                  if pair_point[pair] not in base_set)
+        count = len(components(cls, joined))
+        if count > 1:
+            return ci, count
+    return None
 
 
 # -- enumeration -----------------------------------------------------------
@@ -259,83 +250,67 @@ def _nullspace(rows, n):
 
 
 def _mult_constraints(A, classes, base, class_of):
-    """Linear constraints on the multiplicity vector from (a) and (c)."""
-    n = A.n
-    rows = []
-    first = classes[0]
-    for cls in classes[1:]:
-        row = [0] * n
-        for i in first:
-            row[i] -= 1
-        for i in cls:
-            row[i] += 1
-        rows.append(row)
-    points = A.lattice()
-    for pi in base:
-        pt = points[pi]
-        present = {}
-        for i in pt.incident:
-            present.setdefault(class_of[i], []).append(i)
-        cls_ids = sorted(present)
-        ref = present[cls_ids[0]]
-        for ci in cls_ids[1:]:
-            row = [0] * n
-            for i in ref:
-                row[i] -= 1
-            for i in present[ci]:
-                row[i] += 1
+    """Linear constraints on the multiplicity vector from (a) and (c): each
+    class weighs the same as class 0, over all lines and at each base point,
+    which meets every class."""
+    def differences(lines):
+        rows = []
+        for c in range(1, len(classes)):
+            row = [0] * A.n
+            for i in lines:
+                if class_of[i] == 0:
+                    row[i] -= 1
+                elif class_of[i] == c:
+                    row[i] += 1
             rows.append(row)
+        return rows
+
+    points = A.lattice()
+    rows = differences(range(A.n))
+    for pi in base:
+        rows += differences(points[pi].incident)
     return rows
 
 
+def _base_locus(points, class_of, k):
+    """Positions of the points meeting two or more classes, or None as soon
+    as one of them misses a class, which no multiplicities can repair."""
+    base = []
+    for pi, pt in enumerate(points):
+        met = len({class_of[i] for i in pt.incident})
+        if met >= 2:
+            if met < k:
+                return None
+            base.append(pi)
+    return base
+
+
 def enumerate_multinets(A: Arrangement, max_k: int = 4, max_mult: int = 4):
-    """All multinets on A up to class permutation, within the given caps."""
+    """All multinets on A up to class permutation, within the given caps.
+
+    Partitions run over the blocks of lines joined through double points,
+    which every multinet keeps inside one class.
+    """
     if max_k < 3:
         raise ValueError("max_k must be at least 3")
     if max_mult < 1:
         raise ValueError("max_mult must be at least 1")
     n = A.n
     points = A.lattice()
-    point_of_pair = {}
-    for pi, pt in enumerate(points):
-        inc = pt.incident
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                point_of_pair[(inc[a], inc[b])] = pi
+    blocks = A.double_point_blocks()
     results = []
-    for rgs in _restricted_growth_strings(n, max_k):
+    for rgs in _restricted_growth_strings(len(blocks), max_k):
         k = max(rgs) + 1
         if k < 3:
             continue
-        classes = tuple(tuple(i for i in range(n) if rgs[i] == c)
+        class_of = {i: c for block, c in zip(blocks, rgs) for i in block}
+        base = _base_locus(points, class_of, k)
+        if base is None:
+            continue
+        classes = tuple(tuple(i for i in range(n) if class_of[i] == c)
                         for c in range(k))
-        class_of = {i: rgs[i] for i in range(n)}
-        base = [pi for pi, pt in enumerate(points)
-                if len({class_of[i] for i in pt.incident}) >= 2]
-        base_set = set(base)
         # condition (d) is multiplicity-free: check it before solving
-        connected = True
-        for cls in classes:
-            if len(cls) == 1:
-                continue
-            parent = {i: i for i in cls}
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            for a in range(len(cls)):
-                for b in range(a + 1, len(cls)):
-                    if point_of_pair[(cls[a], cls[b])] not in base_set:
-                        ra, rb = find(cls[a]), find(cls[b])
-                        if ra != rb:
-                            parent[ra] = rb
-            if len({find(i) for i in cls}) > 1:
-                connected = False
-                break
-        if not connected:
+        if _disconnected_class(A, classes, set(base)) is not None:
             continue
         rows = _mult_constraints(A, classes, base, class_of)
         basis = _nullspace(rows, n)

@@ -13,9 +13,7 @@ import random
 import mpmath
 
 from starnet.arrangement import Arrangement, build
-from starnet.errors import StarnetError
 from starnet.field import FieldElement
-from starnet.multinet import check_multinet
 
 
 def brute_lattice(A: Arrangement):
@@ -51,21 +49,52 @@ def set_partitions(items, min_classes=1):
     return
 
 
+def _connected(lines, adjacent):
+    """Whether `lines` form one component under the relation `adjacent`."""
+    seen = {lines[0]}
+    stack = [lines[0]]
+    while stack:
+        i = stack.pop()
+        for j in lines:
+            if j not in seen and adjacent(i, j):
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(lines)
+
+
 def exhaustive_multinets(A: Arrangement, max_mult: int):
-    """Every (classes, mult) passing check_multinet, by raw enumeration."""
+    """Every (classes, mult) meeting the Falk-Yuzvinsky conditions, by raw
+    enumeration of partitions and multiplicity vectors.
+
+    Works from brute_lattice alone.  The base locus X is every point on
+    lines of two or more classes, so (b) holds by construction, and:
+    (a) every class has the same total multiplicity;
+    (c) at each point of X, every class (absent ones counting 0) has the
+        same total multiplicity n_x;
+    (d) each class is connected through points outside X;
+    (e) the multiplicities have gcd 1.
+    """
+    points = list(brute_lattice(A).values())
     found = set()
     for part in set_partitions(range(A.n)):
         if len(part) < 3:
             continue
         classes = tuple(sorted(tuple(sorted(c)) for c in part))
+        class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
+        base = [p for p in points if len({class_of[i] for i in p}) >= 2]
+
+        def adjacent(i, j):
+            return not any(i in p and j in p for p in base)
+
+        if not all(_connected(cls, adjacent) for cls in classes):
+            continue
         for mult in product(range(1, max_mult + 1), repeat=A.n):
             if gcd(*mult) != 1:
                 continue
-            try:
-                report = check_multinet(A, classes, mult)
-            except StarnetError:
+            if len({sum(mult[i] for i in cls) for cls in classes}) != 1:
                 continue
-            if report.valid:
+            if all(len({sum(mult[i] for i in cls if i in p)
+                        for cls in classes}) == 1 for p in base):
                 found.add((classes, mult))
     return found
 

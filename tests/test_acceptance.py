@@ -145,9 +145,11 @@ def test_criterion_7_oracle_equivalences():
     small += [random_rational_arrangement(rng, max_lines=5)
               for _ in range(3)]
     for A in small:
-        found = {(net.classes, net.mult)
-                 for net in enumerate_multinets(A, max_k=A.n, max_mult=2)}
+        nets = enumerate_multinets(A, max_k=A.n, max_mult=2)
+        found = {(net.classes, net.mult) for net in nets}
         ok = ok and found == exhaustive_multinets(A, max_mult=2)
+        for net in nets:
+            multinet_pencil(A, net)  # raises unless the classes span a pencil
     # (b) SNF vs determinantal divisors on random matrices
     for _ in range(50):
         M = [[rng.randint(-8, 8) for _ in range(rng.randint(1, 5))]]

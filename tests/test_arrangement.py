@@ -43,6 +43,28 @@ def test_random_lattices_match_brute_force():
         _check_lattice_against_oracle(random_rational_arrangement(rng))
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_pair_map_and_double_point_blocks(name):
+    A = builtin(name)
+    pts = A.lattice()
+    pair_point = A.point_of_pair()
+    assert len(pair_point) == math.comb(A.n, 2)
+    for (i, j), pi in pair_point.items():
+        assert i < j and {i, j} <= set(pts[pi].incident)
+    blocks = A.double_point_blocks()
+    assert sorted(i for b in blocks for i in b) == list(range(A.n))
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    block_of = {i: bi for bi, b in enumerate(blocks) for i in b}
+    for pt in pts:
+        if pt.multiplicity == 2:
+            assert block_of[pt.incident[0]] == block_of[pt.incident[1]]
+    # each block of two or more lines is joined by its own double points
+    for b in blocks:
+        doubles = [pt for pt in pts if pt.multiplicity == 2
+                   and pt.incident[0] in b]
+        assert len(doubles) >= len(b) - 1
+
+
 def test_b3_census():
     A = builtin("b3")
     pts = A.lattice()

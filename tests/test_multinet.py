@@ -1,6 +1,10 @@
 """Multinet checking, enumeration, pointedness and pencils."""
 
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starnet.arrangement import build, builtin
 from starnet.errors import (NonPositiveMultiplicity, NotAPartition,
@@ -42,9 +46,11 @@ def test_b3_multinet_valid():
 
 
 def test_triangle_net():
+    # three generic lines are not a multinet: each double point meets only
+    # two of the three classes, so n_x differs between classes (c)
     report = check_multinet(triangle(), [["x"], ["y"], ["z"]], (1, 1, 1))
-    assert report.valid
-    assert report.to_multinet().kappa == 1
+    assert not report.valid
+    assert report.conditions["c"][0] is False
 
 
 def test_gcd_condition_fails():
@@ -73,23 +79,64 @@ def test_bad_inputs():
 
 def test_enumerator_matches_exhaustive_small():
     for A in (triangle(), hexagon_net()):
-        found = {(net.classes, net.mult)
-                 for net in enumerate_multinets(A, max_k=A.n, max_mult=2)}
+        nets = enumerate_multinets(A, max_k=A.n, max_mult=2)
+        found = {(net.classes, net.mult) for net in nets}
         assert found == exhaustive_multinets(A, max_mult=2)
-        assert found, A.name  # both arrangements support a net
+        for net in nets:
+            multinet_pencil(A, net)  # every multinet spans a pencil
+    assert enumerate_multinets(hexagon_net(), max_mult=2)
 
 
 def test_enumerator_generic_lines():
-    # 4 generic lines: only the trivial all-singletons structure passes the
-    # combinatorial conditions, and it supports no pencil
+    # 4 generic lines: every point is a double point, so no partition into
+    # three or more classes lets a base point meet all classes
     A = build([("a", (1, 0, 1)), ("b", (0, 1, 1)),
                ("c", (1, 1, 1)), ("d", (1, -1, 1))], name="generic4")
     nets = enumerate_multinets(A, max_k=4, max_mult=2)
-    assert {(net.classes, net.mult)
-            for net in nets} == exhaustive_multinets(A, max_mult=2)
-    assert [net.classes for net in nets] == [((0,), (1,), (2,), (3,))]
-    with pytest.raises(NotAPencil):
-        multinet_pencil(A, nets[0])
+    assert exhaustive_multinets(A, max_mult=2) == set()
+    assert nets == []
+
+
+# covectors with entries in {-1, 0, 1}, one per projective class: their
+# arrangements have many triple and quadruple points, so they carry nets
+_SMALL_COVECTORS = [c for c in product((-1, 0, 1), repeat=3)
+                    if any(c) and next(v for v in c if v) == 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_SMALL_COVECTORS), min_size=3, max_size=9,
+                unique=True))
+@example([(1, -1, 0), (1, 1, 0), (0, 1, -1), (0, 1, 1), (1, 0, -1),
+          (1, 0, 1)])                                       # A3: a (3,2)-net
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 0),
+          (1, 0, -1), (1, 0, 1), (0, 1, -1), (0, 1, 1)])    # B3
+def test_enumerated_multinets_obey_the_theorems(covs):
+    A = build([(f"h{i}", c) for i, c in enumerate(covs)], name="small")
+    points = A.lattice()
+    for net in enumerate_multinets(A, max_k=A.n, max_mult=2):
+        class_of = {i: net.class_of(i) for i in range(A.n)}
+        # the base locus meets every class
+        for pi in net.base_locus:
+            assert {class_of[i] for i in points[pi].incident} == \
+                set(range(net.k))
+        # so the lines through a double point share a class
+        for pt in points:
+            if pt.multiplicity == 2:
+                a, b = pt.incident
+                assert class_of[a] == class_of[b]
+        # Pereira-Yuzvinsky: k <= 4 once the base locus has two points
+        if len(net.base_locus) > 1:
+            assert net.k <= 4
+        multinet_pencil(A, net)  # Falk-Yuzvinsky: the classes span a pencil
+
+
+def test_generic_five_lines_have_no_multinet():
+    # all ten points are double, so no base point can meet k >= 3 classes;
+    # the all-singletons partition with |X| = 10 would break k <= 4
+    A = build([("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1)),
+               ("d", (1, 1, 1)), ("e", (1, 2, 3))], name="generic5")
+    assert all(pt.multiplicity == 2 for pt in A.lattice())
+    assert enumerate_multinets(A, max_k=5, max_mult=2) == []
 
 
 def test_enumerator_finds_b3_multinet():
@@ -103,6 +150,15 @@ def test_enumerator_finds_b3_multinet():
         tuple(sorted(c)) for c in B3_CLASSES)
 
 
+def test_double_star_has_no_multinet():
+    # its double points join l1..l5 and l6..l10 into two blocks, so the
+    # only partition into three classes adds z alone, and z misses the
+    # base points off the line at infinity
+    A = builtin("double_star")
+    assert len(A.double_point_blocks()) == 3
+    assert enumerate_multinets(A) == []
+
+
 def test_find_pointed_b3():
     A = builtin("b3")
     net = check_multinet(A, B3_CLASSES, B3_MULT).to_multinet()
@@ -110,9 +166,10 @@ def test_find_pointed_b3():
     assert pointed == {"x", "y", "z"}
 
 
-def test_find_pointed_none_on_triangle():
-    A = triangle()
-    net = check_multinet(A, [["x"], ["y"], ["z"]], (1, 1, 1)).to_multinet()
+def test_find_pointed_none_on_hexagon():
+    A = hexagon_net()
+    net = check_multinet(A, [["x-y", "x+y"], ["y-z", "y+z"],
+                             ["x-z", "x+z"]], (1,) * 6).to_multinet()
     assert find_pointed(A, net) == []   # needs a multiplicity > 1
 
 
