@@ -8,9 +8,9 @@ from .field import (FieldElement, parse_element, serialize_element,
                     trig_constants)
 from .mpoly import (MultiPoly, UniPoly, dehomogenize, exact_divide,
                     factor_multiplicity, homogenize, kth_root,
-                    restrict_to_line, uni_squarefree)
+                    restrict_to_line)
 from .arrangement import (Arrangement, IntersectionPoint, Line, build,
-                          builtin, delete, is_essential, lattice, render_svg)
+                          builtin, delete, is_essential, render_svg)
 from .multinet import (Multinet, MultinetReport, Pencil, builtin_pencil,
                        check_multinet, enumerate_multinets, find_pointed,
                        multinet_pencil)

@@ -193,10 +193,6 @@ def _compute_lattice(A: Arrangement):
         c.coords() for c in p.coords))
 
 
-def lattice(A: Arrangement):
-    return A.lattice()
-
-
 def is_essential(A: Arrangement) -> bool:
     return all(p.multiplicity < A.n for p in A.lattice())
 

@@ -17,6 +17,10 @@ class NotAPower(StarnetError):
     """Polynomial is not a perfect k-th power over the field."""
 
 
+class RootFindingFailed(StarnetError):
+    """Numeric root finding did not converge at the working precision."""
+
+
 class DuplicateLine(StarnetError):
     pass
 

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb
+from itertools import combinations, count
+from math import comb, isqrt, lcm
 
 import mpmath
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, _cross
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
-                     MultipleMultipleFibers, NotAPower, NotSmall)
-from .field import ONE, ZERO, FieldElement, serialize_element
+                     MultipleMultipleFibers, NotSmall, RootFindingFailed)
+from .field import ONE, ZERO, FieldElement, from_real, serialize_element
 from .mpoly import (MultiPoly, UniPoly, binary_restriction, divides,
-                    exact_divide, factor_multiplicity, kth_root,
-                    restrict_to_line)
+                    exact_divide, factor_multiplicity,
+                    is_kth_power_up_to_scalar, restrict_to_line,
+                    squarefree_part)
 from .multinet import Pencil, _is_proportional
 
 
@@ -124,24 +126,13 @@ class V1Component:
 # -- candidate parameters ---------------------------------------------------
 
 def _points_on_line(cov):
-    e = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
-    pts = []
-    for basis in e:
-        p = (cov[1] * basis[2] - cov[2] * basis[1],
-             cov[2] * basis[0] - cov[0] * basis[2],
-             cov[0] * basis[1] - cov[1] * basis[0])
-        if any(not c.is_zero for c in p):
-            pts.append(p)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not _proportional_triples(pts[i], pts[j]):
-                return pts[i], pts[j]
+    """Two distinct points on the line: its meets with the coordinate lines."""
+    basis = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
+    pts = [p for p in (_cross(cov, e) for e in basis) if any(p)]
+    for u, v in combinations(pts, 2):
+        if any(_cross(u, v)):  # u and v are not proportional
+            return u, v
     raise ValueError("could not find two points on the line")
-
-
-def _proportional_triples(u, v):
-    return all((u[i] * v[j] - u[j] * v[i]).is_zero
-               for i in range(3) for j in range(i + 1, 3))
 
 
 def _det_field(mat) -> FieldElement:
@@ -210,22 +201,51 @@ _PROBES = (
 
 
 def _rational_roots(poly: UniPoly):
-    """Rational values where the field-coefficient polynomial vanishes."""
+    """Rational values where the field-coefficient polynomial vanishes.
+
+    A rational root kills every coordinate polynomial over Q, so it is a
+    root of the monic squarefree part p of one of them.  With L the common
+    denominator of p, the rational roots of p are y / L for the integer
+    roots y of the monic integer q(y) = L^d * p(y / L).
+    """
     if poly.is_zero:
         return []
-    # coordinate polynomials over Q; a rational root kills all four
-    coord_polys = zip(*(c.coords() for c in poly.coeffs))
-    chosen = next((cp for cp in coord_polys if any(cp)), None)
-    if chosen is None:
-        return []
-    import sympy
-
-    t = sympy.Symbol("t")
-    expr = sympy.Poly([sympy.Rational(v) for v in reversed(chosen)], t,
-                      domain="QQ")
-    cands = [Fraction(sympy.Rational(r).p, sympy.Rational(r).q)
-             for r in expr.ground_roots()]
+    chosen = next(cp for cp in zip(*(c.coords() for c in poly.coeffs))
+                  if any(cp))
+    p = [c.coords()[0]
+         for c in squarefree_part(UniPoly(chosen)).monic().coeffs]
+    den = lcm(*(c.denominator for c in p))
+    q = [int(c * den ** (len(p) - 1 - i)) for i, c in enumerate(p)]
+    cands = (Fraction(y, den) for y in _integer_root_candidates(q))
     return sorted({c for c in cands if poly.evaluate(FieldElement(c)).is_zero})
+
+
+def _horner_mod(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _integer_root_candidates(q):
+    """Candidates holding every integer root of the monic q (low to high,
+    squarefree over Q).  Roots satisfy |y| < B = 1 + max |q_i|; each is the
+    symmetric residue of a simple root of q mod the first prime where all
+    roots are simple, lifted by Newton's iteration modulo p^(2^j) > 2B."""
+    bound = 1 + max((abs(c) for c in q[:-1]), default=0)
+    dq = [i * c for i, c in enumerate(q)][1:]
+    for p in count(2):
+        if all(p % k for k in range(2, isqrt(p) + 1)):
+            roots = [r for r in range(p) if not _horner_mod(q, r, p)]
+            if all(_horner_mod(dq, r, p) for r in roots):
+                break
+    for r in roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _horner_mod(q, r, m)
+                 * pow(_horner_mod(dq, r, m), -1, m)) % m
+        yield r if 2 * r <= m else r - m
 
 
 def _discriminant_lambdas(pencil: Pencil):
@@ -301,24 +321,6 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
 
 # -- per-fiber analysis -----------------------------------------------------
 
-def _power_multiplicity(residual: MultiPoly) -> int:
-    """Largest k with residual = scalar * q^k; scalar-insensitive."""
-    deg = residual.degree
-    if deg <= 0:
-        return 1
-    _, lc = residual.leading()
-    monic = residual.scale(lc.inverse())
-    for k in range(deg, 1, -1):
-        if deg % k:
-            continue
-        try:
-            kth_root(monic, k)
-            return k
-        except NotAPower:
-            continue
-    return 1
-
-
 def analyze_fiber(A: Arrangement, pencil: Pencil, lam) -> FiberAnalysis:
     lam = normalize_lambda(lam)
     fiber = fiber_polynomial(pencil, lam)
@@ -332,8 +334,10 @@ def analyze_fiber(A: Arrangement, pencil: Pencil, lam) -> FiberAnalysis:
             for _ in range(e):
                 residual = exact_divide(residual, ln.linear_form())
             parts.append((i, e))
-    return FiberAnalysis(lam, fiber, tuple(parts), residual,
-                         _power_multiplicity(residual))
+    # mu: the largest k with residual = scalar * q^k
+    mu = next((k for k in range(residual.degree, 1, -1)
+               if is_kth_power_up_to_scalar(residual, k)), 1)
+    return FiberAnalysis(lam, fiber, tuple(parts), residual, mu)
 
 
 def analyze(A: Arrangement, pencil: Pencil, extra_lambdas=()) -> FibrationReport:
@@ -429,33 +433,26 @@ def translated_component(A: Arrangement, pencil: Pencil,
 def _field_roots(poly: UniPoly):
     """Roots of a field-coefficient univariate polynomial inside the field.
 
-    Numeric roots are reconstructed over the basis by PSLQ and verified
-    exactly, so every returned root is genuine.
+    mpmath proposes the (simple) roots of the squarefree part; each real
+    one is reconstructed by field.from_real and verified exactly.  Raises
+    RootFindingFailed, never reads as "no roots", if mpmath fails.
     """
     if poly.degree < 1:
         return []
-    roots = []
+    sf = squarefree_part(poly)
     with mpmath.workdps(120):
-        coeffs = [c.embed(400) for c in reversed(poly.coeffs)]
+        coeffs = [c.embed(400) for c in reversed(sf.coeffs)]
         try:
             numeric = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
-        except mpmath.libmp.NoConvergence:
-            numeric = []
-        r5 = mpmath.sqrt(5)
-        sv = mpmath.sin(2 * mpmath.pi / 5)
-        for nr in numeric:
-            if abs(mpmath.im(nr)) > mpmath.mpf(10) ** (-40):
-                continue
-            val = mpmath.re(nr)
-            rel = mpmath.pslq([mpmath.mpf(1), r5, sv, r5 * sv, val],
-                              maxcoeff=10 ** 12, maxsteps=5000)
-            if not rel or rel[4] == 0:
-                continue
-            q = -rel[4]
-            cand = FieldElement(Fraction(rel[0], q), Fraction(rel[1], q),
-                                Fraction(rel[2], q), Fraction(rel[3], q))
-            if poly.evaluate(cand).is_zero and cand not in roots:
-                roots.append(cand)
+        except mpmath.libmp.NoConvergence as exc:
+            raise RootFindingFailed(f"no numeric roots of {sf}") from exc
+        real = [mpmath.re(nr) for nr in numeric
+                if abs(mpmath.im(nr)) <= mpmath.mpf(10) ** (-40)]
+    roots = []
+    for cand in map(from_real, real):
+        if cand is not None and cand not in roots and \
+                poly.evaluate(cand).is_zero:
+            roots.append(cand)
     return roots
 
 

@@ -40,12 +40,6 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
-    # -- construction helpers ------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> "FieldElement":
-        return cls(q)
-
     def coords(self):
         a, b, c, d, den = self._v
         return (Fraction(a, den), Fraction(b, den), Fraction(c, den),
@@ -371,20 +365,27 @@ def _sqrt_candidates(x: FieldElement):
     return cands
 
 
-def _odd_root(x: FieldElement, m: int):
+def from_real(value):
+    """The element with real embedding `value`, proposed by PSLQ over
+    {1, r, s, r*s} at 120 digits (None if none is found); callers verify."""
+    if abs(value) < mpmath.mpf(10) ** (-90):
+        return ZERO  # zero at this precision; PSLQ needs nonzero entries
     with mpmath.workdps(120):
-        val = x.embed(400)
-        target = mpmath.sign(val) * mpmath.power(abs(val), mpmath.mpf(1) / m)
         r = mpmath.sqrt(5)
         s = mpmath.sin(2 * mpmath.pi / 5)
-        rel = mpmath.pslq([mpmath.mpf(1), r, s, r * s, target],
+        rel = mpmath.pslq([mpmath.mpf(1), r, s, r * s, value],
                           maxcoeff=10 ** 14, maxsteps=5000)
     if not rel or rel[4] == 0:
         return None
-    cand = _make(rel[0], rel[1], rel[2], rel[3], -rel[4])
-    if cand ** m == x:
-        return cand
-    return None
+    return _make(rel[0], rel[1], rel[2], rel[3], -rel[4])
+
+
+def _odd_root(x: FieldElement, m: int):
+    with mpmath.workdps(120):
+        val = x.embed(400)
+        cand = from_real(mpmath.sign(val)
+                         * mpmath.power(abs(val), mpmath.mpf(1) / m))
+    return cand if cand is not None and cand ** m == x else None
 
 
 # -- the trigonometric constants of the double star equations -------------

@@ -492,12 +492,12 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return p.monic()
 
 
-def uni_squarefree(p: UniPoly) -> bool:
-    """True iff gcd(p, p') is constant."""
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """p / gcd(p, p'): the same roots as p, each of them simple."""
     if p.is_zero:
-        raise ValueError("squarefreeness undefined for the zero polynomial")
-    g = uni_gcd(p, p.derivative())
-    return g.degree <= 0
+        raise ValueError("squarefree part undefined for the zero polynomial")
+    quot, _ = p.divmod(uni_gcd(p, p.derivative()))
+    return quot
 
 
 def restrict_to_line(p: MultiPoly, point, direction) -> UniPoly:

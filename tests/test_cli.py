@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from starnet.arrangement import arrangement_to_json, builtin
 from starnet.cli import main
@@ -155,3 +159,18 @@ def test_human_format_runs(capsys):
                        "--pencil", "builtin:b3_del_z")
     assert code == 0
     assert "small" in out
+
+
+def test_analyze_does_not_import_sympy():
+    # the package's runtime dependency is mpmath alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys\n"
+              "from starnet.cli import main\n"
+              "code = main(['analyze', '--builtin', 'b3_del_z',\n"
+              "             '--pencil', 'builtin:b3_del_z'])\n"
+              "assert code == 0, code\n"
+              "assert 'sympy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

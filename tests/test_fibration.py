@@ -1,16 +1,26 @@
 """Pencil analysis: special fibers, classification, jump-locus components."""
 
-import pytest
+from fractions import Fraction
 
-from starnet.arrangement import builtin
-from starnet.errors import DegeneratePencil, InvalidOrbifoldData, NotSmall
-from starnet.field import ONE, ZERO, FieldElement
-from starnet.fibration import (analyze, analyze_fiber, fiber_polynomial,
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starnet.arrangement import builtin, delete
+from starnet.cli import main
+from starnet.errors import (DegeneratePencil, InvalidOrbifoldData, NotSmall,
+                            RootFindingFailed)
+from starnet.exprs import parse_poly
+from starnet.field import ONE, ZERO, FieldElement, R, S
+from starnet.fibration import (_field_roots, _rational_roots, analyze,
+                               analyze_fiber, fiber_polynomial,
                                lambda_candidates, normalize_lambda,
                                orbifold_v1_shape, pointed_vs_fiber,
+                               splits_into_linear_factors,
                                translated_component)
 from starnet.multinet import Pencil, builtin_pencil
-from starnet.mpoly import X
+from starnet.mpoly import UniPoly, X, Y, Z
 
 
 def test_normalize_lambda():
@@ -138,3 +148,99 @@ def test_analyze_fiber_peels_lines():
     got = {(A.lines[i].label, e) for i, e in f.arrangement_part}
     assert got == {("x", 2), ("y-z", 1), ("y+z", 1)}
     assert f.removed
+
+
+# -- the root path ----------------------------------------------------------
+
+def t_minus(c):
+    """The linear polynomial t - c."""
+    return UniPoly([-c, ONE])
+
+
+def product(factors):
+    out = UniPoly([ONE])
+    for f in factors:
+        out = out * f
+    return out
+
+
+T2_PLUS_1 = UniPoly([ONE, ZERO, ONE])
+T2_MINUS_3 = UniPoly([FieldElement(-3), ZERO, ONE])
+
+
+def test_swapped_deleted_b3_is_explained():
+    # deleted B3 with x and z exchanged: the multiple fiber's residual x^2
+    # restricts to t^2, whose root 0 is repeated
+    A = delete(builtin("b3"), "x")
+    pen = Pencil(parse_poly("z^2*(y^2 - x^2)"), parse_poly("y^2*(z^2 - x^2)"),
+                 ())
+    rep = analyze(A, pen)
+    assert rep.classification == "small" and rep.mu_vector == (2,)
+    assert pointed_vs_fiber(A, rep)["pointed_multinet_explained"] is True
+
+
+def test_squares_of_line_products_split():
+    q1 = (X - Y.scale(R)) * (X - Y - Z.scale(S))
+    q2 = (X - Y * Fraction(1, 3)) * (X + Y) * (X - Z)
+    assert splits_into_linear_factors(q1 * q1)
+    assert splits_into_linear_factors(q2 * q2)
+    assert not splits_into_linear_factors(X * X + Y * Y - Z * Z)
+
+
+def test_rational_roots_planted():
+    planted = [Fraction(-1, 10 ** 30), Fraction(10 ** 40 + 7, 13),
+               Fraction(-5, 7), Fraction(0), Fraction(3, 2)]
+    poly = product([t_minus(Fraction(-1, 10 ** 30)),
+                    t_minus(Fraction(10 ** 40 + 7, 13)),
+                    t_minus(Fraction(-5, 7)), t_minus(Fraction(-5, 7)),
+                    t_minus(0), t_minus(0),
+                    t_minus(Fraction(3, 2)), t_minus(Fraction(3, 2)),
+                    t_minus(Fraction(3, 2)),
+                    t_minus(R), T2_MINUS_3, T2_PLUS_1]) * FieldElement(7, 2)
+    assert _rational_roots(poly) == sorted(planted)
+    assert _rational_roots(product([t_minus(R), T2_MINUS_3,
+                                    T2_PLUS_1])) == []
+
+
+def test_field_roots_of_repeated_factors():
+    third = Fraction(1, 3)
+    poly = product([t_minus(third)] * 3 + [t_minus(R)] * 2 + [T2_PLUS_1])
+    roots = _field_roots(poly)
+    assert len(roots) == 2 and set(roots) == {FieldElement(third), R}
+
+
+def test_failed_numeric_roots_are_loud(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("did not converge")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    with pytest.raises(RootFindingFailed):
+        _field_roots(T2_PLUS_1)
+    code = main(["analyze", "--builtin", "double_star",
+                 "--pencil", "builtin:double_star"])
+    assert code == 1
+    assert "analysis failed: RootFindingFailed" in capsys.readouterr().err
+
+
+rationals = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 30)),
+    st.builds(lambda k, sign: Fraction(sign, 10 ** k),
+              st.integers(20, 60), st.sampled_from((-1, 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(rationals, st.integers(1, 3)), min_size=1,
+                max_size=4),
+       st.sampled_from((UniPoly([ONE]), t_minus(R), T2_MINUS_3, T2_PLUS_1)),
+       st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+       st.fractions(min_value=1, max_value=100, max_denominator=100))
+def test_rational_roots_property(planted, irrational, extra, scale):
+    poly = product([t_minus(q) for q, m in planted for _ in range(m)]
+                   + [irrational, UniPoly(extra)]) * FieldElement(scale)
+    if poly.is_zero:
+        return
+    found = _rational_roots(poly)
+    assert {q for q, _ in planted} <= set(found)
+    assert all(poly.evaluate(FieldElement(q)).is_zero for q in found)

@@ -12,7 +12,7 @@ from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, binary_restriction,
                            dehomogenize, divides, exact_divide,
                            factor_multiplicity, homogenize,
                            is_kth_power_up_to_scalar, kth_root,
-                           restrict_to_line, uni_gcd, uni_squarefree)
+                           restrict_to_line, squarefree_part, uni_gcd)
 
 coeffs = st.builds(FieldElement,
                    st.integers(min_value=-9, max_value=9),
@@ -114,12 +114,16 @@ def test_unipoly_divmod():
     assert r.degree < d.degree
 
 
-def test_uni_squarefree():
+def test_squarefree_part():
     x = UniPoly([FieldElement(0), FieldElement(1)])
     one = UniPoly([FieldElement(1)])
-    assert uni_squarefree(x * x + one)
-    assert not uni_squarefree(x * x)
+    assert squarefree_part(x * x + one) == x * x + one
+    assert squarefree_part(x * x) == x
     assert uni_gcd(x * x, x).monic() == x.monic()
+    # repeated roots drop to simple ones; the leading coefficient stays
+    lin = UniPoly([FieldElement(0, -1), FieldElement(2)])   # 2t - 2r
+    assert squarefree_part(lin * lin * lin * (x + one)) == \
+        (lin * (x + one)) * FieldElement(4)
 
 
 def test_evaluate_partial_degrees():
