@@ -1,0 +1,52 @@
+"""Byte-for-byte `--format json` output of the builtin invocations.
+
+The files under tests/golden/ hold the expected stdout of each invocation.
+Regenerate them only for an intended output change, by running
+`python tests/test_golden.py` from the repository root.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from starnet.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "lattice_b3": ("lattice", "--builtin", "b3"),
+    "lattice_double_star": ("lattice", "--builtin", "double_star"),
+    "lattice_double_star_affine": ("lattice", "--builtin",
+                                   "double_star_affine"),
+    "analyze_double_star": ("analyze", "--builtin", "double_star",
+                            "--pencil", "builtin:double_star"),
+    "analyze_b3": ("analyze", "--builtin", "b3", "--pencil", "builtin:b3"),
+    "analyze_b3_del_z": ("analyze", "--builtin", "b3_del_z",
+                         "--pencil", "builtin:b3_del_z"),
+    "analyze_b3_from_multinet": ("analyze", "--builtin", "b3",
+                                 "--from-multinet", "0", "--max-mult", "2"),
+    "multinets_b3_mult2": ("multinets", "--builtin", "b3", "--max-mult", "2"),
+    "multinets_b3_mult3": ("multinets", "--builtin", "b3", "--max-mult", "3"),
+    "aomoto_double_star": ("aomoto", "--builtin", "double_star",
+                           "--omega=1,1,1,1,1,-1,-1,-1,-1,-1"),
+    "aomoto_b3": ("aomoto", "--builtin", "b3", "--omega=1,-2,3,0,1,-1,2,-4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_matches_golden(name, capsys):
+    assert main([*CASES[name], "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([*argv, "--format", "json"]) == 0
+        (GOLDEN / f"{name}.json").write_text(buf.getvalue(), encoding="utf-8")
