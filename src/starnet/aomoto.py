@@ -11,17 +11,17 @@ cohomology torsion is computed by Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .arrangement import Arrangement
 
 
 @dataclass(frozen=True)
 class OS2Basis:
-    points: tuple       # (coords-at-finite-distance IntersectionPoint, ...) refs
-    elements: tuple     # ((point position, line index), ...)
-    index: dict         # (point position, line index) -> basis position
-    minimal: tuple      # minimal incident line per point position
-    pair_point: dict    # (i, j) with i < j -> point position, affine pairs only
+    points: dict        # lattice position -> IntersectionPoint, affine only
+    elements: tuple     # ((lattice position, line index), ...)
+    index: dict         # (lattice position, line index) -> basis position
+    pair_point: dict    # A.point_of_pair(): (i, j), i < j -> lattice position
 
     @property
     def b2(self) -> int:
@@ -31,46 +31,32 @@ class OS2Basis:
 def os2_basis(A: Arrangement) -> OS2Basis:
     if any(ln.is_infinity for ln in A.lines):
         raise ValueError("decone first: the affine complex excludes z = 0")
-    affine_points = [p for p in A.lattice() if not p.is_at_infinity]
-    elements = []
-    index = {}
-    minimal = []
-    pair_point = {}
-    for pos, pt in enumerate(affine_points):
-        inc = pt.incident
-        minimal.append(inc[0])
-        for j in inc[1:]:
-            index[(pos, j)] = len(elements)
-            elements.append((pos, j))
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                pair_point[(inc[a], inc[b])] = pos
-    return OS2Basis(tuple(affine_points), tuple(elements), index,
-                    tuple(minimal), pair_point)
+    points = {pos: pt for pos, pt in enumerate(A.lattice())
+              if not pt.is_at_infinity}
+    elements = tuple((pos, j) for pos, pt in points.items()
+                     for j in pt.incident[1:])
+    index = {e: t for t, e in enumerate(elements)}
+    return OS2Basis(points, elements, index, A.point_of_pair())
+
+
+def _product_terms(i: int, j: int, pos: int, basis: OS2Basis):
+    """(basis position, coefficient) terms of e_i * e_j at the affine point
+    pos, by the three-term relation e_i e_j = e_m e_j - e_m e_i with m the
+    point's smallest line and e_m e_m = 0; it holds for either order."""
+    m = basis.points[pos].incident[0]
+    return [(basis.index[(pos, b)], c) for b, c in ((j, 1), (i, -1))
+            if b != m]
 
 
 def reduce_product(i: int, j: int, basis: OS2Basis):
     """Coordinates of e_i * e_j on the basis; zero for parallel lines."""
     if i == j:
         raise ValueError("product of a generator with itself is zero")
-    sign = 1
-    a, b = i, j
-    if a > b:
-        a, b = b, a
-        sign = -1
     vec = [0] * basis.b2
-    pos = basis.pair_point.get((a, b))
-    if pos is None:
-        return vec
-    m = basis.minimal[pos]
-    # e_a e_b = e_m e_b - e_m e_a (three-term relation at the point)
-    if a == m:
-        vec[basis.index[(pos, b)]] += sign
-    elif b == m:
-        vec[basis.index[(pos, a)]] -= sign
-    else:
-        vec[basis.index[(pos, b)]] += sign
-        vec[basis.index[(pos, a)]] -= sign
+    pos = basis.pair_point.get((min(i, j), max(i, j)))
+    if pos in basis.points:
+        for t, c in _product_terms(i, j, pos, basis):
+            vec[t] += c
     return vec
 
 
@@ -94,16 +80,14 @@ def aomoto_complex(A: Arrangement, a) -> AomotoComplex:
     if len(a) != A.n:
         raise ValueError(f"weight vector must have length {A.n}")
     basis = os2_basis(A)
-    rows = []
-    for j in range(A.n):
-        row = [0] * basis.b2
-        for i in range(A.n):
-            if i == j or a[i] == 0:
-                continue
-            for t, v in enumerate(reduce_product(i, j, basis)):
-                row[t] += a[i] * v
-        rows.append(tuple(row))
-    return AomotoComplex(a, tuple(rows), basis)
+    # e_i * e_j vanishes unless i and j meet at an affine point
+    rows = [[0] * basis.b2 for _ in range(A.n)]
+    for pos, pt in basis.points.items():
+        for i, j in permutations(pt.incident, 2):
+            if a[i]:
+                for t, c in _product_terms(i, j, pos, basis):
+                    rows[j][t] += a[i] * c
+    return AomotoComplex(a, tuple(map(tuple, rows)), basis)
 
 
 # -- Smith normal form ------------------------------------------------------

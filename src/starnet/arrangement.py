@@ -13,26 +13,17 @@ from itertools import combinations
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
-from .field import ONE, ZERO, FieldElement, serialize_element, trig_constants
+from .field import (ONE, ZERO, FieldElement, normalize, serialize_element,
+                    trig_constants)
 from .mpoly import MultiPoly, dehomogenize, homogenize
 from .exprs import parse_field_element
-
-
-def _normalize_triple(cov):
-    cov = tuple(c if isinstance(c, FieldElement) else FieldElement(c)
-                for c in cov)
-    for c in cov:
-        if not c.is_zero:
-            inv = c.inverse()
-            return tuple(v * inv for v in cov)
-    return None
 
 
 class Line:
     __slots__ = ("label", "covector")
 
     def __init__(self, label: str, covector):
-        cov = _normalize_triple(covector)
+        cov = normalize(covector)
         if cov is None:
             raise ZeroCovector(f"line {label!r} has the zero covector")
         object.__setattr__(self, "label", label)
@@ -44,11 +35,6 @@ class Line:
     def linear_form(self) -> MultiPoly:
         a, b, c = self.covector
         return MultiPoly.linear(a, b, c)
-
-    def contains(self, point) -> bool:
-        a, b, c = self.covector
-        p0, p1, p2 = point
-        return (a * p0 + b * p1 + c * p2).is_zero
 
     @property
     def is_infinity(self) -> bool:
@@ -178,19 +164,17 @@ def _cross(u, v):
 
 
 def _compute_lattice(A: Arrangement):
-    points = {}
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            pt = _normalize_triple(_cross(A.lines[i].covector,
-                                          A.lines[j].covector))
-            if pt is None:
-                # cannot happen for projectively distinct lines
-                raise ZeroCovector("coincident lines in lattice computation")
-            if pt not in points:
-                incident = [k for k in range(A.n) if A.lines[k].contains(pt)]
-                points[pt] = IntersectionPoint(pt, incident)
-    return sorted(points.values(), key=lambda p: tuple(
-        c.coords() for c in p.coords))
+    # every line through a point pairs with every other line through it, so
+    # the lines of the pairs meeting at a point are exactly its incident set
+    incident = {}
+    for (i, u), (j, v) in combinations(enumerate(A.lines), 2):
+        pt = normalize(_cross(u.covector, v.covector))
+        if pt is None:
+            # cannot happen for projectively distinct lines
+            raise ZeroCovector("coincident lines in lattice computation")
+        incident.setdefault(pt, set()).update((i, j))
+    points = (IntersectionPoint(pt, inc) for pt, inc in incident.items())
+    return sorted(points, key=lambda p: tuple(c.coords() for c in p.coords))
 
 
 def is_essential(A: Arrangement) -> bool:

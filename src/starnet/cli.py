@@ -134,8 +134,12 @@ def _resolve_pencil(args, A) -> Pencil:
         if ";" not in args.pencil:
             raise UsageError(
                 "--pencil wants 'expr1;expr2' or 'builtin:name'")
-        g1_text, g2_text = args.pencil.split(";", 1)
-        return Pencil(parse_poly(g1_text), parse_poly(g2_text), ())
+        g1, g2 = (parse_poly(text) for text in args.pencil.split(";", 1))
+        if not (g1.is_homogeneous and g2.is_homogeneous) or \
+                g1.degree != g2.degree:
+            raise UsageError(
+                "--pencil wants two homogeneous polynomials of one degree")
+        return Pencil(g1, g2, ())
     if args.from_multinet is not None:
         nets = enumerate_multinets(A, max_k=args.max_k,
                                    max_mult=args.max_mult)

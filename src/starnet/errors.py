@@ -50,7 +50,9 @@ class NotAPencil(StarnetError):
 
 
 class DegeneratePencil(StarnetError):
-    """The two generators of the pencil are proportional."""
+    """The pencil cannot be analyzed: its two generators are proportional,
+    or no probe line gives a nonzero discriminant to locate the special
+    fibers, as when every member shares a fixed multiple component."""
 
 
 class NotSmall(StarnetError):

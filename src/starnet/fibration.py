@@ -21,7 +21,8 @@ import mpmath
 from .arrangement import Arrangement, _cross
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
                      MultipleMultipleFibers, NotSmall, RootFindingFailed)
-from .field import ONE, ZERO, FieldElement, from_real, serialize_element
+from .field import (ONE, ZERO, FieldElement, from_real, normalize,
+                    serialize_element)
 from .mpoly import (MultiPoly, UniPoly, binary_restriction, divides,
                     exact_divide, factor_multiplicity,
                     is_kth_power_up_to_scalar, restrict_to_line,
@@ -30,13 +31,10 @@ from .multinet import Pencil, _is_proportional
 
 
 def normalize_lambda(lam):
-    l0, l1 = lam
-    l0 = l0 if isinstance(l0, FieldElement) else FieldElement(l0)
-    l1 = l1 if isinstance(l1, FieldElement) else FieldElement(l1)
-    if l0.is_zero and l1.is_zero:
+    lam = normalize(lam)
+    if lam is None:
         raise ValueError("lambda must be a point of P^1")
-    scale = (l0 if not l0.is_zero else l1).inverse()
-    return (l0 * scale, l1 * scale)
+    return lam
 
 
 def lambda_key(lam):
@@ -274,7 +272,8 @@ def _discriminant_lambdas(pencil: Pencil):
         if disc.is_zero:
             continue
         return [(FieldElement(root), ONE) for root in _rational_roots(disc)]
-    return []
+    raise DegeneratePencil("no probe line gives a nonzero discriminant, as "
+                           "when the pencil has a fixed multiple component")
 
 
 def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
@@ -297,21 +296,11 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
         P, Q = _points_on_line(ln.covector)
         b1 = binary_restriction(pencil.g1, P, Q)
         b2 = binary_restriction(pencil.g2, P, Q)
-        z1 = all(c.is_zero for c in b1)
-        z2 = all(c.is_zero for c in b2)
-        if z1 and z2:
-            continue  # line divides both members; pencil has a fixed part
-        if z1:
-            add((ZERO, ONE))
-            continue
-        if z2:
-            add((ONE, ZERO))
-            continue
-        j = next(i for i, c in enumerate(b2) if not c.is_zero or
-                 not b1[i].is_zero)
-        l0, l1 = b1[j], b2[j]
-        if all((l1 * b1[i] - l0 * b2[i]).is_zero for i in range(len(b1))):
-            add((l0, l1))
+        # the fiber [l0:l1] contains the line iff l1*b1 = l0*b2, that is iff
+        # every nonzero column (b1[i], b2[i]) normalizes to (l0, l1)
+        lams = {normalize(col) for col in zip(b1, b2)} - {None}
+        if len(lams) == 1:
+            add(lams.pop())
     for lam in _discriminant_lambdas(pencil):
         add(lam)
     for lam in extra:

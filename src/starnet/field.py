@@ -306,6 +306,18 @@ S = FieldElement(0, 0, 1)
 _S2 = S * S
 
 
+def normalize(vec):
+    """The projective representative of vec whose first nonzero entry is 1,
+    as a tuple of FieldElements; None for the zero vector."""
+    vec = tuple(v if isinstance(v, FieldElement) else FieldElement(v)
+                for v in vec)
+    lead = next((v for v in vec if v), None)
+    if lead is None:
+        return None
+    inv = lead.inverse()
+    return tuple(v * inv for v in vec)
+
+
 def _exact_isqrt(n: int):
     """The integer m >= 0 with m*m == n, or None."""
     if n < 0:

@@ -317,9 +317,10 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
                        FieldElement(k) * lroot ** (k - 1)})
     dexp, dcoef = denom.leading()
     dinv = dcoef.inverse()
-    max_terms = (p.degree // k + 1) * (p.degree // k + 2) * (p.degree // k + 3) // 6
+    # each correction term lies strictly below the last in grlex order and
+    # has degree at most deg p / k, so the loop ends
     prev_key = _grlex_key(qlexp)
-    for _ in range(max_terms + 1):
+    while True:
         rem = p - q ** k
         if rem.is_zero:
             return q
@@ -332,7 +333,6 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
             raise NotAPower("correction terms do not decrease")
         prev_key = key
         q = q + MultiPoly({texp: rcoef * dinv})
-    raise NotAPower("term budget exhausted")
 
 
 def is_kth_power_up_to_scalar(p: MultiPoly, k: int) -> bool:

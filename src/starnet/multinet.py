@@ -20,7 +20,7 @@ from math import gcd
 
 from .arrangement import Arrangement, components
 from .errors import NonPositiveMultiplicity, NotAPartition, NotAPencil
-from .field import ZERO
+from .field import ZERO, normalize
 from .mpoly import MultiPoly
 
 
@@ -471,11 +471,4 @@ def _is_proportional(p: MultiPoly, q: MultiPoly) -> bool:
         return True
     if set(p.terms) != set(q.terms):
         return False
-    ratio = None
-    for m, c in p.terms.items():
-        r = q.terms[m] * c.inverse()
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+    return normalize(p.terms.values()) == normalize(q.terms[m] for m in p.terms)

@@ -99,6 +99,59 @@ def exhaustive_multinets(A: Arrangement, max_mult: int):
     return found
 
 
+def ref_aomoto_d2(A: Arrangement, omega):
+    """The d2 rows of the Aomoto complex, built densely from brute_lattice.
+
+    The basis is (m, j) for every affine point, in lattice order, and each
+    of its lines j above its smallest line m.  Each affine point gets its
+    own pair map; e_a e_b for a < b reduces by the three-term relation
+    e_a e_b = e_m e_b - e_m e_a, e_b e_a is its negative, and row j sums
+    omega_i * e_i e_j over all n^2 ordered pairs.
+    """
+    lattice = brute_lattice(A)
+    # sorted keys are the lattice order; key[2] is the z coordinate
+    affine = [sorted(lattice[key]) for key in sorted(lattice) if any(key[2])]
+    index = {}
+    minimal = []
+    pair_point = {}
+    for pos, inc in enumerate(affine):
+        minimal.append(inc[0])
+        for j in inc[1:]:
+            index[(pos, j)] = len(index)
+        for pair in combinations(inc, 2):
+            pair_point[pair] = pos
+
+    def reduce_product(i, j):
+        sign = 1
+        a, b = i, j
+        if a > b:
+            a, b = b, a
+            sign = -1
+        vec = [0] * len(index)
+        pos = pair_point.get((a, b))
+        if pos is None:
+            return vec
+        m = minimal[pos]
+        if a == m:
+            vec[index[(pos, b)]] += sign
+        elif b == m:
+            vec[index[(pos, a)]] -= sign
+        else:
+            vec[index[(pos, b)]] += sign
+            vec[index[(pos, a)]] -= sign
+        return vec
+
+    rows = []
+    for j in range(A.n):
+        row = [0] * len(index)
+        for i in range(A.n):
+            if i != j and omega[i]:
+                for t, v in enumerate(reduce_product(i, j)):
+                    row[t] += omega[i] * v
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def minor_gcd_divisors(M):
     """Elementary divisors from determinantal divisors (gcds of k x k minors)."""
     m = len(M)

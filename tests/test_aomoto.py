@@ -6,9 +6,10 @@ import pytest
 
 from starnet.aomoto import (aomoto_complex, h2_torsion, os2_basis,
                             reduce_product, snf)
-from starnet.arrangement import build, builtin
+from starnet.arrangement import build, builtin, delete
 
-from oracles import _int_det, minor_gcd_divisors
+from oracles import (_int_det, minor_gcd_divisors, random_rational_arrangement,
+                     ref_aomoto_d2)
 
 
 def affine_triangle():
@@ -56,6 +57,47 @@ def test_d2_after_d1_is_zero():
             for t, v in enumerate(row):
                 combined[t] += omega[j] * v
         assert combined == [0] * cx.b2
+
+
+def _decone(A, h):
+    """A with line h sent to z = 0 by a change of coordinates, then dropped.
+
+    With k the first nonzero coordinate of h (so h_k = 1) and p < q the
+    other two, the new coordinates are (x_p, x_q, h . x)."""
+    hc = A.lines[h].covector
+    k = next(t for t, c in enumerate(hc) if c)
+    p, q = (t for t in range(3) if t != k)
+    lines = []
+    for i, ln in enumerate(A.lines):
+        a = ln.covector
+        if i != h:
+            lines.append((ln.label, (a[p] - a[k] * hc[p],
+                                     a[q] - a[k] * hc[q], a[k])))
+    return build(lines, name=f"{A.name}-decone-{h}")
+
+
+def _affine_cases(rng, count):
+    """b3_del_z, then each random arrangement deconed at a random line and
+    with its line z = 0, if any, dropped."""
+    cases = [builtin("b3_del_z")]
+    for _ in range(count):
+        A = random_rational_arrangement(rng)
+        cases.append(_decone(A, rng.randrange(A.n)))
+        for ln in A.lines:
+            if ln.is_infinity:
+                A = delete(A, ln.label)
+        cases.append(A)
+    return cases
+
+
+def test_d2_matches_dense_reference():
+    rng = random.Random(20261018)
+    for A in _affine_cases(rng, 40):
+        assert not any(ln.is_infinity for ln in A.lines)
+        for _ in range(3):
+            omega = [rng.randint(-2, 2) for _ in range(A.n)]
+            assert aomoto_complex(A, omega).d2 == ref_aomoto_d2(A, omega), \
+                (A.name, [ln.covector for ln in A.lines], omega)
 
 
 def test_zero_omega_gives_free_h2():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from starnet.arrangement import arrangement_to_json, builtin
 from starnet.cli import main
 
@@ -94,6 +96,14 @@ def test_analyze_degenerate_pencil_is_math_error(capsys):
                        "--pencil", "x^2;2*x^2")
     assert code == 1
     assert "DegeneratePencil" in err
+
+
+@pytest.mark.parametrize("pencil", ["x^3;y^2", "x^2+z;y^2"])
+def test_analyze_pencil_of_mixed_degrees_is_input_error(capsys, pencil):
+    code, _, err = run(capsys, "analyze", "--builtin", "b3",
+                       "--pencil", pencil)
+    assert code == 2
+    assert "homogeneous polynomials of one degree" in err
 
 
 def test_analyze_pencil_required(capsys):

@@ -75,6 +75,27 @@ def test_b3_del_z_small_and_explained():
     assert verdict["pointed_multinet_explained"] is True
 
 
+def test_b3_del_z_irrational_multiple_fiber():
+    # with g2 scaled by r the multiple fiber moves to [1:r]: no rational
+    # discriminant root finds it, only the per-line parameters do
+    A = builtin("b3_del_z")
+    pen = builtin_pencil("b3_del_z")
+    rep = analyze(A, Pencil(pen.g1, pen.g2.scale(R), ()))
+    assert rep.classification == "small"
+    assert rep.mu_vector == (2,)
+    fb, = rep.multiple_fibers
+    assert tuple(str(c) for c in fb.lam) == ("1", "r")
+    assert pointed_vs_fiber(A, rep)["pointed_multinet_explained"] is True
+
+
+def test_fixed_double_component_is_loud(capsys):
+    # every member of the pencil contains x twice, so no probe line gives a
+    # nonzero discriminant
+    code = main(["analyze", "--builtin", "b3", "--pencil", "x^2*y; x^2*z"])
+    assert code == 1
+    assert "analysis failed: DegeneratePencil" in capsys.readouterr().err
+
+
 def test_double_star_small_not_explained():
     A = builtin("double_star")
     pen = builtin_pencil("double_star")
