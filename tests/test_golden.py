@@ -23,6 +23,8 @@ CASES = {
     "analyze_b3": ("analyze", "--builtin", "b3", "--pencil", "builtin:b3"),
     "analyze_b3_del_z": ("analyze", "--builtin", "b3_del_z",
                          "--pencil", "builtin:b3_del_z"),
+    "analyze_b3_fixed_x": ("analyze", "--builtin", "b3",
+                           "--pencil", "x*y; x*z"),
     "analyze_b3_from_multinet": ("analyze", "--builtin", "b3",
                                  "--from-multinet", "0", "--max-mult", "2"),
     "multinets_b3_mult2": ("multinets", "--builtin", "b3", "--max-mult", "2"),
