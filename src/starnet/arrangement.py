@@ -15,7 +15,7 @@ from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
 from .field import (ONE, ZERO, FieldElement, normalize, serialize_element,
                     trig_constants)
-from .mpoly import MultiPoly, dehomogenize, homogenize
+from .mpoly import MultiPoly, dehomogenize
 from .exprs import parse_field_element
 
 
@@ -234,17 +234,16 @@ def double_star_affine_covectors():
 
 
 def double_star_data():
-    """Exact data of the double star: raw forms, h1, h2, c, group resolution.
+    """Exact data of the double star: h1, h2, c, group resolution.
 
-    Returns a dict with the ten raw homogeneous linear forms, the printed
-    polynomials h1 and h2 (with their 1/c normalization), the constant c,
-    and which label group multiplies to which h.  The matching of the two
-    5-line groups against h1 and h2 is established by exact computation, not
-    assumed.
+    Returns a dict with the affine products of the two groups of five
+    lines, the printed polynomials h1 and h2 (with their 1/c normalization),
+    the constant c, and which label group multiplies to which h.  The
+    matching of the two 5-line groups against h1 and h2 is established by
+    exact computation, not assumed.
     """
     covs = double_star_affine_covectors()
     forms = [dehomogenize(MultiPoly.linear(a, b, c)) for (a, b, c) in covs]
-    r = FieldElement(0, 1)
     s = FieldElement(0, 0, 1)
     c_const = (FieldElement(5) + FieldElement(0, 3)) * s \
         * FieldElement(32) / FieldElement(125)
@@ -280,14 +279,11 @@ def double_star_data():
     else:
         raise AssertionError("line groups do not match h1/h2")
     return {
-        "affine_forms": forms,
-        "homogeneous_forms": [homogenize(f, 1) for f in forms],
         "h1": h1,
         "h2": h2,
         "printed_poly_1": p1,
         "printed_poly_2": p2,
         "c": c_const,
-        "sqrt5": r,
         "h1_group": h1_group,
         "h2_group": h2_group,
         "product_first_five": prod_first,

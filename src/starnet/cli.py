@@ -18,9 +18,9 @@ from collections import Counter
 from .arrangement import (BUILTIN_NAMES, arrangement_to_json, builtin, delete,
                           load_arrangement, render_svg)
 from .aomoto import aomoto_complex, h2_torsion
-from .errors import (DuplicateLine, NonPositiveMultiplicity, NotAPartition,
-                     ParseError, StarnetError, UnknownBuiltin, UnknownLine,
-                     ZeroCovector)
+from .errors import (DuplicateLine, InvalidPencil, NonPositiveMultiplicity,
+                     NotAPartition, ParseError, StarnetError, UnknownBuiltin,
+                     UnknownLine, ZeroCovector)
 from .exprs import parse_field_element, parse_poly
 from .fibration import (analyze, orbifold_v1_shape, pointed_vs_fiber,
                         translated_component)
@@ -29,7 +29,8 @@ from .multinet import (Pencil, builtin_pencil, enumerate_multinets,
 
 # errors caused by what the user typed or supplied
 _INPUT_ERRORS = (ParseError, DuplicateLine, ZeroCovector, UnknownLine,
-                 UnknownBuiltin, NotAPartition, NonPositiveMultiplicity)
+                 UnknownBuiltin, NotAPartition, NonPositiveMultiplicity,
+                 InvalidPencil)
 
 
 class UsageError(Exception):
@@ -135,10 +136,6 @@ def _resolve_pencil(args, A) -> Pencil:
             raise UsageError(
                 "--pencil wants 'expr1;expr2' or 'builtin:name'")
         g1, g2 = (parse_poly(text) for text in args.pencil.split(";", 1))
-        if not (g1.is_homogeneous and g2.is_homogeneous) or \
-                g1.degree != g2.degree:
-            raise UsageError(
-                "--pencil wants two homogeneous polynomials of one degree")
         return Pencil(g1, g2, ())
     if args.from_multinet is not None:
         nets = enumerate_multinets(A, max_k=args.max_k,

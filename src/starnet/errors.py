@@ -49,6 +49,10 @@ class NotAPencil(StarnetError):
     """Class polynomials are not members of a single pencil."""
 
 
+class InvalidPencil(StarnetError):
+    """The generators of a pencil are not homogeneous of one degree."""
+
+
 class DegeneratePencil(StarnetError):
     """The pencil cannot be analyzed: its two generators are proportional,
     or no probe line gives a nonzero discriminant to locate the special

@@ -7,26 +7,37 @@ small/large and describe the translated jump-locus component it produces.
 
 The fiber over [l0 : l1] is l1*g1 - l0*g2, so [0:1] and [1:0] are the g1
 and g2 fibers and [1:1] is their difference.
+
+Special fibers are found in two ways.  A line lies in the fiber whose
+lambda makes the restrictions of g1 and g2 to it proportional; each
+restriction is taken by eliminating one variable of the line's equation
+(mpoly.line_restriction).  A fiber with a repeated component restricts to
+a non-reduced form on a probe line, so its lambda is a root of the
+discriminant res(f, f') of f = r1 - lambda*r2: that resultant is computed at
+integer nodes by the Euclidean remainder sequence, the discriminant is
+rebuilt by Newton divided differences, and its rational roots are those of
+the squarefree part of one coordinate polynomial, taken by a primitive
+remainder sequence over the integers.  Each fiber is then divided only by
+the lines whose own lambda is its lambda, and by the lines in every fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations, count
-from math import comb, isqrt, lcm
+from itertools import count
+from math import comb, gcd, isqrt, lcm
 
 import mpmath
 
-from .arrangement import Arrangement, _cross
+from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
                      MultipleMultipleFibers, NotSmall, RootFindingFailed)
 from .field import (ONE, ZERO, FieldElement, from_real, normalize,
                     serialize_element)
-from .mpoly import (MultiPoly, UniPoly, binary_restriction, divides,
-                    exact_divide, factor_multiplicity,
-                    is_kth_power_up_to_scalar, restrict_to_line,
-                    squarefree_part)
+from .mpoly import (MultiPoly, UniPoly, divide_out, divides, exact_divide,
+                    is_kth_power_up_to_scalar, line_restriction,
+                    restrict_to_line, squarefree_part)
 from .multinet import Pencil, _is_proportional
 
 
@@ -123,72 +134,46 @@ class V1Component:
 
 # -- candidate parameters ---------------------------------------------------
 
-def _points_on_line(cov):
-    """Two distinct points on the line: its meets with the coordinate lines."""
-    basis = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
-    pts = [p for p in (_cross(cov, e) for e in basis) if any(p)]
-    for u, v in combinations(pts, 2):
-        if any(_cross(u, v)):  # u and v are not proportional
-            return u, v
-    raise ValueError("could not find two points on the line")
+def _resultant(f: UniPoly, g: UniPoly) -> FieldElement:
+    """res(f, g) by the Euclidean remainder sequence.
 
-
-def _det_field(mat) -> FieldElement:
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = ONE
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not mat[i][c].is_zero:
-                piv = i
-                break
-        if piv is None:
-            return ZERO
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det = det * mat[c][c]
-        inv = mat[c][c].inverse()
-        for i in range(c + 1, n):
-            if mat[i][c].is_zero:
-                continue
-            f = mat[i][c] * inv
-            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det
-
-
-def _sylvester_resultant(f: UniPoly, g: UniPoly) -> FieldElement:
+    With r = f mod g: res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f -
+    deg r) * res(g, r); res(f, c) = c^deg f for a constant c; and
+    res(g, 0) = 0 for a nonconstant g.
+    """
     m, n = f.degree, g.degree
     if m < 0 or n < 0:
         return ZERO
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([ZERO] * i + fc + [ZERO] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([ZERO] * i + gc + [ZERO] * (size - n - 1 - i))
-    return _det_field(rows)
+    res = ONE
+    while n > 0:
+        _, r = f.divmod(g)
+        k = r.degree
+        if k < 0:
+            return ZERO
+        if m * n % 2:
+            res = -res
+        res = res * g.coeffs[-1] ** (m - k)
+        f, g, m, n = g, r, n, k
+    return res * g.coeffs[0] ** m
 
 
-def _interpolate(nodes, values) -> UniPoly:
-    total = UniPoly()
-    for i, xi in enumerate(nodes):
-        li = UniPoly([ONE])
-        denom = ONE
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            li = li * UniPoly([FieldElement(-xj), ONE])
-            denom = denom * FieldElement(xi - xj)
-        total = total + li * (values[i] * denom.inverse())
-    return total
+def _newton_interpolate(nodes, values) -> UniPoly:
+    """The polynomial of degree < len(nodes) through the rational nodes and
+    field values, by Newton divided differences."""
+    n = len(nodes)
+    dd = list(values)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * FieldElement(
+                Fraction(1, nodes[i] - nodes[i - j]))
+    # expand the Newton form from the innermost factor outwards
+    coeffs = [dd[-1]]
+    for i in range(n - 2, -1, -1):
+        xi = FieldElement(nodes[i])
+        coeffs = [dd[i] - coeffs[0] * xi] + [
+            coeffs[k - 1] - coeffs[k] * xi for k in range(1, len(coeffs))
+        ] + [coeffs[-1]]
+    return UniPoly(coeffs)
 
 
 _PROBES = (
@@ -210,12 +195,59 @@ def _rational_roots(poly: UniPoly):
         return []
     chosen = next(cp for cp in zip(*(c.coords() for c in poly.coeffs))
                   if any(cp))
-    p = [c.coords()[0]
-         for c in squarefree_part(UniPoly(chosen)).monic().coeffs]
+    den = lcm(*(c.denominator for c in chosen))
+    sf = _integer_squarefree_part([int(c * den) for c in chosen])
+    p = [Fraction(c, sf[-1]) for c in sf]
     den = lcm(*(c.denominator for c in p))
     q = [int(c * den ** (len(p) - 1 - i)) for i, c in enumerate(p)]
     cands = (Fraction(y, den) for y in _integer_root_candidates(q))
     return sorted({c for c in cands if poly.evaluate(FieldElement(c)).is_zero})
+
+
+def _primitive(a):
+    """a (low to high) without trailing zeros, divided by its content and
+    signed so that its leading coefficient is positive; [] for zero."""
+    while a and not a[-1]:
+        a = a[:-1]
+    if not a:
+        return []
+    g = gcd(*a)
+    g = g if a[-1] > 0 else -g
+    return [c // g for c in a]
+
+
+def _pseudo_remainder(a, b):
+    """prem(a, b) for integer polynomials, b nonzero: a remainder of
+    lc(b)^e * a by b, computed without fractions."""
+    n, lb = len(b) - 1, b[-1]
+    while len(a) > n:
+        la, shift = a[-1], len(a) - 1 - n
+        a = [lb * c for c in a]
+        for j, c in enumerate(b):
+            a[shift + j] -= la * c
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _integer_squarefree_part(q):
+    """q / gcd(q, q') for a nonzero integer polynomial q (low to high), as a
+    primitive integer polynomial with positive leading coefficient.  The
+    gcd is the last nonzero entry of the primitive remainder sequence."""
+    a = _primitive(q)
+    b = _primitive([i * c for i, c in enumerate(a)][1:])
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    # a is the primitive gcd, so the quotient has integer coefficients
+    rem, quot = _primitive(q), []
+    while len(rem) >= len(a):
+        c = rem[-1] // a[-1]
+        quot.append(c)
+        shift = len(rem) - len(a)
+        for j, ac in enumerate(a):
+            rem[shift + j] -= c * ac
+        rem.pop()
+    return _primitive(quot[::-1])
 
 
 def _horner_mod(coeffs, x, m):
@@ -263,12 +295,11 @@ def _discriminant_lambdas(pencil: Pencil):
             f = r1 - r2 * FieldElement(lam)
             if f.degree != d1:
                 continue  # leading coefficient vanished at this node
-            res = _sylvester_resultant(f, f.derivative())
             nodes.append(lam)
-            values.append(res)
+            values.append(_resultant(f, f.derivative()))
         if len(nodes) < bound + 1:
             continue
-        disc = _interpolate(nodes, values)
+        disc = _newton_interpolate(nodes, values)
         if disc.is_zero:
             continue
         return [(FieldElement(root), ONE) for root in _rational_roots(disc)]
@@ -276,14 +307,40 @@ def _discriminant_lambdas(pencil: Pencil):
                            "when the pencil has a fixed multiple component")
 
 
-def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
+def _line_fibers(A: Arrangement, pencil: Pencil):
+    """Which fibers contain which arrangement lines.
+
+    Returns (fibers, fixed): fibers maps the key of each lambda whose fiber
+    contains a line to (lambda, indices of those lines); fixed lists the
+    lines on which g1 and g2 both vanish, which lie in every fiber.
+    """
+    fibers, fixed = {}, []
+    for i, ln in enumerate(A.lines):
+        b1 = line_restriction(pencil.g1, ln.covector)
+        b2 = line_restriction(pencil.g2, ln.covector)
+        # the fiber [l0:l1] contains the line iff l1*b1 = l0*b2, that is iff
+        # every nonzero column (b1[j], b2[j]) normalizes to (l0, l1)
+        lams = {normalize(col) for col in zip(b1, b2)} - {None}
+        if not lams:
+            fixed.append(i)
+        elif len(lams) == 1:
+            lam = lams.pop()
+            fibers.setdefault(lambda_key(lam), (lam, []))[1].append(i)
+    return fibers, fixed
+
+
+def lambda_candidates(A: Arrangement, pencil: Pencil, extra=(),
+                      line_fibers=None):
     """Sound candidate list of special parameters.
 
     Per-line parameters, rational discriminant roots of a probe-line
     restriction, caller extras, and always the two base members [0:1], [1:0].
+    line_fibers is _line_fibers(A, pencil), computed here when not given.
     """
     if _is_proportional(pencil.g1, pencil.g2):
         raise DegeneratePencil("g1 and g2 are proportional")
+    if line_fibers is None:
+        line_fibers = _line_fibers(A, pencil)
     found = {}
 
     def add(lam):
@@ -292,15 +349,8 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
 
     add((ZERO, ONE))
     add((ONE, ZERO))
-    for ln in A.lines:
-        P, Q = _points_on_line(ln.covector)
-        b1 = binary_restriction(pencil.g1, P, Q)
-        b2 = binary_restriction(pencil.g2, P, Q)
-        # the fiber [l0:l1] contains the line iff l1*b1 = l0*b2, that is iff
-        # every nonzero column (b1[i], b2[i]) normalizes to (l0, l1)
-        lams = {normalize(col) for col in zip(b1, b2)} - {None}
-        if len(lams) == 1:
-            add(lams.pop())
+    for lam, _ in line_fibers[0].values():
+        add(lam)
     for lam in _discriminant_lambdas(pencil):
         add(lam)
     for lam in extra:
@@ -310,18 +360,22 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
 
 # -- per-fiber analysis -----------------------------------------------------
 
-def analyze_fiber(A: Arrangement, pencil: Pencil, lam) -> FiberAnalysis:
+def analyze_fiber(A: Arrangement, pencil: Pencil, lam,
+                  lines=None) -> FiberAnalysis:
+    """Peel arrangement lines off the fiber over lam and find its mu.
+
+    lines are the indices of the lines to try, every line by default; a
+    line outside them must not divide the fiber.
+    """
     lam = normalize_lambda(lam)
     fiber = fiber_polynomial(pencil, lam)
     if fiber.is_zero:
         raise DegeneratePencil("fiber polynomial vanished identically")
     parts = []
     residual = fiber
-    for i, ln in enumerate(A.lines):
-        e = factor_multiplicity(residual, ln.linear_form())
+    for i in sorted(range(A.n) if lines is None else lines):
+        e, residual = divide_out(residual, A.lines[i].linear_form())
         if e:
-            for _ in range(e):
-                residual = exact_divide(residual, ln.linear_form())
             parts.append((i, e))
     # mu: the largest k with residual = scalar * q^k
     mu = next((k for k in range(residual.degree, 1, -1)
@@ -330,8 +384,13 @@ def analyze_fiber(A: Arrangement, pencil: Pencil, lam) -> FiberAnalysis:
 
 
 def analyze(A: Arrangement, pencil: Pencil, extra_lambdas=()) -> FibrationReport:
-    candidates = lambda_candidates(A, pencil, extra_lambdas)
-    fibers = [analyze_fiber(A, pencil, lam) for lam in candidates]
+    line_fibers = _line_fibers(A, pencil)
+    candidates = lambda_candidates(A, pencil, extra_lambdas, line_fibers)
+    on_line, fixed = line_fibers
+    # a line lies in the fiber over lam iff its own lambda is lam
+    fibers = [analyze_fiber(A, pencil, lam,
+                            fixed + on_line.get(lambda_key(lam), (lam, []))[1])
+              for lam in candidates]
     removed = tuple(f.lam for f in fibers if f.removed)
     multiple = tuple(f for f in fibers if not f.removed and f.mu >= 2)
     k = len(removed)

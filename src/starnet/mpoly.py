@@ -274,8 +274,8 @@ def divides(d: MultiPoly, p: MultiPoly) -> bool:
         return False
 
 
-def factor_multiplicity(p: MultiPoly, f: MultiPoly) -> int:
-    """Largest k >= 0 with f^k dividing p exactly."""
+def divide_out(p: MultiPoly, f: MultiPoly):
+    """(k, p / f^k) for the largest k >= 0 with f^k dividing p exactly."""
     if p.is_zero:
         raise ValueError("multiplicity undefined for the zero polynomial")
     if f.is_constant:
@@ -283,10 +283,16 @@ def factor_multiplicity(p: MultiPoly, f: MultiPoly) -> int:
     k = 0
     while True:
         try:
-            p = exact_divide(p, f)
+            q = exact_divide(p, f)
         except NotDivisible:
-            return k
+            return k, p
+        p = q
         k += 1
+
+
+def factor_multiplicity(p: MultiPoly, f: MultiPoly) -> int:
+    """Largest k >= 0 with f^k dividing p exactly."""
+    return divide_out(p, f)[0]
 
 
 def kth_root(p: MultiPoly, k: int) -> MultiPoly:
@@ -524,14 +530,36 @@ def restrict_to_line(p: MultiPoly, point, direction) -> UniPoly:
     return total
 
 
-def binary_restriction(p: MultiPoly, P, Q):
-    """Coefficients (c_0..c_d) of the binary form p(u*P + t*Q) on u^(d-i)t^i.
+def line_restriction(p: MultiPoly, covector):
+    """Coefficients (c_0..c_d) of p on the line covector . (x, y, z) = 0.
 
-    p must be homogeneous; d is its degree.
+    The last variable v with a nonzero covector entry is eliminated: with
+    u0 < u1 the other two variables, v = a0*u0 + a1*u1 on the line, where
+    a_j = -covector[u_j] / covector[v], and c_i is the coefficient of
+    u0^(d-i) * u1^i.  Each term is one shifted accumulate of
+    a power of that linear form.  p must be homogeneous; d is its degree.
     """
     if not p.is_homogeneous:
-        raise ValueError("binary restriction needs a homogeneous polynomial")
-    d = max(p.degree, 0)
-    uni = restrict_to_line(p, P, Q)
-    out = list(uni.coeffs) + [ZERO] * (d + 1 - len(uni.coeffs))
+        raise ValueError("line restriction needs a homogeneous polynomial")
+    cov = [_coerce_coeff(c) for c in covector]
+    v = max((i for i in range(3) if not cov[i].is_zero), default=None)
+    if v is None:
+        raise ValueError("covector must be nonzero")
+    u0, u1 = (i for i in range(3) if i != v)
+    neg_inv = -cov[v].inverse()
+    a0, a1 = cov[u0] * neg_inv, cov[u1] * neg_inv
+    # pows[k][m]: coefficient of u0^(k-m) * u1^m in (a0*u0 + a1*u1)^k
+    pows = [[ONE]]
+    for _ in range(max((e[v] for e in p.terms), default=0)):
+        prev = pows[-1]
+        nxt = [c * a0 for c in prev] + [ZERO]
+        for m, c in enumerate(prev):
+            nxt[m + 1] = nxt[m + 1] + c * a1
+        pows.append(nxt)
+    out = [ZERO] * (max(p.degree, 0) + 1)
+    for exp, coef in p.terms.items():
+        shift = exp[u1]
+        for m, c in enumerate(pows[exp[v]]):
+            if not c.is_zero:
+                out[shift + m] = out[shift + m] + coef * c
     return out

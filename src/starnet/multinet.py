@@ -19,7 +19,8 @@ from itertools import combinations
 from math import gcd
 
 from .arrangement import Arrangement, components
-from .errors import NonPositiveMultiplicity, NotAPartition, NotAPencil
+from .errors import (InvalidPencil, NonPositiveMultiplicity, NotAPartition,
+                     NotAPencil)
 from .field import ZERO, normalize
 from .mpoly import MultiPoly
 
@@ -394,6 +395,12 @@ class Pencil:
     g2: MultiPoly
     combos: tuple  # (alpha, beta) for each class polynomial g_i, i >= 3
 
+    def __post_init__(self):
+        if not (self.g1.is_homogeneous and self.g2.is_homogeneous) or \
+                self.g1.degree != self.g2.degree:
+            raise InvalidPencil(
+                "a pencil wants two homogeneous polynomials of one degree")
+
     @property
     def degree(self) -> int:
         return self.g1.degree
@@ -449,11 +456,12 @@ def multinet_pencil(A: Arrangement, net: Multinet) -> Pencil:
 
 def builtin_pencil(name: str) -> Pencil:
     """Canonical defining pencil for a builtin arrangement."""
-    from .arrangement import double_star_data
+    from .arrangement import double_star_affine_covectors
     from .errors import UnknownBuiltin
     from .mpoly import X, Y, Z
     if name == "double_star":
-        forms = double_star_data()["homogeneous_forms"]
+        forms = [MultiPoly.linear(*cov)
+                 for cov in double_star_affine_covectors()]
         g1 = MultiPoly.constant(1)
         for f in forms[:5]:
             g1 = g1 * f

@@ -13,7 +13,8 @@ import random
 import mpmath
 
 from starnet.arrangement import Arrangement, build
-from starnet.field import FieldElement
+from starnet.field import FieldElement, normalize, serialize_element
+from starnet.mpoly import UniPoly, restrict_to_line
 
 
 def brute_lattice(A: Arrangement):
@@ -286,3 +287,95 @@ def ref_sign(x):
             prec *= 2
     finally:
         iv.prec = saved
+
+
+# -- special-fiber kernels ---------------------------------------------------
+
+def _det_field(mat):
+    """Determinant over the field by Gaussian elimination."""
+    n = len(mat)
+    mat = [row[:] for row in mat]
+    det = FieldElement(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not mat[i][c].is_zero), None)
+        if piv is None:
+            return FieldElement(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det = det * mat[c][c]
+        inv = mat[c][c].inverse()
+        for i in range(c + 1, n):
+            if not mat[i][c].is_zero:
+                f = mat[i][c] * inv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+def sylvester_resultant(f, g):
+    """res(f, g) as the determinant of the Sylvester matrix."""
+    m, n = f.degree, g.degree
+    zero = FieldElement(0)
+    if m < 0 or n < 0:
+        return zero
+    if m == 0:
+        return f.coeffs[0] ** n
+    if n == 0:
+        return g.coeffs[0] ** m
+    size = m + n
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    rows = [[zero] * i + fc + [zero] * (size - m - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gc + [zero] * (size - n - 1 - i) for i in range(m)]
+    return _det_field(rows)
+
+
+def lagrange_interpolate(nodes, values):
+    """The polynomial through (nodes[i], values[i]) in the Lagrange basis."""
+    total = UniPoly()
+    for i, xi in enumerate(nodes):
+        li = UniPoly([FieldElement(1)])
+        denom = FieldElement(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                li = li * UniPoly([FieldElement(-xj), FieldElement(1)])
+                denom = denom * FieldElement(xi - xj)
+        total = total + li * (values[i] * denom.inverse())
+    return total
+
+
+def ref_line_lambdas(A: Arrangement, pencil):
+    """Per line: "fixed" when g1 and g2 both vanish on it, else the
+    (serialized) lambda of the one fiber that contains it, or None.
+
+    Each generator is restricted with restrict_to_line between the line's
+    meets with two coordinate lines, padded to the pencil degree.
+    """
+    d = max(pencil.g1.degree, 0)
+    basis = [tuple(FieldElement(int(i == k)) for k in range(3))
+             for i in range(3)]
+    out = []
+    for ln in A.lines:
+        u = ln.covector
+        pts = [(u[1] * e[2] - u[2] * e[1], u[2] * e[0] - u[0] * e[2],
+                u[0] * e[1] - u[1] * e[0]) for e in basis]
+        pts = [p for p in pts if any(not c.is_zero for c in p)]
+        P, Q = next((p, q) for p, q in combinations(pts, 2)
+                    if _cross_nonzero(p, q))
+        cols = []
+        for g in (pencil.g1, pencil.g2):
+            cs = list(restrict_to_line(g, P, Q).coeffs)
+            cols.append(cs + [FieldElement(0)] * (d + 1 - len(cs)))
+        lams = {normalize(col) for col in zip(*cols)} - {None}
+        if not lams:
+            out.append("fixed")
+        elif len(lams) == 1:
+            out.append(tuple(serialize_element(c) for c in lams.pop()))
+        else:
+            out.append(None)
+    return out
+
+
+def _cross_nonzero(p, q):
+    return any(not (p[i] * q[j] - p[j] * q[i]).is_zero
+               for i, j in ((0, 1), (0, 2), (1, 2)))

@@ -4,23 +4,27 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starnet.arrangement import builtin, delete
+from starnet.arrangement import Line, build, builtin, delete
 from starnet.cli import main
-from starnet.errors import (DegeneratePencil, InvalidOrbifoldData, NotSmall,
-                            RootFindingFailed)
+from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
+                            InvalidPencil, NotSmall, RootFindingFailed)
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S
-from starnet.fibration import (_field_roots, _rational_roots, analyze,
+from starnet.fibration import (_field_roots, _integer_squarefree_part,
+                               _line_fibers, _newton_interpolate,
+                               _rational_roots, _resultant, analyze,
                                analyze_fiber, fiber_polynomial,
                                lambda_candidates, normalize_lambda,
                                orbifold_v1_shape, pointed_vs_fiber,
                                splits_into_linear_factors,
                                translated_component)
 from starnet.multinet import Pencil, builtin_pencil
-from starnet.mpoly import UniPoly, X, Y, Z
+from starnet.mpoly import MultiPoly, UniPoly, X, Y, Z, squarefree_part
+
+from oracles import lagrange_interpolate, ref_line_lambdas, sylvester_resultant
 
 
 def test_normalize_lambda():
@@ -43,6 +47,12 @@ def test_degenerate_pencil_rejected():
     pen = Pencil(X * X, X * X * 2, ())
     with pytest.raises(DegeneratePencil):
         lambda_candidates(A, pen)
+
+
+@pytest.mark.parametrize("g1, g2", [("x^3", "y^2"), ("x^2+z", "y^2")])
+def test_pencil_of_mixed_degrees_is_rejected(g1, g2):
+    with pytest.raises(InvalidPencil, match="homogeneous polynomials of one"):
+        Pencil(parse_poly(g1), parse_poly(g2), ())
 
 
 def test_b3_candidates_cover_special_fibers():
@@ -169,6 +179,162 @@ def test_analyze_fiber_peels_lines():
     got = {(A.lines[i].label, e) for i, e in f.arrangement_part}
     assert got == {("x", 2), ("y-z", 1), ("y+z", 1)}
     assert f.removed
+
+
+def test_fixed_line_is_peeled_from_every_fiber():
+    # x divides g1 = xy and g2 = xz, so it lies in every fiber
+    A = builtin("b3")
+    pen = Pencil(X * Y, X * Z, ())
+    rep = analyze(A, pen)
+    assert rep.k == 4 and len(rep.fibers) == 5
+    assert all((0, 1) in f.arrangement_part for f in rep.fibers)
+    assert list(rep.fibers) == [analyze_fiber(A, pen, f.lam)
+                                for f in rep.fibers]
+
+
+# -- the special-fiber kernels ----------------------------------------------
+
+big = st.integers(-10 ** 30, 10 ** 30)
+field_elements = st.one_of(
+    st.builds(FieldElement, st.integers(-5, 5), st.integers(-2, 2)),
+    st.builds(FieldElement, big, big, big, big),
+    st.builds(lambda a, b, c, d, den: FieldElement(
+        *(Fraction(v, den) for v in (a, b, c, d))),
+        big, big, big, big, st.integers(1, 10 ** 30)))
+
+
+def unipolys(min_degree, max_degree):
+    return st.lists(field_elements, min_size=min_degree + 1,
+                    max_size=max_degree + 1).map(UniPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unipolys(0, 3), unipolys(0, 3), unipolys(0, 2), st.booleans())
+def test_euclidean_resultant_matches_sylvester(f, g, h, common):
+    if common:
+        # a common factor of positive degree makes the resultant zero
+        h = h * t_minus(FieldElement(3, 1))
+        f, g = f * h, g * h
+    res = _resultant(f, g)
+    assert res == sylvester_resultant(f, g)
+    if common and not (f.is_zero or g.is_zero):
+        assert res.is_zero
+
+
+def test_euclidean_resultant_small_cases():
+    a, b = FieldElement(3), FieldElement(0, 2)
+    assert _resultant(UniPoly([a]), UniPoly([b])) == FieldElement(1)
+    assert _resultant(UniPoly([a]), T2_PLUS_1) == a ** 2
+    assert _resultant(T2_MINUS_3, UniPoly([b])) == b ** 2
+    assert _resultant(UniPoly(), T2_PLUS_1) == ZERO
+    # res(t^2 - 3, t - R) = R^2 - 3 = 2, res(t - R, t^2 - 3) the same
+    assert _resultant(T2_MINUS_3, t_minus(R)) == FieldElement(2)
+    assert _resultant(t_minus(R), T2_MINUS_3) == FieldElement(2)
+    # odd degrees: res(f, g) = (-1)^(deg f * deg g) * res(g, f)
+    one, two = FieldElement(1), FieldElement(2)
+    assert _resultant(t_minus(one), t_minus(two)) == -ONE
+    assert _resultant(t_minus(two), t_minus(one)) == ONE
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-30, max_value=30,
+                             max_denominator=7),
+                min_size=1, max_size=9, unique=True),
+       st.data())
+def test_newton_interpolation_matches_lagrange(nodes, data):
+    values = data.draw(st.lists(field_elements, min_size=len(nodes),
+                                max_size=len(nodes)))
+    poly = _newton_interpolate(nodes, values)
+    assert poly == lagrange_interpolate(nodes, values)
+    assert [poly.evaluate(FieldElement(x)) for x in nodes] == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-10 ** 12, 10 ** 12),
+                                   min_size=1, max_size=3),
+                          st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.integers(-10 ** 30, 10 ** 30).filter(bool))
+def test_integer_squarefree_part_matches_field_gcd(factors, scale):
+    q = [scale]
+    for coeffs, mult in factors:
+        if not any(coeffs):
+            continue
+        for _ in range(mult):
+            q = [sum(q[i] * coeffs[k - i] for i in range(len(q))
+                     if 0 <= k - i < len(coeffs))
+                 for k in range(len(q) + len(coeffs) - 1)]
+    while not q[-1]:
+        q.pop()
+    sf = _integer_squarefree_part(q)
+    assert sf[-1] > 0
+    want = squarefree_part(UniPoly([FieldElement(c) for c in q])).monic()
+    assert [Fraction(c, sf[-1]) for c in sf] == \
+        [c.coords()[0] for c in want.coeffs]
+
+
+def line_lambdas(A, pencil):
+    """_line_fibers(A, pencil) in ref_line_lambdas's per-line form."""
+    fibers, fixed = _line_fibers(A, pencil)
+    out = [None] * A.n
+    for key, (_, lines) in fibers.items():
+        for i in lines:
+            out[i] = key
+    for i in fixed:
+        out[i] = "fixed"
+    return out
+
+
+SPECIAL_LINES = [(1, 0, 0), (0, 0, 1), (1, -1, 0)]   # x = 0, z = 0, x - y
+small_covectors = st.tuples(*(st.integers(-3, 3),) * 3).filter(any)
+
+
+def product_of_lines(covs):
+    out = MultiPoly.constant(1)
+    for cov in covs:
+        out = out * MultiPoly.linear(*cov)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_covectors, min_size=2, max_size=5),
+       st.lists(st.integers(0, 7), min_size=1, max_size=3),
+       st.lists(small_covectors, max_size=2),
+       st.integers(0, 7),
+       st.fractions(min_value=-5, max_value=5, max_denominator=5),
+       st.sampled_from([(), (0,), (3,), (7,)]))
+def test_line_fibers_match_restriction_oracle(covs, g1_lines, g1_extra,
+                                             l_line, c, fixed):
+    """Random pencils g1 = (lines), g2 = c*g1 + L*M, times a fixed line:
+    the elimination kernel and restrict_to_line give the same lambdas."""
+    lines = {}
+    for cov in SPECIAL_LINES + covs:
+        ln = Line(f"h{len(lines)}", tuple(map(FieldElement, cov)))
+        lines.setdefault(ln.covector, ln)
+    A = build(lines.values())
+    n = A.n
+    g1 = product_of_lines([A.lines[i % n].covector for i in g1_lines]
+                          + list(g1_extra))
+    d = g1.degree
+    m = product_of_lines([A.lines[(l_line + k) % n].covector
+                          for k in range(1, d)])
+    g2 = g1.scale(FieldElement(c)) + MultiPoly.linear(
+        *A.lines[l_line % n].covector) * m
+    for i in fixed:
+        g1 = g1 * MultiPoly.linear(*A.lines[i % n].covector)
+        g2 = g2 * MultiPoly.linear(*A.lines[i % n].covector)
+    assume(not g2.is_zero)
+    pen = Pencil(g1, g2, ())
+    assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
+
+
+def test_line_fibers_on_lines_with_zero_entries():
+    A = builtin("b3")   # holds x = 0, z = 0 and x - y = 0
+    for pen in (builtin_pencil("b3"), Pencil(X * Y, X * Z, ()),
+                Pencil(X * (X - Y), Z * (X + Y), ())):
+        assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
+    fibers, fixed = _line_fibers(A, Pencil(X * Y, X * Z, ()))
+    assert fixed == [0]
 
 
 # -- the root path ----------------------------------------------------------

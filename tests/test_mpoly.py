@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from starnet.errors import NotAPower, NotDivisible
 from starnet.field import FieldElement
-from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, binary_restriction,
-                           dehomogenize, divides, exact_divide,
-                           factor_multiplicity, homogenize,
-                           is_kth_power_up_to_scalar, kth_root,
-                           restrict_to_line, squarefree_part, uni_gcd)
+from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
+                           divides, exact_divide, factor_multiplicity,
+                           homogenize, is_kth_power_up_to_scalar, kth_root,
+                           line_restriction, restrict_to_line,
+                           squarefree_part, uni_gcd)
 
 coeffs = st.builds(FieldElement,
                    st.integers(min_value=-9, max_value=9),
@@ -97,13 +97,46 @@ def test_restrict_to_line_matches_evaluation():
         assert u.evaluate(t) == p.evaluate(at)
 
 
-def test_binary_restriction_is_padded():
+def test_line_restriction_is_padded():
     p = (X + Y) * (X - Y)   # degree 2, no z
-    c = binary_restriction(p, (FieldElement(1), FieldElement(0),
-                               FieldElement(0)),
-                           (FieldElement(0), FieldElement(1),
-                            FieldElement(0)))
+    c = line_restriction(p, (FieldElement(0), FieldElement(0),
+                             FieldElement(1)))
     assert len(c) == 3
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+homogeneous_polys = st.integers(min_value=0, max_value=4).flatmap(
+    lambda d: st.dictionaries(
+        st.integers(0, d).flatmap(lambda i: st.integers(0, d - i).map(
+            lambda j: (i, j, d - i - j))),
+        coeffs, max_size=6).map(MultiPoly))
+covectors = st.one_of(
+    st.sampled_from([(1, 0, 0), (0, 0, 1), (1, -1, 0), (0, 1, 0)]),
+    st.tuples(small_ints, small_ints, small_ints).filter(any))
+
+
+@settings(max_examples=80, deadline=None)
+@given(homogeneous_polys, covectors)
+def test_line_restriction_matches_evaluation(p, cov):
+    """c_i is the coefficient of u0^(d-i) u1^i once the last variable with
+    a nonzero covector entry is solved for: check it at d + 2 points
+    (u0, u1), which fix a binary form of degree d."""
+    cov = tuple(FieldElement(c) for c in cov)
+    c = line_restriction(p, cov)
+    d = max(p.degree, 0)
+    assert len(c) == d + 1
+    v = max(i for i in range(3) if not cov[i].is_zero)
+    u0, u1 = (i for i in range(3) if i != v)
+    for s, t in [(0, 1)] + [(1, Fraction(k, 3) - 1) for k in range(d + 1)]:
+        s, t = FieldElement(s), FieldElement(t)
+        point = [None] * 3
+        point[u0], point[u1] = s, t
+        point[v] = -(cov[u0] * s + cov[u1] * t) * cov[v].inverse()
+        assert sum((point[i] * cov[i] for i in range(3)),
+                   FieldElement(0)).is_zero
+        form = sum((ci * s ** (d - i) * t ** i for i, ci in enumerate(c)),
+                   FieldElement(0))
+        assert form == p.evaluate(point)
 
 
 def test_unipoly_divmod():
