@@ -1,6 +1,9 @@
 """Byte-for-byte `--format json` output of the builtin invocations.
 
-The files under tests/golden/ hold the expected stdout of each invocation.
+The files under tests/golden/ hold the expected stdout of each invocation:
+the builtins, and the 24-line grid arrangement of tests/data/grid24.json,
+an integer affine image (determinant -3) of lines through a 5 x 5 grid,
+whose points have fractional and negative coordinates.
 Regenerate them only for an intended output change, by running
 `python tests/test_golden.py` from the repository root.
 """
@@ -12,6 +15,7 @@ import pytest
 from starnet.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+GRID24 = str(Path(__file__).parent / "data" / "grid24.json")
 
 CASES = {
     "lattice_b3": ("lattice", "--builtin", "b3"),
@@ -32,6 +36,10 @@ CASES = {
     "aomoto_double_star": ("aomoto", "--builtin", "double_star",
                            "--omega=1,1,1,1,1,-1,-1,-1,-1,-1"),
     "aomoto_b3": ("aomoto", "--builtin", "b3", "--omega=1,-2,3,0,1,-1,2,-4"),
+    "lattice_grid24": ("lattice", "--file", GRID24),
+    "aomoto_grid24": ("aomoto", "--file", GRID24,
+                      "--omega=-2,1,1,0,0,0,-2,-1,-2,1,2,0,"
+                      "2,1,2,2,0,-1,0,0,1,0,-1,-1"),
 }
 
 
