@@ -5,7 +5,10 @@ broken-circuit style basis: at each affine intersection point p with
 incident lines i1 < ... < ir, the products (i1, ij) for j >= 2.  Parallel
 lines meet only at infinity and contribute nothing.  Cup product with a
 degree-one integer class omega gives the two-step complex whose second
-cohomology torsion is computed by Smith normal form.
+cohomology torsion is computed by Smith normal form.  The transforms U and
+V are kept as well; V is as wide as the basis, so its columns are held as
+sparse dicts while reducing, and each column operation costs only the
+nonzeros of its source column.
 """
 
 from __future__ import annotations
@@ -107,12 +110,16 @@ class SNFResult:
 
 
 def snf(M) -> SNFResult:
-    """Smith normal form with unimodular transforms, arbitrary precision."""
+    """Smith normal form with unimodular transforms, arbitrary precision.
+
+    Column j of V is kept as a dict {row: entry}, so that a column
+    operation touches only the nonzeros of V; V is made dense once, at
+    the end."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vcols = [{j: 1} for j in range(n)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -121,8 +128,7 @@ def snf(M) -> SNFResult:
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        Vcols[i], Vcols[j] = Vcols[j], Vcols[i]
 
     def add_row(src, dst, f):
         A[dst] = [a + f * b for a, b in zip(A[dst], A[src])]
@@ -131,8 +137,13 @@ def snf(M) -> SNFResult:
     def add_col(src, dst, f):
         for row in A:
             row[dst] += f * row[src]
-        for row in V:
-            row[dst] += f * row[src]
+        col = Vcols[dst]
+        for r, v in Vcols[src].items():
+            w = col.get(r, 0) + f * v
+            if w:
+                col[r] = w
+            else:
+                col.pop(r, None)   # f may be 0 and the entry absent
 
     def negate_row(i):
         A[i] = [-a for a in A[i]]
@@ -140,18 +151,28 @@ def snf(M) -> SNFResult:
 
     limit = min(m, n)
 
+    def pivot(t):
+        """The first entry of least nonzero |value| in the trailing
+        submatrix at t, row by row; None if it is zero.  The scan stops at
+        |value| 1, as no later entry can be strictly smaller."""
+        piv = None
+        best = None
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                v = abs(row[j])
+                if v and (best is None or v < best):
+                    if v == 1:
+                        return i, j
+                    best = v
+                    piv = (i, j)
+        return piv
+
     def reduce_from(start):
         """Diagonalize the trailing submatrix starting at position `start`."""
         t = start
         while t < limit:
-            piv = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = abs(A[i][j])
-                    if v and (best is None or v < best):
-                        best = v
-                        piv = (i, j)
+            piv = pivot(t)
             if piv is None:
                 return t
             swap_rows(t, piv[0])
@@ -191,6 +212,10 @@ def snf(M) -> SNFResult:
         rank_t = reduce_from(bad)
     divisors = tuple(A[i][i] for i in range(rank_t) if A[i][i])
     diagonal = tuple(A[i][i] for i in range(limit))
+    V = [[0] * n for _ in range(n)]
+    for j, col in enumerate(Vcols):
+        for r, v in col.items():
+            V[r][j] = v
     return SNFResult(divisors=divisors, rank=len(divisors), shape=(m, n),
                      U=tuple(tuple(r) for r in U),
                      V=tuple(tuple(r) for r in V),

@@ -13,8 +13,8 @@ from itertools import combinations
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
-from .field import (ONE, ZERO, FieldElement, normalize, serialize_element,
-                    trig_constants)
+from .field import (ONE, ZERO, FieldElement, normalize, order_keys,
+                    serialize_element, trig_constants)
 from .mpoly import MultiPoly, dehomogenize
 from .exprs import parse_field_element
 
@@ -173,8 +173,11 @@ def _compute_lattice(A: Arrangement):
             # cannot happen for projectively distinct lines
             raise ZeroCovector("coincident lines in lattice computation")
         incident.setdefault(pt, set()).update((i, j))
-    points = (IntersectionPoint(pt, inc) for pt, inc in incident.items())
-    return sorted(points, key=lambda p: tuple(c.coords() for c in p.coords))
+    # points in the lexicographic order of their rational coordinates, by
+    # integer keys over one common denominator (no Fractions)
+    keyed = sorted(zip(order_keys(incident), incident.items()),
+                   key=lambda kv: kv[0])
+    return [IntersectionPoint(pt, inc) for _, (pt, inc) in keyed]
 
 
 def is_essential(A: Arrangement) -> bool:

@@ -17,6 +17,10 @@ class NotAPower(StarnetError):
     """Polynomial is not a perfect k-th power over the field."""
 
 
+class NotSquarefree(StarnetError):
+    """A polynomial that must be squarefree has a repeated root."""
+
+
 class RootFindingFailed(StarnetError):
     """Numeric root finding did not converge at the working precision."""
 

@@ -32,7 +32,8 @@ import mpmath
 
 from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
-                     MultipleMultipleFibers, NotSmall, RootFindingFailed)
+                     MultipleMultipleFibers, NotSmall, NotSquarefree,
+                     RootFindingFailed)
 from .field import (ONE, ZERO, FieldElement, from_real, normalize,
                     serialize_element)
 from .mpoly import (MultiPoly, UniPoly, divide_out, divides, exact_divide,
@@ -261,14 +262,29 @@ def _integer_root_candidates(q):
     """Candidates holding every integer root of the monic q (low to high,
     squarefree over Q).  Roots satisfy |y| < B = 1 + max |q_i|; each is the
     symmetric residue of a simple root of q mod the first prime where all
-    roots are simple, lifted by Newton's iteration modulo p^(2^j) > 2B."""
+    roots are simple, lifted by Newton's iteration modulo p^(2^j) > 2B.
+
+    A prime with a multiple root of q mod p divides res(q, q'), which is
+    nonzero for a squarefree q, so the product of such primes is at most
+    Hadamard's bound H on the Sylvester matrix of (q, q'):
+    H^2 = |q|^(2(d-1)) * |q'|^(2d).  Past that bound q is not squarefree,
+    and NotSquarefree is raised."""
     bound = 1 + max((abs(c) for c in q[:-1]), default=0)
     dq = [i * c for i, c in enumerate(q)][1:]
+    d = len(dq)
+    hadamard2 = (sum(c * c for c in q) ** (d - 1)
+                 * sum(c * c for c in dq) ** d) if d else 1
+    bad = 1
     for p in count(2):
         if all(p % k for k in range(2, isqrt(p) + 1)):
             roots = [r for r in range(p) if not _horner_mod(q, r, p)]
             if all(_horner_mod(dq, r, p) for r in roots):
                 break
+            bad *= p
+            if bad * bad > hadamard2:
+                raise NotSquarefree(
+                    "integer root search: the polynomial has a repeated "
+                    "root modulo more primes than its discriminant allows")
     for r in roots:
         m = p
         while m <= 2 * bound:

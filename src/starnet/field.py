@@ -424,29 +424,26 @@ def trig_constants() -> TrigConstants:
 
 # -- text form -------------------------------------------------------------
 
-def _format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 _BASIS_SYMBOLS = ("", "r", "s", "r*s")
 
 
 def serialize_element(x: FieldElement) -> str:
     """Canonical text form on the basis {1, r, s, r*s}."""
+    *nums, den = x._v
     parts = []
-    for coef, sym in zip(x.coords(), _BASIS_SYMBOLS):
-        if coef == 0:
+    for a, sym in zip(nums, _BASIS_SYMBOLS):
+        if not a:
             continue
-        mag = abs(coef)
+        g = gcd(a, den)
+        p, q = abs(a) // g, den // g
+        mag = str(p) if q == 1 else f"{p}/{q}"
         if not sym:
-            body = _format_fraction(mag)
-        elif mag == 1:
+            body = mag
+        elif p == q == 1:
             body = sym
         else:
-            body = f"{_format_fraction(mag)}*{sym}"
-        parts.append(("-" if coef < 0 else "+", body))
+            body = f"{mag}*{sym}"
+        parts.append(("-" if a < 0 else "+", body))
     if not parts:
         return "0"
     first_sign, first_body = parts[0]
@@ -454,6 +451,24 @@ def serialize_element(x: FieldElement) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def order_keys(vectors):
+    """One integer tuple per vector of elements, ordered as the vectors'
+    coordinates on {1, r, s, r*s} are, lexicographically.
+
+    Over one common denominator L of every coordinate, each coordinate
+    a/den becomes the integer a*(L/den); L/den > 0 keeps the order."""
+    L = lcm(*(x._v[4] for vec in vectors for x in vec))
+    keys = []
+    for vec in vectors:
+        key = []
+        for x in vec:
+            *nums, den = x._v
+            f = L // den
+            key += [a * f for a in nums]
+        keys.append(tuple(key))
+    return keys
 
 
 def parse_element(text: str) -> FieldElement:

@@ -12,6 +12,7 @@ import random
 
 import mpmath
 
+from starnet.aomoto import SNFResult
 from starnet.arrangement import Arrangement, build
 from starnet.field import FieldElement, normalize, serialize_element
 from starnet.mpoly import UniPoly, restrict_to_line
@@ -379,3 +380,136 @@ def ref_line_lambdas(A: Arrangement, pencil):
 def _cross_nonzero(p, q):
     return any(not (p[i] * q[j] - p[j] * q[i]).is_zero
                for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+# -- Smith normal form on dense transforms ---------------------------------
+
+def ref_snf(M) -> SNFResult:
+    """Smith normal form with unimodular transforms on dense matrices.
+
+    The same pivot rule and operation sequence as starnet.aomoto.snf, with
+    V a dense list of rows and a pivot scan over the whole trailing
+    submatrix, so every field of the result must agree."""
+    A = [list(map(int, row)) for row in M]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, f):
+        A[dst] = [a + f * b for a, b in zip(A[dst], A[src])]
+        U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(src, dst, f):
+        for row in A:
+            row[dst] += f * row[src]
+        for row in V:
+            row[dst] += f * row[src]
+
+    def negate_row(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+
+    limit = min(m, n)
+
+    def reduce_from(start):
+        """Diagonalize the trailing submatrix starting at position `start`."""
+        t = start
+        while t < limit:
+            piv = None
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    v = abs(A[i][j])
+                    if v and (best is None or v < best):
+                        best = v
+                        piv = (i, j)
+            if piv is None:
+                return t
+            swap_rows(t, piv[0])
+            swap_cols(t, piv[1])
+            dirty = True
+            while dirty:
+                dirty = False
+                for i in range(t + 1, m):
+                    if A[i][t]:
+                        add_row(t, i, -(A[i][t] // A[t][t]))
+                        if A[i][t]:
+                            swap_rows(t, i)
+                            dirty = True
+                for j in range(t + 1, n):
+                    if A[t][j]:
+                        add_col(t, j, -(A[t][j] // A[t][t]))
+                        if A[t][j]:
+                            swap_cols(t, j)
+                            dirty = True
+            if A[t][t] < 0:
+                negate_row(t)
+            t += 1
+        return t
+
+    rank_t = reduce_from(0)
+    # enforce the divisibility chain: a violation at (i, i+1) is cured by
+    # mixing the columns and re-diagonalizing from position i
+    while True:
+        bad = None
+        for i in range(rank_t - 1):
+            if A[i + 1][i + 1] % A[i][i]:
+                bad = i
+                break
+        if bad is None:
+            break
+        add_col(bad + 1, bad, 1)
+        rank_t = reduce_from(bad)
+    divisors = tuple(A[i][i] for i in range(rank_t) if A[i][i])
+    diagonal = tuple(A[i][i] for i in range(limit))
+    return SNFResult(divisors=divisors, rank=len(divisors), shape=(m, n),
+                     U=tuple(tuple(r) for r in U),
+                     V=tuple(tuple(r) for r in V),
+                     diagonal=diagonal)
+
+
+# -- lattice order and element text on Fraction coordinates ----------------
+
+def ref_point_key(point):
+    """Sort key of a lattice point: its coordinates as Fraction 4-tuples."""
+    return tuple(c.coords() for c in point.coords)
+
+
+def _format_fraction(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def ref_serialize_element(x: FieldElement) -> str:
+    """Text form on the basis {1, r, s, r*s}, built from Fraction coords."""
+    parts = []
+    for coef, sym in zip(x.coords(), ("", "r", "s", "r*s")):
+        if coef == 0:
+            continue
+        mag = abs(coef)
+        if not sym:
+            body = _format_fraction(mag)
+        elif mag == 1:
+            body = sym
+        else:
+            body = f"{_format_fraction(mag)}*{sym}"
+        parts.append(("-" if coef < 0 else "+", body))
+    if not parts:
+        return "0"
+    first_sign, first_body = parts[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out

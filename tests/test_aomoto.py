@@ -3,13 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starnet.aomoto import (aomoto_complex, h2_torsion, os2_basis,
                             reduce_product, snf)
 from starnet.arrangement import build, builtin, delete
 
 from oracles import (_int_det, minor_gcd_divisors, random_rational_arrangement,
-                     ref_aomoto_d2)
+                     ref_aomoto_d2, ref_snf)
 
 
 def affine_triangle():
@@ -139,22 +141,75 @@ def test_snf_matches_minor_gcds():
 
 def test_snf_transforms_are_unimodular_and_consistent():
     rng = random.Random(99)
-    for _ in range(20):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
+    shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(20)]
+    # wide like d2, and tall
+    shapes += [(rng.randint(1, 6), rng.randint(10, 40)) for _ in range(6)]
+    shapes += [(rng.randint(10, 40), rng.randint(1, 6)) for _ in range(4)]
+    for m, n in shapes:
         M = _random_matrix(rng, m, n)
         res = snf(M)
         assert abs(_int_det([list(r) for r in res.U])) == 1
         assert abs(_int_det([list(r) for r in res.V])) == 1
         # U * M * V equals the diagonal the result reports
-        prod = [[sum(res.U[i][a] * M[a][b] * res.V[b][j]
-                     for a in range(m) for b in range(n))
+        UM = [[sum(res.U[i][a] * M[a][b] for a in range(m))
+               for b in range(n)] for i in range(m)]
+        prod = [[sum(UM[i][b] * res.V[b][j] for b in range(n))
                  for j in range(n)] for i in range(m)]
         for i in range(m):
             for j in range(n):
                 expect = res.diagonal[i] if i == j and i < len(res.diagonal) \
                     else 0
                 assert prod[i][j] == expect
+
+
+@st.composite
+def snf_matrices(draw):
+    """Sparse wide (as d2 is) or tall integer matrices, with zero rows and
+    columns, entries without units (so that the pivot row meets entries
+    whose quotient by the pivot is 0) and a few entries up to 10^6.
+    Dense inputs are left out: their transforms grow to thousands of
+    digits."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(10, 60))
+    if draw(st.booleans()):
+        m, n = n, m
+    if draw(st.booleans()):
+        small = st.builds(lambda v, sign: v * sign, st.integers(2, 6),
+                          st.sampled_from((-1, 1)))
+    else:
+        small = st.integers(-6, 6)
+    nonzero = st.lists(st.tuples(st.integers(0, m - 1),
+                                 st.integers(0, n - 1), small),
+                       max_size=2 * max(m, n))
+    large = st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                               st.integers(-10 ** 6, 10 ** 6)), max_size=2)
+    M = [[0] * n for _ in range(m)]
+    for i, j, v in draw(nonzero) + draw(large):
+        M[i][j] = v
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        M[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        for row in M:
+            row[j] = 0
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(snf_matrices())
+def test_snf_matches_dense_reference(M):
+    assert snf(M) == ref_snf(M)
+
+
+def test_snf_matches_dense_reference_on_d2():
+    rng = random.Random(8)
+    for name, omegas in (("b3_del_z", [[1, -2, 3, 0, 1, -1, 2, -4]]),
+                         ("double_star_affine", [[1] * 5 + [-1] * 5])):
+        A = builtin(name)
+        omegas += [[1] * A.n] + [[rng.randint(-2, 2) for _ in range(A.n)]
+                                 for _ in range(4)]
+        for omega in omegas:
+            d2 = aomoto_complex(A, omega).d2
+            assert snf(d2) == ref_snf(d2), (name, omega)
 
 
 def test_snf_known_case():

@@ -4,14 +4,20 @@ import json
 import math
 import random
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starnet.arrangement import (BUILTIN_NAMES, arrangement_from_json,
                                  arrangement_to_json, build, builtin, delete,
+                                 double_star_affine_covectors,
                                  double_star_data, is_essential, render_svg)
 from starnet.errors import DuplicateLine, ParseError, UnknownBuiltin
+from starnet.field import ONE, ZERO, FieldElement, normalize
 
-from oracles import brute_lattice, random_rational_arrangement
+from oracles import brute_lattice, random_rational_arrangement, ref_point_key
 
 
 def _check_lattice_against_oracle(A):
@@ -41,6 +47,52 @@ def test_random_lattices_match_brute_force():
     rng = random.Random(7)
     for _ in range(10):
         _check_lattice_against_oracle(random_rational_arrangement(rng))
+
+
+def _distinct_lines(covectors):
+    """build() input from the nonzero, projectively distinct covectors."""
+    lines, seen = [], set()
+    for cov in covectors:
+        key = normalize(cov)
+        if key is not None and key not in seen:
+            seen.add(key)
+            lines.append((f"h{len(lines)}", cov))
+    assume(len(lines) >= 2)
+    return lines
+
+
+def _assert_oracle_order(A):
+    keys = [ref_point_key(p) for p in A.lattice()]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+heights = st.sampled_from((3, 10 ** 3, 10 ** 30))
+mixed_rationals = heights.flatmap(lambda h: st.builds(
+    Fraction, st.integers(-h, h), st.integers(1, h)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(mixed_rationals, mixed_rationals, mixed_rationals),
+                min_size=2, max_size=7))
+def test_lattice_is_in_fraction_order(covectors):
+    A = build(_distinct_lines([tuple(map(FieldElement, cov))
+                               for cov in covectors]))
+    _assert_oracle_order(A)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       st.booleans())
+def test_double_star_images_are_in_fraction_order(entries, with_infinity):
+    a, b, c, d, e, f = entries
+    assume(a * d - b * c)
+    M = ((a, b, e), (c, d, f), (0, 0, 1))
+    covs = [tuple(sum((u[k] * M[k][j] for k in range(3)), ZERO)
+                  for j in range(3))
+            for u in double_star_affine_covectors()]
+    if with_infinity:
+        covs.append((ZERO, ZERO, ONE))
+    _assert_oracle_order(build(_distinct_lines(covs)))
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

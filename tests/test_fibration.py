@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from starnet.arrangement import Line, build, builtin, delete
 from starnet.cli import main
 from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
-                            InvalidPencil, NotSmall, RootFindingFailed)
+                            InvalidPencil, NotSmall, NotSquarefree,
+                            RootFindingFailed, StarnetError)
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S
-from starnet.fibration import (_field_roots, _integer_squarefree_part,
-                               _line_fibers, _newton_interpolate,
-                               _rational_roots, _resultant, analyze,
+from starnet.fibration import (_field_roots, _integer_root_candidates,
+                               _integer_squarefree_part, _line_fibers,
+                               _newton_interpolate, _rational_roots,
+                               _resultant, analyze,
                                analyze_fiber, fiber_polynomial,
                                lambda_candidates, normalize_lambda,
                                orbifold_v1_shape, pointed_vs_fiber,
@@ -387,6 +389,15 @@ def test_rational_roots_planted():
     assert _rational_roots(poly) == sorted(planted)
     assert _rational_roots(product([t_minus(R), T2_MINUS_3,
                                     T2_PLUS_1])) == []
+
+
+def test_integer_roots_of_a_square_fail_loudly():
+    # (t - 1)^2 (t + 2): t = 1 is a double root modulo every prime, and the
+    # discriminant bound stops the prime search after 2*3*5*7*11
+    assert issubclass(NotSquarefree, StarnetError)
+    with pytest.raises(NotSquarefree):
+        list(_integer_root_candidates([2, -3, 0, 1]))
+    assert sorted(_integer_root_candidates([-2, 1, 1])) == [-2, 1]
 
 
 def test_field_roots_of_repeated_factors():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_add, ref_inverse, ref_mul, ref_sign, ref_sub
+from oracles import (ref_add, ref_inverse, ref_mul, ref_serialize_element,
+                     ref_sign, ref_sub)
 from starnet.field import (FieldElement, parse_element, serialize_element,
                            trig_constants)
 
@@ -116,6 +117,19 @@ def test_high_precision_embed():
 @given(elements)
 def test_serialize_parse_round_trip(a):
     assert parse_element(serialize_element(a)) == a
+
+
+unit_elements = st.builds(
+    lambda coefs: FieldElement(*coefs),
+    st.lists(st.sampled_from((-1, 0, 1)), min_size=4, max_size=4))
+
+
+@settings(max_examples=200)
+@given(st.one_of(any_elements, unit_elements,
+                 st.sampled_from((FieldElement(0), R, -R, S, -S, R * S,
+                                  -(R * S)))))
+def test_serialize_matches_fraction_reference(x):
+    assert serialize_element(x) == ref_serialize_element(x)
 
 
 def test_parse_expressions():
