@@ -1,10 +1,9 @@
 """Arrangements: lattice, builtins, file format, SVG output."""
 
+from fractions import Fraction
 import json
 import math
 import random
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
