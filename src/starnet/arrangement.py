@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from math import gcd
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
-from .field import (ONE, ZERO, FieldElement, normalize, order_keys,
-                    serialize_element, trig_constants)
+from .field import (ONE, ZERO, FieldElement, integer_vector, normalize,
+                    order_keys, serialize_element, trig_constants)
 from .mpoly import MultiPoly, dehomogenize
 from .exprs import parse_field_element
 
@@ -123,8 +124,12 @@ def build(lines, name: str = "") -> Arrangement:
     """Construct an arrangement from (label, covector) pairs or Lines."""
     out = []
     seen = {}
+    labels = set()
     for item in lines:
         ln = item if isinstance(item, Line) else Line(item[0], item[1])
+        if ln.label in labels:
+            raise DuplicateLine(f"label {ln.label!r} is used twice")
+        labels.add(ln.label)
         key = ln.covector
         if key in seen:
             raise DuplicateLine(
@@ -163,16 +168,38 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
+def _primitive_point(p):
+    """The integer vector p divided by the gcd of its entries, signed so
+    that its first nonzero entry is positive; None for the zero vector."""
+    x, y, z = p
+    g = gcd(x, y, z)
+    if not g:
+        return None
+    if x < 0 or not x and (y < 0 or not y and z < 0):
+        g = -g
+    return (x // g, y // g, z // g)
+
+
 def _compute_lattice(A: Arrangement):
     # every line through a point pairs with every other line through it, so
-    # the lines of the pairs meeting at a point are exactly its incident set
+    # the lines of the pairs meeting at a point are exactly its incident set.
+    # A rational arrangement is computed on integers: each covector becomes
+    # its primitive integer vector once, each pair's point is keyed by its
+    # primitive integer cross product, and only each distinct point is
+    # normalized into the field.
+    ints = [integer_vector(ln.covector) for ln in A.lines]
+    rational = None not in ints
+    covectors = ints if rational else [ln.covector for ln in A.lines]
+    point = _primitive_point if rational else normalize
     incident = {}
-    for (i, u), (j, v) in combinations(enumerate(A.lines), 2):
-        pt = normalize(_cross(u.covector, v.covector))
+    for (i, u), (j, v) in combinations(enumerate(covectors), 2):
+        pt = point(_cross(u, v))
         if pt is None:
             # cannot happen for projectively distinct lines
             raise ZeroCovector("coincident lines in lattice computation")
         incident.setdefault(pt, set()).update((i, j))
+    if rational:
+        incident = {normalize(pt): inc for pt, inc in incident.items()}
     # points in the lexicographic order of their rational coordinates, by
     # integer keys over one common denominator (no Fractions)
     keyed = sorted(zip(order_keys(incident), incident.items()),
@@ -336,6 +363,14 @@ def arrangement_from_json(doc: dict) -> Arrangement:
         name = doc.get("name", "")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed arrangement document: {exc}") from exc
+    for label, cov in lines:
+        if not isinstance(label, str):
+            raise ParseError(f"line label {label!r} is not a string")
+        if len(cov) != 3:
+            raise ParseError(f"line {label!r} wants a covector of 3 entries, "
+                             f"not {len(cov)}")
+    if len(lines) < 2:
+        raise ParseError("an arrangement needs at least 2 lines")
     return build(lines, name=name)
 
 

@@ -154,8 +154,10 @@ def cmd_analyze(args) -> int:
     for text in args.lam or ():
         if "," not in text:
             raise UsageError("--lambda wants 'l0,l1' field elements")
-        l0, l1 = text.split(",", 1)
-        extras.append((parse_field_element(l0), parse_field_element(l1)))
+        lam = tuple(parse_field_element(v) for v in text.split(",", 1))
+        if not any(lam):
+            raise UsageError("--lambda wants a point of P^1, not 0,0")
+        extras.append(lam)
     rep = analyze(A, pencil, extras)
     results = rep.describe(A)
     results["orbifold_v1_shape"] = orbifold_v1_shape(rep.k, rep.mu_vector)

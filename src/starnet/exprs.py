@@ -137,14 +137,14 @@ def _constant_of(p: MultiPoly) -> FieldElement:
 def _divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     c = _constant_of(den)
     if c.is_zero:
-        raise ZeroDivisionError("division by zero in expression")
+        raise ParseError("division by zero in expression")
     return num.scale(c.inverse())
 
 
 def _invert(p: MultiPoly) -> MultiPoly:
     c = _constant_of(p)
     if c.is_zero:
-        raise ZeroDivisionError("inverse of zero in expression")
+        raise ParseError("inverse of zero in expression")
     return MultiPoly.constant(c.inverse())
 
 

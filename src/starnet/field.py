@@ -309,6 +309,11 @@ _S2 = S * S
 def normalize(vec):
     """The projective representative of vec whose first nonzero entry is 1,
     as a tuple of FieldElements; None for the zero vector."""
+    vec = tuple(vec)
+    if all(type(v) is int for v in vec):
+        # integers (not bools): each entry is the reduced fraction v/lead
+        lead = next((v for v in vec if v), 0)
+        return tuple(_make(v, 0, 0, 0, lead) for v in vec) if lead else None
     vec = tuple(v if isinstance(v, FieldElement) else FieldElement(v)
                 for v in vec)
     lead = next((v for v in vec if v), None)
@@ -316,6 +321,18 @@ def normalize(vec):
         return None
     inv = lead.inverse()
     return tuple(v * inv for v in vec)
+
+
+def integer_vector(vec):
+    """The primitive integer vector with the signs of vec, a nonzero vector
+    of rational elements, as a tuple of ints; None if an entry is
+    irrational."""
+    if not all(x.is_rational for x in vec):
+        return None
+    L = lcm(*(x._v[4] for x in vec))
+    ints = [x._v[0] * (L // x._v[4]) for x in vec]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints)
 
 
 def _exact_isqrt(n: int):

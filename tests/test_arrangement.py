@@ -6,10 +6,11 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starnet.arrangement import (BUILTIN_NAMES, arrangement_from_json,
+from starnet.arrangement import (BUILTIN_NAMES, _primitive_point,
+                                 arrangement_from_json,
                                  arrangement_to_json, build, builtin, delete,
                                  double_star_affine_covectors,
                                  double_star_data, is_essential, render_svg)
@@ -68,15 +69,37 @@ def _assert_oracle_order(A):
 heights = st.sampled_from((3, 10 ** 3, 10 ** 30))
 mixed_rationals = heights.flatmap(lambda h: st.builds(
     Fraction, st.integers(-h, h), st.integers(1, h)))
+# a line (1, q + r, q') outside Q, or none: with it, a mostly rational
+# arrangement takes the field path of the lattice
+irrational_line = st.none() | st.tuples(mixed_rationals, mixed_rationals).map(
+    lambda qs: (ONE, FieldElement(qs[0], 1), FieldElement(qs[1])))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(mixed_rationals, mixed_rationals, mixed_rationals),
-                min_size=2, max_size=7))
-def test_lattice_is_in_fraction_order(covectors):
-    A = build(_distinct_lines([tuple(map(FieldElement, cov))
-                               for cov in covectors]))
+                min_size=2, max_size=7),
+       irrational_line)
+def test_lattice_is_in_fraction_order(covectors, extra):
+    covs = [tuple(map(FieldElement, cov)) for cov in covectors]
+    if extra is not None:
+        covs.append(extra)
+    A = build(_distinct_lines(covs))
     _assert_oracle_order(A)
+    _check_lattice_against_oracle(A)
+
+
+@given(st.tuples(*3 * [st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)]),
+       st.integers(-10 ** 6, 10 ** 6).filter(bool))
+@example((0, 0, 5), -1)
+@example((0, -4, 6), -3)
+def test_point_key_is_the_same_for_every_multiple(p, k):
+    # the lattice's integer path keys a pair's point by _primitive_point of
+    # the cross product, whose sign and scale vary from pair to pair
+    assume(any(p))
+    key = _primitive_point(p)
+    assert _primitive_point(tuple(k * x for x in p)) == key
+    assert normalize(key) == normalize(tuple(map(FieldElement, p)))
+    assert _primitive_point((0, 0, 0)) is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -91,7 +114,9 @@ def test_double_star_images_are_in_fraction_order(entries, with_infinity):
             for u in double_star_affine_covectors()]
     if with_infinity:
         covs.append((ZERO, ZERO, ONE))
-    _assert_oracle_order(build(_distinct_lines(covs)))
+    A = build(_distinct_lines(covs))
+    _assert_oracle_order(A)
+    _check_lattice_against_oracle(A)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -178,6 +203,13 @@ def test_json_round_trip():
 def test_json_malformed():
     with pytest.raises(ParseError):
         arrangement_from_json({"lines": [{"label": "a"}]})
+    line_b = {"label": "b", "covector": ["0", "1", "0"]}
+    for line_a in ({"label": "a", "covector": ["1", "0"]},
+                   {"label": ["a"], "covector": ["1", "0", "0"]}):
+        with pytest.raises(ParseError):
+            arrangement_from_json({"lines": [line_a, line_b]})
+    with pytest.raises(ParseError):
+        arrangement_from_json({"lines": [line_b]})
 
 
 def test_svg_deterministic():

@@ -52,6 +52,34 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "error" in err
 
 
+def _doc(*covectors, labels="abc"):
+    return {"lines": [{"label": lab, "covector": cov}
+                      for lab, cov in zip(labels, covectors)]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("lattice",), _doc(["1/0", "0", "1"], ["0", "1", "0"])),
+    (("analyze", "--builtin", "b3", "--pencil", "x/0;y"), None),
+    (("analyze", "--builtin", "b3", "--pencil", "x;y",
+      "--lambda", "1/0,1"), None),
+    (("analyze", "--builtin", "b3", "--pencil", "x;y",
+      "--lambda", "0,0"), None),
+    (("lattice",), _doc(["1", "0"], ["0", "1", "0"])),
+    (("lattice",), _doc(["1", "0", "0"])),
+    (("lattice",), _doc(["1", "0", "0"], ["0", "1", "0"], labels="aa")),
+], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
+        "lambda_zero", "covector_of_two", "one_line", "repeated_label"])
+def test_bad_input_is_input_error(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(doc))
+        argv += ("--file", str(path))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_arrangement_is_input_error(capsys):
     code, _, _ = run(capsys, "lattice")
     assert code == 2

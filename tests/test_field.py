@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (ref_add, ref_inverse, ref_mul, ref_serialize_element,
                      ref_sign, ref_sub)
-from starnet.field import (FieldElement, parse_element, serialize_element,
-                           trig_constants)
+from starnet.field import (FieldElement, integer_vector, normalize,
+                           parse_element, serialize_element, trig_constants)
 
 rationals = st.builds(Fraction,
                       st.integers(min_value=-50, max_value=50),
@@ -221,3 +221,23 @@ def test_equal_values_hash_equal(x, y):
     assert (x == y) == (hash(x) == hash(y))
     assert FieldElement(Fraction(6, 4)) == Fraction(3, 2)
     assert hash(FieldElement(2) / 2) == hash(FieldElement(1))
+
+
+int_entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(st.tuples(int_entries, int_entries, int_entries),
+       st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+def test_integer_vector_and_integer_normalize(p, k, d):
+    if not any(p):
+        assert normalize(p) is None
+        return
+    g = math.gcd(*p)
+    vec = tuple(FieldElement(Fraction(k * a, d)) for a in p)
+    assert integer_vector(vec) == tuple(a // g for a in p)
+    assert integer_vector(vec + (R,)) is None
+    # the integer path of normalize agrees with the field path
+    ints = normalize(p)
+    assert ints == normalize(tuple(map(FieldElement, p)))
+    for x in ints:
+        _assert_canonical(x)
