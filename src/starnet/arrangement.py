@@ -357,18 +357,18 @@ def arrangement_to_json(A: Arrangement) -> dict:
 
 def arrangement_from_json(doc: dict) -> Arrangement:
     try:
-        lines = [(item["label"],
-                  tuple(parse_field_element(e) for e in item["covector"]))
-                 for item in doc["lines"]]
+        items = [(item["label"], item["covector"]) for item in doc["lines"]]
         name = doc.get("name", "")
+        for label, cov in items:
+            if not isinstance(label, str):
+                raise ParseError(f"line label {label!r} is not a string")
+            if not isinstance(cov, list) or len(cov) != 3:
+                raise ParseError(
+                    f"line {label!r} wants a covector list of 3 entries")
+        lines = [(label, tuple(parse_field_element(e) for e in cov))
+                 for label, cov in items]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed arrangement document: {exc}") from exc
-    for label, cov in lines:
-        if not isinstance(label, str):
-            raise ParseError(f"line label {label!r} is not a string")
-        if len(cov) != 3:
-            raise ParseError(f"line {label!r} wants a covector of 3 entries, "
-                             f"not {len(cov)}")
     if len(lines) < 2:
         raise ParseError("an arrangement needs at least 2 lines")
     return build(lines, name=name)

@@ -205,6 +205,7 @@ def test_json_malformed():
         arrangement_from_json({"lines": [{"label": "a"}]})
     line_b = {"label": "b", "covector": ["0", "1", "0"]}
     for line_a in ({"label": "a", "covector": ["1", "0"]},
+                   {"label": "a", "covector": "100"},
                    {"label": ["a"], "covector": ["1", "0", "0"]}):
         with pytest.raises(ParseError):
             arrangement_from_json({"lines": [line_a, line_b]})
