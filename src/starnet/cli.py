@@ -152,9 +152,10 @@ def cmd_analyze(args) -> int:
     pencil = _resolve_pencil(args, A)
     extras = []
     for text in args.lam or ():
-        if "," not in text:
+        parts = text.split(",")
+        if len(parts) != 2:
             raise UsageError("--lambda wants 'l0,l1' field elements")
-        lam = tuple(parse_field_element(v) for v in text.split(",", 1))
+        lam = tuple(parse_field_element(v) for v in parts)
         if not any(lam):
             raise UsageError("--lambda wants a point of P^1, not 0,0")
         extras.append(lam)
@@ -241,13 +242,11 @@ def _build_parser():
 
     p = subs.add_parser("lattice", help="intersection point census")
     _arrangement_flags(p)
-    p.set_defaults(func=cmd_lattice)
 
     p = subs.add_parser("multinets", help="enumerate multinets")
     _arrangement_flags(p)
     p.add_argument("--max-k", type=int, default=4)
     p.add_argument("--max-mult", type=int, default=4)
-    p.set_defaults(func=cmd_multinets)
 
     p = subs.add_parser("analyze", help="orbifold fibration analysis")
     _arrangement_flags(p)
@@ -260,28 +259,32 @@ def _build_parser():
     p.add_argument("--max-mult", type=int, default=4)
     p.add_argument("--lambda", dest="lam", action="append",
                    help="extra fiber 'l0,l1' to analyze; repeatable")
-    p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("aomoto", help="integer Aomoto complex torsion")
     _arrangement_flags(p)
     p.add_argument("--omega", required=True,
-                   help="integer weights, one per affine line, csv")
-    p.set_defaults(func=cmd_aomoto)
+                   help="integer weights, one per affine line, csv; "
+                        "write --omega=-1,1,... when the first weight is "
+                        "negative, as argparse reads -1 as a flag")
 
     p = subs.add_parser("render", help="SVG figure of the real traces")
     _arrangement_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--window", default="-2,2,-2,2")
     p.add_argument("--classes", help="label=color[,label=color...]")
-    p.set_defaults(func=cmd_render)
     return parser
 
 
+# built once per process; parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up by name at call time, so a replaced cmd_* is the one run
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (UsageError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -216,25 +216,33 @@ def _restricted_growth_strings(n: int, max_k: int):
 
 
 def _nullspace(rows, n):
-    """Basis of the rational nullspace of the given integer-coefficient rows."""
-    mat = [list(map(Fraction, row)) for row in rows]
+    """Basis of the rational nullspace of the given integer-coefficient rows.
+
+    Fraction-free Gauss-Jordan: each elimination is p*row_i - f*row_r, then
+    row_i is divided by its gcd.  Row ri ends as a multiple of row ri of the
+    reduced row echelon form, which is unique, so the basis (the identity on
+    the free columns) is the one elimination over Q gives.
+    """
+    mat = [list(row) for row in rows]
     pivots = []
     r = 0
     for col in range(n):
         piv = None
         for i in range(r, len(mat)):
-            if mat[i][col] != 0:
+            if mat[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -245,7 +253,7 @@ def _nullspace(rows, n):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            vec[pc] = -mat[ri][fc]
+            vec[pc] = Fraction(-mat[ri][fc], mat[ri][pc])
         basis.append(vec)
     return basis
 

@@ -101,6 +101,42 @@ def exhaustive_multinets(A: Arrangement, max_mult: int):
     return found
 
 
+def ref_nullspace(rows, n):
+    """Nullspace basis by Gauss-Jordan over Fractions: pivot rows scaled to
+    1, one basis vector per free column carrying the identity there."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -mat[ri][fc]
+        basis.append(vec)
+    return basis
+
+
 def ref_aomoto_d2(A: Arrangement, omega):
     """The d2 rows of the Aomoto complex, built densely from brute_lattice.
 

@@ -57,19 +57,23 @@ def _doc(*covectors, labels="abc"):
                       for lab, cov in zip(labels, covectors)]}
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (("lattice",), _doc(["1/0", "0", "1"], ["0", "1", "0"])),
-    (("analyze", "--builtin", "b3", "--pencil", "x/0;y"), None),
+@pytest.mark.parametrize("argv, doc, needle", [
+    (("lattice",), _doc(["1/0", "0", "1"], ["0", "1", "0"]), None),
+    (("analyze", "--builtin", "b3", "--pencil", "x/0;y"), None, None),
     (("analyze", "--builtin", "b3", "--pencil", "x;y",
-      "--lambda", "1/0,1"), None),
+      "--lambda", "1/0,1"), None, None),
     (("analyze", "--builtin", "b3", "--pencil", "x;y",
-      "--lambda", "0,0"), None),
-    (("lattice",), _doc(["1", "0"], ["0", "1", "0"])),
-    (("lattice",), _doc(["1", "0", "0"])),
-    (("lattice",), _doc(["1", "0", "0"], ["0", "1", "0"], labels="aa")),
+      "--lambda", "0,0"), None, None),
+    (("lattice",), _doc(["1", "0"], ["0", "1", "0"]), None),
+    (("lattice",), _doc(["1", "0", "0"]), None),
+    (("lattice",), _doc(["1", "0", "0"], ["0", "1", "0"], labels="aa"),
+     None),
+    (("analyze", "--builtin", "b3", "--pencil", "x;y",
+      "--lambda", "1,2,3"), None, "--lambda"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
-        "lambda_zero", "covector_of_two", "one_line", "repeated_label"])
-def test_bad_input_is_input_error(tmp_path, capsys, argv, doc):
+        "lambda_zero", "covector_of_two", "one_line", "repeated_label",
+        "lambda_of_three"])
+def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"
         path.write_text(json.dumps(doc))
@@ -78,6 +82,55 @@ def test_bad_input_is_input_error(tmp_path, capsys, argv, doc):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if needle is not None:
+        assert needle in err
+
+
+_B3_DEL_Z = ("analyze", "--builtin", "b3_del_z",
+             "--pencil", "builtin:b3_del_z", "--format", "json")
+
+
+def _fresh_interpreter(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _fresh_process_output(argv):
+    proc = _fresh_interpreter("-m", "starnet.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    # the parser is built once per process: an appended --lambda and a
+    # rejected argv must leave nothing behind for the next call
+    code, out, _ = run(capsys, *_B3_DEL_Z, "--lambda", "2,3")
+    assert code == 0
+    lams = [f["lambda"] for f in json.loads(out)["results"]["fibers"]]
+    assert ["1", "3/2"] in lams
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--max-k", "three"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, *_B3_DEL_Z)
+    assert code == 0
+    lams = [f["lambda"] for f in json.loads(out)["results"]["fibers"]]
+    assert ["1", "3/2"] not in lams
+    assert out == _fresh_process_output(_B3_DEL_Z)
+
+
+def test_subcommand_is_looked_up_by_name(monkeypatch):
+    seen = []
+
+    def stub(args):
+        seen.append(args.builtin)
+        return 17
+
+    monkeypatch.setattr("starnet.cli.cmd_lattice", stub)
+    assert main(["lattice", "--builtin", "b3"]) == 17
+    assert seen == ["b3"]
 
 
 def test_missing_arrangement_is_input_error(capsys):
@@ -201,14 +254,11 @@ def test_human_format_runs(capsys):
 
 def test_analyze_does_not_import_sympy():
     # the package's runtime dependency is mpmath alone
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     script = ("import sys\n"
               "from starnet.cli import main\n"
               "code = main(['analyze', '--builtin', 'b3_del_z',\n"
               "             '--pencil', 'builtin:b3_del_z'])\n"
               "assert code == 0, code\n"
               "assert 'sympy' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _fresh_interpreter("-c", script)
     assert proc.returncode == 0, proc.stderr

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from starnet.arrangement import build, builtin
 from starnet.errors import (NonPositiveMultiplicity, NotAPartition,
                             NotAPencil, UnknownBuiltin)
-from starnet.multinet import (Multinet, builtin_pencil, check_multinet,
-                              class_polynomial, enumerate_multinets,
-                              find_pointed, multinet_pencil)
+from starnet.multinet import (Multinet, _nullspace, builtin_pencil,
+                              check_multinet, class_polynomial,
+                              enumerate_multinets, find_pointed,
+                              multinet_pencil)
 from starnet.mpoly import X, Y, Z
 
-from oracles import exhaustive_multinets
+from oracles import exhaustive_multinets, ref_nullspace
 
 
 def triangle():
@@ -128,6 +129,47 @@ def test_enumerated_multinets_obey_the_theorems(covs):
         if len(net.base_locus) > 1:
             assert net.k <= 4
         multinet_pencil(A, net)  # Falk-Yuzvinsky: the classes span a pencil
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, n): 0-25 rows over 1-10 columns, entries in {-1, 0, 1} or up
+    to 10^6 in size; rank-deficient ones are products coeffs * base with a
+    base of fewer rows than min(rows, columns)."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, 25))
+    bound = draw(st.sampled_from((1, 10 ** 6)))
+    entry = st.integers(-bound, bound)
+    if m and draw(st.booleans()):
+        rank = draw(st.integers(0, min(m, n) - 1))
+        base = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=rank, max_size=rank))
+        coeffs = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank),
+                               min_size=m, max_size=m))
+        rows = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(n)]
+                for cs in coeffs]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+@example(([], 3))                                       # no rows
+@example(([], 1))
+@example(([[0]], 1))
+@example(([[5]], 1))
+@example(([[-3], [6], [0]], 1))                         # n = 1, more rows
+@example(([[2, 4, 6], [1, 2, 3], [-1, -2, -3]], 3))     # rank one
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 3))  # full rank
+def test_nullspace_matches_fraction_oracle(system):
+    rows, n = system
+    basis = _nullspace(rows, n)
+    assert basis == ref_nullspace(rows, n)
+    for vec in basis:
+        for row in rows:
+            assert sum(a * v for a, v in zip(row, vec)) == 0
 
 
 def test_generic_five_lines_have_no_multinet():
