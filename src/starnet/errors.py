@@ -21,8 +21,8 @@ class NotSquarefree(StarnetError):
     """A polynomial that must be squarefree has a repeated root."""
 
 
-class RootFindingFailed(StarnetError):
-    """Numeric root finding did not converge at the working precision."""
+class RadicalNotCertified(StarnetError):
+    """The squarefree part of a form failed its exact certificate."""
 
 
 class DuplicateLine(StarnetError):

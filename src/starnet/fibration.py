@@ -19,6 +19,11 @@ rebuilt by Newton divided differences, and its rational roots are those of
 the squarefree part of one coordinate polynomial, taken by a primitive
 remainder sequence over the integers.  Each fiber is then divided only by
 the lines whose own lambda is its lambda, and by the lines in every fiber.
+
+A multiple fiber comes from a pointed multinet only if its residual is a
+product of lines over C, which holds iff its radical Q divides the Hessian
+det(d^2 Q / dx_i dx_j), a theorem of characteristic 0 (Fulton, Algebraic
+Curves; Brieskorn-Knoerrer, Plane Algebraic Curves): no roots are found.
 """
 
 from __future__ import annotations
@@ -26,19 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import count
-from math import comb, gcd, isqrt, lcm
-
-import mpmath
+from math import gcd, isqrt, lcm
 
 from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
-                     MultipleMultipleFibers, NotSmall, NotSquarefree,
-                     RootFindingFailed)
-from .field import (ONE, ZERO, FieldElement, from_real, normalize,
-                    serialize_element)
-from .mpoly import (MultiPoly, UniPoly, divide_out, divides, exact_divide,
-                    is_kth_power_up_to_scalar, line_restriction,
-                    restrict_to_line, squarefree_part)
+                     MultipleMultipleFibers, NotDivisible, NotSmall,
+                     NotSquarefree, RadicalNotCertified)
+from .field import ONE, ZERO, FieldElement, normalize, serialize_element
+from .mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
+                    exact_divide, hessian, is_kth_power_up_to_scalar,
+                    kth_root, line_restriction, partial, restrict_to_line,
+                    squarefree_part)
 from .multinet import Pencil, _is_proportional
 
 
@@ -494,107 +497,81 @@ def translated_component(A: Arrangement, pencil: Pencil,
 
 # -- pointed-multinet explainability ---------------------------------------
 
-def _field_roots(poly: UniPoly):
-    """Roots of a field-coefficient univariate polynomial inside the field.
+def _form_through(nodes, parts, v):
+    """The form Q with Q(s + a*t, 1 + b*t, t) = parts[k](t) at s = nodes[k],
+    for v = (a, b, 1) and monic parts of one degree r, or None when the
+    interpolated coefficient of t^j has degree above r - j."""
+    r = parts[0].degree
+    s, w = X - Z * v[0], Y - Z * v[1]  # with t = z, homogenized in w
+    q = MultiPoly()
+    for j in range(r + 1):
+        g = _newton_interpolate(nodes, [p.coeffs[j] for p in parts])
+        if g.degree > r - j:
+            return None
+        for i, c in enumerate(g.coeffs):
+            q = q + s ** i * Z ** j * w ** (r - i - j) * c
+    return q
 
-    mpmath proposes the (simple) roots of the squarefree part; each real
-    one is reconstructed by field.from_real and verified exactly.  Raises
-    RootFindingFailed, never reads as "no roots", if mpmath fails.
+
+def _is_radical_of(q: MultiPoly, h: MultiPoly) -> bool:
+    """For a squarefree q: whether q | h and h / q divides every partial of
+    h, which holds iff q = rad(h) up to scalar, as the partials of
+    h = prod p_i^e_i have gcd prod p_i^(e_i - 1)."""
+    try:
+        cofactor = exact_divide(h, q)
+    except NotDivisible:
+        return False
+    return all(divides(cofactor, partial(h, i)) for i in range(3))
+
+
+def radical(h: MultiPoly) -> MultiPoly:
+    """The squarefree form with the zero set of the nonzero homogeneous h.
+
+    The lines through a point v = (a, b, 1) off h = 0 meet z = 0 at the
+    points (s, 1, 0), and h restricts to each with degree deg h; h is
+    returned when one restriction is squarefree.  Otherwise rad(h) is
+    interpolated in s from the monic squarefree parts of r + 1
+    restrictions of the largest degree r: only the at most r(r - 1) lines
+    tangent to the curve or through a singular point of it lose degree.
+    The result is certified exactly, or RadicalNotCertified is raised.
     """
-    if poly.degree < 1:
-        return []
-    sf = squarefree_part(poly)
-    with mpmath.workdps(120):
-        coeffs = [c.embed(400) for c in reversed(sf.coeffs)]
-        try:
-            numeric = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
-        except mpmath.libmp.NoConvergence as exc:
-            raise RootFindingFailed(f"no numeric roots of {sf}") from exc
-        real = [mpmath.re(nr) for nr in numeric
-                if abs(mpmath.im(nr)) <= mpmath.mpf(10) ** (-40)]
-    roots = []
-    for cand in map(from_real, real):
-        if cand is not None and cand not in roots and \
-                poly.evaluate(cand).is_zero:
-            roots.append(cand)
-    return roots
-
-
-def _substitute_x(q: MultiPoly, t0: FieldElement):
-    """Coefficient polynomials in C of q(t0*y + C*z, y, z), keyed by (ey, ez)."""
-    out = {}
-    for (ex, ey, ez), coef in q.terms.items():
-        for kk in range(ex + 1):
-            key = (ey + ex - kk, ez + kk)
-            cc = coef * FieldElement(comb(ex, kk)) * t0 ** (ex - kk)
-            lst = out.setdefault(key, [])
-            while len(lst) <= kk:
-                lst.append(ZERO)
-            lst[kk] = lst[kk] + cc
-    return {k: UniPoly(v) for k, v in out.items()}
-
-
-def _substitute_y(q: MultiPoly):
-    """Coefficient polynomials in C of q(x, C*z, z), keyed by (ex, ez)."""
-    out = {}
-    for (ex, ey, ez), coef in q.terms.items():
-        key = (ex, ez + ey)
-        lst = out.setdefault(key, [])
-        while len(lst) <= ey:
-            lst.append(ZERO)
-        lst[ey] = lst[ey] + coef
-    return {k: UniPoly(v) for k, v in out.items()}
-
-
-def _common_root(coeff_polys):
-    nonzero = [p for p in coeff_polys.values() if not p.is_zero]
-    if not nonzero:
-        return ZERO  # identically zero: any value works
-    for c0 in _field_roots(nonzero[0]):
-        if all(p.evaluate(c0).is_zero for p in nonzero[1:]):
-            return c0
-    return None
-
-
-def _find_linear_factor(q: MultiPoly):
-    """A degree-1 factor of the homogeneous polynomial q, or None."""
-    z = MultiPoly.variable("z")
-    if divides(z, q):
-        return z
-    d = q.degree
-    # restriction to z = 0 as a binary form b(t) = q(t, 1, 0)
-    b = [ZERO] * (d + 1)
-    for (ex, ey, ez), coef in q.terms.items():
-        if ez == 0:
-            b[ex] = b[ex] + coef
-    bpoly = UniPoly(b)
-    if bpoly.is_zero:
-        return None  # every term has z, but z itself did not divide
-    # factors with a y-leading covector: y - c*z
-    if bpoly.degree < d:
-        c0 = _common_root(_substitute_y(q))
-        if c0 is not None:
-            cand = MultiPoly.linear(ZERO, ONE, -c0)
-            if divides(cand, q):
-                return cand
-    # factors x - t0*y - c*z for roots t0 of the binary restriction
-    for t0 in _field_roots(bpoly):
-        c0 = _common_root(_substitute_x(q, t0))
-        if c0 is not None:
-            cand = MultiPoly.linear(ONE, -t0, -c0)
-            if divides(cand, q):
-                return cand
-    return None
+    d = h.degree
+    # h(x, y, 1) is a nonzero polynomial of degree <= d, so it does not
+    # vanish on the whole (d + 1) x (d + 1) grid
+    v = next(v for v in ((Fraction(1, 3) + i, Fraction(-2, 7) + j, 1)
+                         for i in range(d + 1) for j in range(d + 1))
+             if not h.evaluate(v).is_zero)
+    nodes, parts = [], []
+    for k in range(d * d + 1):  # >= r(r - 1) + r + 1 lines
+        foot = (Fraction(3, 5) + k, 1, 0)
+        part = squarefree_part(restrict_to_line(h, foot, v)).monic()
+        if part.degree == d:
+            return h  # a square factor of h would give a repeated root
+        if parts and part.degree != parts[0].degree:
+            if part.degree < parts[0].degree:
+                continue
+            nodes, parts = [], []
+        nodes.append(foot[0])
+        parts.append(part)
+        if len(parts) == part.degree + 1:
+            q = _form_through(nodes, parts, v)
+            # q has degree r, so it is squarefree if it restricts to part
+            if q is not None and restrict_to_line(q, foot, v) == part \
+                    and _is_radical_of(q, h):
+                return q
+    raise RadicalNotCertified(f"no certified radical of {h}")
 
 
 def splits_into_linear_factors(q: MultiPoly) -> bool:
-    """True iff the homogeneous q is a product of degree-1 forms over the field."""
-    while q.degree > 0:
-        factor = _find_linear_factor(q)
-        if factor is None:
-            return False
-        q = exact_divide(q, factor)
-    return True
+    """True iff the homogeneous q is a product of linear forms over C.
+
+    A squarefree Q, here rad(q), is a union of lines iff Q divides its
+    Hessian: the Hessian vanishes at the flexes and singular points, every
+    point of a line is a flex, and an irreducible curve of degree >= 2 has
+    finitely many flexes (Fulton, Algebraic Curves, ch. 5).
+    """
+    rad = radical(q)
+    return divides(rad, hessian(rad))
 
 
 def pointed_vs_fiber(A: Arrangement, report: FibrationReport) -> dict:
@@ -602,19 +579,20 @@ def pointed_vs_fiber(A: Arrangement, report: FibrationReport) -> dict:
 
     A pointed multinet deletion produces multiple fibers whose residual is a
     product of lines; a residual with an irreducible factor of degree >= 2
-    cannot arise that way.
+    cannot arise that way (Denham-Suciu, Proc. LMS 2014).  A residual
+    lc * h^mu is a product of lines over C iff rad(h) divides its Hessian
+    (Fulton, Algebraic Curves; Brieskorn-Knoerrer, Plane Algebraic Curves).
     """
     if not report.multiple_fibers:
         raise ValueError("report has no multiple fiber")
     witnesses = []
-    explained = True
     for f in report.multiple_fibers:
-        linear = splits_into_linear_factors(f.residual)
+        _, lc = f.residual.leading()
         witnesses.append({
             "lambda": list(lambda_key(f.lam)),
             "residual": f.residual.serialize(),
-            "residual_is_product_of_lines": linear,
+            "residual_is_product_of_lines":
+                splits_into_linear_factors(kth_root(f.residual / lc, f.mu)),
         })
-        if not linear:
-            explained = False
+    explained = all(w["residual_is_product_of_lines"] for w in witnesses)
     return {"pointed_multinet_explained": explained, "witness": witnesses}

@@ -313,7 +313,8 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
         raise NotAPower("leading exponent not divisible by k")
     if p.degree % k:
         raise NotAPower("degree not divisible by k")
-    lroot = lcoef.kth_root(k)
+    # 1 is its own root: no numeric search for a monic p
+    lroot = ONE if lcoef == ONE else lcoef.kth_root(k)
     if lroot is None:
         raise NotAPower("leading coefficient has no k-th root in the field")
     qlexp = tuple(e // k for e in lexp)
@@ -352,6 +353,21 @@ def is_kth_power_up_to_scalar(p: MultiPoly, k: int) -> bool:
         return True
     except NotAPower:
         return False
+
+
+def partial(p: MultiPoly, i: int) -> MultiPoly:
+    """The derivative of p by the variable of index i (0, 1, 2 = x, y, z)."""
+    return MultiPoly({exp[:i] + (exp[i] - 1,) + exp[i + 1:]:
+                      coef * FieldElement(exp[i])
+                      for exp, coef in p.terms.items() if exp[i]})
+
+
+def hessian(p: MultiPoly) -> MultiPoly:
+    """det of the matrix of second partial derivatives of p."""
+    px, py, pz = (partial(p, i) for i in range(3))
+    a, b, c = (partial(px, i) for i in range(3))
+    e, f, i = partial(py, 1), partial(py, 2), partial(pz, 2)
+    return a * (e * i - f * f) - b * (b * i - c * f) + c * (b * f - c * e)
 
 
 # -- homogenization ---------------------------------------------------------
@@ -492,9 +508,10 @@ class UniPoly:
 
 
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    # monic remainders keep the heights of the coefficients from compounding
     while not q.is_zero:
         _, r = p.divmod(q)
-        p, q = q, r
+        p, q = q, r.monic()
     return p.monic()
 
 

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,10 +10,10 @@ from starnet.arrangement import Line, build, builtin, delete
 from starnet.cli import main
 from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
                             InvalidPencil, NotSmall, NotSquarefree,
-                            RootFindingFailed, StarnetError)
+                            StarnetError)
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S
-from starnet.fibration import (_field_roots, _integer_root_candidates,
+from starnet.fibration import (_integer_root_candidates,
                                _integer_squarefree_part, _line_fibers,
                                _newton_interpolate, _rational_roots,
                                _resultant, analyze,
@@ -374,6 +373,45 @@ def test_squares_of_line_products_split():
     assert splits_into_linear_factors(q1 * q1)
     assert splits_into_linear_factors(q2 * q2)
     assert not splits_into_linear_factors(X * X + Y * Y - Z * Z)
+    # lines over C that are not defined over the field
+    assert splits_into_linear_factors(X * X + Y * Y)
+    assert splits_into_linear_factors(X * X - Y * Y * 2)
+    assert splits_into_linear_factors(X ** 4 - Y ** 4)
+    l1, l2 = X - Y.scale(R) + Z * Fraction(2, 3), X * 3 - Y + Z.scale(S)
+    assert splits_into_linear_factors((l1 * l2 * l2) ** 2)
+    # z divides it, so it vanishes at every direction with z = 0
+    assert splits_into_linear_factors(X ** 3 * Y ** 2 * Z)
+    conic = X * X + Y * Y - Z * Z
+    assert not splits_into_linear_factors(Y * Y * Z - X ** 3 - X * X * Z)
+    assert not splits_into_linear_factors(l1 * conic)
+    assert not splits_into_linear_factors(X ** 4 + Y ** 4 + Z ** 4)
+    assert not splits_into_linear_factors(conic * conic)
+    assert not splits_into_linear_factors((conic * l1 * l1) ** 2)
+
+
+heights = st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15),
+                    st.integers(1, 10 ** 10))
+field_coords = st.builds(lambda q, g, c: FieldElement(q) + g * c, heights,
+                         st.sampled_from((ZERO, R, S, R * S)),
+                         st.integers(-9, 9))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.tuples(st.tuples(field_coords, field_coords, field_coords)
+                          .filter(lambda cov: any(cov)), st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.tuples(*(st.integers(-5, 5),) * 6))
+def test_products_of_lines_split_and_a_conic_does_not(lines, conic):
+    q = MultiPoly.constant(1)
+    for cov, e in lines:
+        q = q * MultiPoly.linear(*cov) ** e
+    a, b, c, d, e, f = conic
+    # the symmetric matrix [[a, d, e], [d, b, f], [e, f, c]]
+    assume(a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e))
+    smooth = MultiPoly({(2, 0, 0): a, (0, 2, 0): b, (0, 0, 2): c,
+                        (1, 1, 0): 2 * d, (1, 0, 1): 2 * e, (0, 1, 1): 2 * f})
+    assert splits_into_linear_factors(q)
+    assert not splits_into_linear_factors(q * smooth)
 
 
 def test_rational_roots_planted():
@@ -398,26 +436,6 @@ def test_integer_roots_of_a_square_fail_loudly():
     with pytest.raises(NotSquarefree):
         list(_integer_root_candidates([2, -3, 0, 1]))
     assert sorted(_integer_root_candidates([-2, 1, 1])) == [-2, 1]
-
-
-def test_field_roots_of_repeated_factors():
-    third = Fraction(1, 3)
-    poly = product([t_minus(third)] * 3 + [t_minus(R)] * 2 + [T2_PLUS_1])
-    roots = _field_roots(poly)
-    assert len(roots) == 2 and set(roots) == {FieldElement(third), R}
-
-
-def test_failed_numeric_roots_are_loud(monkeypatch, capsys):
-    def no_convergence(*args, **kwargs):
-        raise mpmath.libmp.NoConvergence("did not converge")
-
-    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
-    with pytest.raises(RootFindingFailed):
-        _field_roots(T2_PLUS_1)
-    code = main(["analyze", "--builtin", "double_star",
-                 "--pencil", "builtin:double_star"])
-    assert code == 1
-    assert "analysis failed: RootFindingFailed" in capsys.readouterr().err
 
 
 rationals = st.one_of(

@@ -10,9 +10,11 @@ Regenerate them only for an intended output change, by running
 
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from starnet.cli import main
+from starnet.mpoly import X, Y, Z, is_kth_power_up_to_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID24 = str(Path(__file__).parent / "data" / "grid24.json")
@@ -48,6 +50,22 @@ def test_json_matches_golden(name, capsys):
     assert main([*CASES[name], "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_analyze_uses_no_floating_point(monkeypatch, capsys):
+    # every verdict of the analyze path is exact: it finds no numeric
+    # roots and runs no PSLQ, not even for a cube root of 1
+    def numeric(*args, **kwargs):
+        raise AssertionError("floating point in an exact decision")
+
+    monkeypatch.setattr(mpmath, "pslq", numeric)
+    monkeypatch.setattr(mpmath, "polyroots", numeric)
+    for name in sorted(n for n in CASES if n.startswith("analyze_")):
+        assert main([*CASES[name], "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert is_kth_power_up_to_scalar((X * Y + Z * Z) ** 3, 3)
+    assert not is_kth_power_up_to_scalar(X ** 3 * Y ** 3 + Z ** 6, 3)
 
 
 if __name__ == "__main__":
