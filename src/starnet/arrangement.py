@@ -386,6 +386,8 @@ def load_arrangement(path: str) -> Arrangement:
 # -- SVG rendering ---------------------------------------------------------
 
 _SVG_SIZE = 600
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                              '"': "&quot;", "'": "&#x27;"})
 
 
 def _clip_segment(a, b, c, window):
@@ -416,7 +418,8 @@ def render_svg(A: Arrangement, window, class_colors=None) -> str:
     """Deterministic SVG of the real traces of the lines in the window.
 
     Lines with no affine trace (the line at infinity) are listed in a legend
-    instead of being drawn.  class_colors maps label -> CSS color.
+    instead of being drawn.  class_colors maps label -> CSS color.  Labels
+    and colors are escaped, so any text gives well-formed XML.
     """
     xmin, xmax, ymin, ymax = window
     sx = _SVG_SIZE / (xmax - xmin)
@@ -433,20 +436,22 @@ def render_svg(A: Arrangement, window, class_colors=None) -> str:
     ]
     legend = []
     for ln in A.lines:
+        label = ln.label.translate(_XML_ESCAPES)
         color = (class_colors or {}).get(ln.label, "black")
+        color = color.translate(_XML_ESCAPES)
         if ln.is_infinity:
-            legend.append(ln.label)
+            legend.append(label)
             continue
         a = float(ln.covector[0])
         b = float(ln.covector[1])
         c = float(ln.covector[2])
         seg = _clip_segment(a, b, c, window)
         if seg is None:
-            legend.append(ln.label)
+            legend.append(label)
             continue
         (x1, y1), (x2, y2) = (to_px(seg[0]), to_px(seg[1]))
         parts.append(
-            f'<line id="line-{ln.label}" x1="{x1:.4f}" y1="{y1:.4f}" '
+            f'<line id="line-{label}" x1="{x1:.4f}" y1="{y1:.4f}" '
             f'x2="{x2:.4f}" y2="{y2:.4f}" stroke="{color}" '
             'stroke-width="1.5"/>')
     for i, lab in enumerate(legend):

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from math import inf
 
 from .arrangement import (BUILTIN_NAMES, arrangement_to_json, builtin, delete,
                           load_arrangement, render_svg)
@@ -217,8 +218,10 @@ def cmd_render(args) -> int:
         window = tuple(float(v) for v in args.window.split(","))
     except ValueError as exc:
         raise UsageError(f"--window wants xmin,xmax,ymin,ymax: {exc}") from exc
-    if len(window) != 4 or window[0] >= window[1] or window[2] >= window[3]:
-        raise UsageError("--window wants xmin,xmax,ymin,ymax with min < max")
+    # a NaN fails every comparison
+    if len(window) != 4 or not (-inf < window[0] < window[1] < inf
+                                and -inf < window[2] < window[3] < inf):
+        raise UsageError("--window wants finite xmin < xmax, ymin < ymax")
     colors = {}
     for item in (args.classes.split(",") if args.classes else ()):
         if "=" not in item:

@@ -8,11 +8,11 @@ small/large and describe the translated jump-locus component it produces.
 The fiber over [l0 : l1] is l1*g1 - l0*g2, so [0:1] and [1:0] are the g1
 and g2 fibers and [1:1] is their difference.
 
-Special fibers are found in two ways.  A line lies in the fiber whose
-lambda makes the restrictions of g1 and g2 to it proportional; each
-restriction is taken by eliminating one variable of the line's equation
-(mpoly.line_restriction).  A fiber with a repeated component restricts to
-a non-reduced form on a probe line, so its lambda is a root of the
+Special fibers are found in two ways.  A line lies in the fiber whose lambda
+makes the restrictions of g1 and g2 to it proportional; each restriction
+(mpoly.restrict_to_line) is taken in a frame of the line that solves its
+equation for one variable.  A fiber with a repeated component restricts to a
+non-reduced form on a probe line, so its lambda is a root of the
 discriminant res(f, f') of f = r1 - lambda*r2: that resultant is computed at
 integer nodes by the Euclidean remainder sequence, the discriminant is
 rebuilt by Newton divided differences, and its rational roots are those of
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import count
+from itertools import count, zip_longest
 from math import gcd, isqrt, lcm
 
 from .arrangement import Arrangement
@@ -40,8 +40,7 @@ from .errors import (DegeneratePencil, InvalidOrbifoldData,
 from .field import ONE, ZERO, FieldElement, normalize, serialize_element
 from .mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
                     exact_divide, hessian, is_kth_power_up_to_scalar,
-                    kth_root, line_restriction, partial, restrict_to_line,
-                    squarefree_part)
+                    kth_root, partial, restrict_to_line, squarefree_part)
 from .multinet import Pencil, _is_proportional
 
 
@@ -326,6 +325,19 @@ def _discriminant_lambdas(pencil: Pencil):
                            "when the pencil has a fixed multiple component")
 
 
+def _line_frame(covector):
+    """(point, direction) of the line covector . (x, y, z) = 0 that sets
+    u0 = 1, u1 = t and solves for v = a0 + a1*t, with v the last variable
+    of nonzero entry and u0 < u1 the others."""
+    v = max(i for i in range(3) if covector[i])
+    u0, u1 = (i for i in range(3) if i != v)
+    neg_inv = -covector[v].inverse()
+    point, direction = [ZERO] * 3, [ZERO] * 3
+    point[u0], direction[u1] = ONE, ONE
+    point[v], direction[v] = covector[u0] * neg_inv, covector[u1] * neg_inv
+    return point, direction
+
+
 def _line_fibers(A: Arrangement, pencil: Pencil):
     """Which fibers contain which arrangement lines.
 
@@ -335,11 +347,13 @@ def _line_fibers(A: Arrangement, pencil: Pencil):
     """
     fibers, fixed = {}, []
     for i, ln in enumerate(A.lines):
-        b1 = line_restriction(pencil.g1, ln.covector)
-        b2 = line_restriction(pencil.g2, ln.covector)
+        frame = _line_frame(ln.covector)
+        b1, b2 = (restrict_to_line(g, *frame).coeffs
+                  for g in (pencil.g1, pencil.g2))
         # the fiber [l0:l1] contains the line iff l1*b1 = l0*b2, that is iff
         # every nonzero column (b1[j], b2[j]) normalizes to (l0, l1)
-        lams = {normalize(col) for col in zip(b1, b2)} - {None}
+        cols = zip_longest(b1, b2, fillvalue=ZERO)  # UniPoly drops top zeros
+        lams = {normalize(col) for col in cols} - {None}
         if not lams:
             fixed.append(i)
         elif len(lams) == 1:

@@ -523,60 +523,49 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return quot
 
 
+def _sparse_mul(f, g):
+    """f * g for lists of terms (m, coefficient of t^m), terms of equal
+    degree left unmerged; a factor that is the object ONE is skipped."""
+    return [(m + n, b if a is ONE else a if b is ONE else a * b)
+            for m, a in f for n, b in g]
+
+
+def _merge(terms):
+    """{m: sum of the coefficients c} over terms (m, c)."""
+    out = {}
+    for m, c in terms:
+        out[m] = out[m] + c if m in out else c
+    return out
+
+
 def restrict_to_line(p: MultiPoly, point, direction) -> UniPoly:
-    """The univariate polynomial t -> p(point + t*direction)."""
+    """The univariate polynomial t -> p(point + t*direction).
+
+    A term of p is the sparse product of one row per variable, from the
+    powers of its coordinate point[i] + direction[i]*t.  A constant or a
+    multiple of t has one-entry rows, each a shift and a scaling with no
+    convolution, and a coordinate fixed at 1 is skipped.
+    """
     dirs = [_coerce_coeff(v) for v in direction]
     if all(v.is_zero for v in dirs):
         raise ValueError("direction must be nonzero")
     pts = [_coerce_coeff(v) for v in point]
-    lin = [UniPoly([pts[i], dirs[i]]) for i in range(3)]
-    max_e = [0, 0, 0]
-    for exp in p.terms:
-        for i in range(3):
-            max_e[i] = max(max_e[i], exp[i])
-    pows = []
+    highs = [max(col) for col in zip(*p.terms)] or [0] * 3
+    tables = {}
     for i in range(3):
-        cache = [UniPoly([ONE])]
-        for _ in range(max_e[i]):
-            cache.append(cache[-1] * lin[i])
-        pows.append(cache)
-    total = UniPoly()
+        lin = [(m, ONE if c == ONE else c)
+               for m, c in ((0, pts[i]), (1, dirs[i])) if c]
+        if lin == [(0, ONE)]:
+            continue
+        rows = tables[i] = [[(0, ONE)]]
+        for _ in range(highs[i]):
+            rows.append(list(_merge(_sparse_mul(rows[-1], lin)).items()))
+    terms = []
     for exp, coef in p.terms.items():
-        term = pows[0][exp[0]] * pows[1][exp[1]] * pows[2][exp[2]]
-        total = total + term * coef
-    return total
-
-
-def line_restriction(p: MultiPoly, covector):
-    """Coefficients (c_0..c_d) of p on the line covector . (x, y, z) = 0.
-
-    The last variable v with a nonzero covector entry is eliminated: with
-    u0 < u1 the other two variables, v = a0*u0 + a1*u1 on the line, where
-    a_j = -covector[u_j] / covector[v], and c_i is the coefficient of
-    u0^(d-i) * u1^i.  Each term is one shifted accumulate of
-    a power of that linear form.  p must be homogeneous; d is its degree.
-    """
-    if not p.is_homogeneous:
-        raise ValueError("line restriction needs a homogeneous polynomial")
-    cov = [_coerce_coeff(c) for c in covector]
-    v = max((i for i in range(3) if not cov[i].is_zero), default=None)
-    if v is None:
-        raise ValueError("covector must be nonzero")
-    u0, u1 = (i for i in range(3) if i != v)
-    neg_inv = -cov[v].inverse()
-    a0, a1 = cov[u0] * neg_inv, cov[u1] * neg_inv
-    # pows[k][m]: coefficient of u0^(k-m) * u1^m in (a0*u0 + a1*u1)^k
-    pows = [[ONE]]
-    for _ in range(max((e[v] for e in p.terms), default=0)):
-        prev = pows[-1]
-        nxt = [c * a0 for c in prev] + [ZERO]
-        for m, c in enumerate(prev):
-            nxt[m + 1] = nxt[m + 1] + c * a1
-        pows.append(nxt)
-    out = [ZERO] * (max(p.degree, 0) + 1)
-    for exp, coef in p.terms.items():
-        shift = exp[u1]
-        for m, c in enumerate(pows[exp[v]]):
-            if not c.is_zero:
-                out[shift + m] = out[shift + m] + coef * c
-    return out
+        prod = [(0, coef)]
+        for i, rows in tables.items():
+            if exp[i]:
+                prod = _sparse_mul(prod, rows[exp[i]])
+        terms += prod
+    out = _merge(terms)
+    return UniPoly([out.get(m, ZERO) for m in range(max(out, default=-1) + 1)])

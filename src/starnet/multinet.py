@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 
 from .arrangement import Arrangement, components
 from .errors import (InvalidPencil, NonPositiveMultiplicity, NotAPartition,
@@ -178,9 +178,7 @@ def check_multinet(A: Arrangement, classes, mult) -> MultinetReport:
                {"class": split[0], "components": split[1]})
 
     # (e) gcd of all multiplicities is 1
-    g = 0
-    for m in mult:
-        g = gcd(g, m)
+    g = gcd(*mult)
     report.set("e", g == 1, None if g == 1 else {"gcd": g})
     return report
 
@@ -337,14 +335,9 @@ def _integer_solutions(basis, n, max_mult):
         return
     if len(basis) == 1:
         vec = basis[0]
-        denoms = [v.denominator for v in vec]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(v * lcm) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        den = lcm(*(v.denominator for v in vec))
+        ints = [int(v * den) for v in vec]
+        g = gcd(*ints)
         if g == 0:
             return
         ints = [v // g for v in ints]
@@ -359,19 +352,14 @@ def _integer_solutions(basis, n, max_mult):
     dim = len(basis)
     if max_mult ** dim > 1_000_000:
         raise ValueError("multiplicity search space too large")
-    import itertools
-
-    for t in itertools.product(range(1, max_mult + 1), repeat=dim):
+    for t in product(range(1, max_mult + 1), repeat=dim):
         cand = [Fraction(0)] * n
         for tv, vec in zip(t, basis):
             for i in range(n):
                 cand[i] += tv * vec[i]
         if all(v.denominator == 1 and 1 <= v <= max_mult for v in cand):
             ints = tuple(int(v) for v in cand)
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            if g == 1:
+            if gcd(*ints) == 1:
                 yield ints
 
 

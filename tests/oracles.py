@@ -15,7 +15,7 @@ import mpmath
 from starnet.aomoto import SNFResult
 from starnet.arrangement import Arrangement, build
 from starnet.field import FieldElement, normalize, serialize_element
-from starnet.mpoly import UniPoly, restrict_to_line
+from starnet.mpoly import UniPoly
 
 
 def brute_lattice(A: Arrangement):
@@ -381,11 +381,25 @@ def lagrange_interpolate(nodes, values):
     return total
 
 
+def ref_restrict_to_line(p, point, direction):
+    """t -> p(point + t*direction) as a sum over the terms of p of products
+    of UniPoly powers of the three coordinates."""
+    lin = [UniPoly([a, b]) for a, b in zip(point, direction)]
+    total = UniPoly()
+    for exp, coef in p.terms.items():
+        term = UniPoly([coef])
+        for i in range(3):
+            for _ in range(exp[i]):
+                term = term * lin[i]
+        total = total + term
+    return total
+
+
 def ref_line_lambdas(A: Arrangement, pencil):
     """Per line: "fixed" when g1 and g2 both vanish on it, else the
     (serialized) lambda of the one fiber that contains it, or None.
 
-    Each generator is restricted with restrict_to_line between the line's
+    Each generator is restricted with ref_restrict_to_line between the line's
     meets with two coordinate lines, padded to the pencil degree.
     """
     d = max(pencil.g1.degree, 0)
@@ -401,7 +415,7 @@ def ref_line_lambdas(A: Arrangement, pencil):
                     if _cross_nonzero(p, q))
         cols = []
         for g in (pencil.g1, pencil.g2):
-            cs = list(restrict_to_line(g, P, Q).coeffs)
+            cs = list(ref_restrict_to_line(g, P, Q).coeffs)
             cols.append(cs + [FieldElement(0)] * (d + 1 - len(cs)))
         lams = {normalize(col) for col in zip(*cols)} - {None}
         if not lams:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -239,10 +240,39 @@ def test_render_unknown_class_label(tmp_path, capsys):
     assert code == 2
 
 
-def test_render_bad_window(tmp_path, capsys):
+@pytest.mark.parametrize("window", ["1,0,0,1", "nan,1,-1,1",
+                                    "-inf,inf,-1,1"],
+                         ids=["reversed", "nan", "inf"])
+def test_render_bad_window(tmp_path, capsys, window):
+    out_path = tmp_path / "f.svg"
     code, _, _ = run(capsys, "render", "--builtin", "b3",
-                     "-o", str(tmp_path / "f.svg"), "--window", "1,0,0,1")
+                     "-o", str(out_path), f"--window={window}")
     assert code == 2
+    assert not out_path.exists()
+
+
+def test_render_escapes_labels_and_colors(tmp_path, capsys):
+    label = 'a"<b>&'
+    doc = {"lines": [{"label": label, "covector": ["1", "0", "0"]},
+                     {"label": "y", "covector": ["0", "1", "0"]},
+                     {"label": "z", "covector": ["0", "0", "1"]}]}
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps(doc))
+    out_path = tmp_path / "f.svg"
+    code, _, _ = run(capsys, "render", "--file", str(src),
+                     "-o", str(out_path),
+                     "--classes", f'{label}=red" onload="x')
+    assert code == 0
+    root = ElementTree.fromstring(out_path.read_text())
+    lines = root.findall("{http://www.w3.org/2000/svg}line")
+    # z = 0 is the line at infinity, listed in the legend, not drawn
+    assert len(lines) == 2
+    first = lines[0]
+    assert first.get("id") == f"line-{label}"
+    assert first.get("stroke") == 'red" onload="x'
+    assert first.get("onload") is None
+    legend = root.findall("{http://www.w3.org/2000/svg}text")
+    assert [t.get("id") for t in legend] == ["legend-z"]
 
 
 def test_human_format_runs(capsys):

@@ -12,9 +12,10 @@ from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
                             InvalidPencil, NotSmall, NotSquarefree,
                             StarnetError)
 from starnet.exprs import parse_poly
-from starnet.field import ONE, ZERO, FieldElement, R, S
+from starnet.field import ONE, ZERO, FieldElement, R, S, normalize
 from starnet.fibration import (_integer_root_candidates,
                                _integer_squarefree_part, _line_fibers,
+                               _line_frame,
                                _newton_interpolate, _rational_roots,
                                _resultant, analyze,
                                analyze_fiber, fiber_polynomial,
@@ -23,7 +24,8 @@ from starnet.fibration import (_integer_root_candidates,
                                splits_into_linear_factors,
                                translated_component)
 from starnet.multinet import Pencil, builtin_pencil
-from starnet.mpoly import MultiPoly, UniPoly, X, Y, Z, squarefree_part
+from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, restrict_to_line,
+                           squarefree_part)
 
 from oracles import lagrange_interpolate, ref_line_lambdas, sylvester_resultant
 
@@ -307,7 +309,7 @@ def product_of_lines(covs):
 def test_line_fibers_match_restriction_oracle(covs, g1_lines, g1_extra,
                                              l_line, c, fixed):
     """Random pencils g1 = (lines), g2 = c*g1 + L*M, times a fixed line:
-    the elimination kernel and restrict_to_line give the same lambdas."""
+    _line_fibers and ref_restrict_to_line give the same lambdas."""
     lines = {}
     for cov in SPECIAL_LINES + covs:
         ln = Line(f"h{len(lines)}", tuple(map(FieldElement, cov)))
@@ -336,6 +338,49 @@ def test_line_fibers_on_lines_with_zero_entries():
         assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
     fibers, fixed = _line_fibers(A, Pencil(X * Y, X * Z, ()))
     assert fixed == [0]
+    # on z = 0, g1 restricts to [1] and g2 to [1, 0, 1]: the column
+    # (0, 1) past the end of g1's restriction keeps z out of [1 : 1]
+    pen = Pencil(X * X, X * X + Y * Y, ())
+    lams = line_lambdas(A, pen)
+    assert lams == ref_line_lambdas(A, pen)
+    assert lams[A.index_of("z")] is None
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+homogeneous_polys = st.integers(min_value=0, max_value=4).flatmap(
+    lambda d: st.dictionaries(
+        st.integers(0, d).flatmap(lambda i: st.integers(0, d - i).map(
+            lambda j: (i, j, d - i - j))),
+        st.builds(FieldElement, small_ints, small_ints),
+        max_size=6).map(MultiPoly))
+covectors = st.one_of(
+    st.sampled_from([(1, 0, 0), (0, 0, 1), (1, -1, 0), (0, 1, 0)]),
+    st.tuples(small_ints, small_ints, small_ints).filter(any))
+
+
+@settings(max_examples=80, deadline=None)
+@given(homogeneous_polys, covectors)
+def test_line_frame_restriction_matches_evaluation(p, cov):
+    """On _line_frame's parametrization, c_i is the coefficient of
+    u0^(d-i) u1^i once the last variable v with a nonzero covector entry
+    is solved for: check it at d + 2 points (u0, u1), which fix a binary
+    form of degree d."""
+    cov = normalize(cov)
+    c = restrict_to_line(p, *_line_frame(cov)).coeffs
+    d = max(p.degree, 0)
+    assert len(c) <= d + 1
+    v = max(i for i in range(3) if not cov[i].is_zero)
+    u0, u1 = (i for i in range(3) if i != v)
+    for s, t in [(0, 1)] + [(1, Fraction(k, 3) - 1) for k in range(d + 1)]:
+        s, t = FieldElement(s), FieldElement(t)
+        point = [None] * 3
+        point[u0], point[u1] = s, t
+        point[v] = -(cov[u0] * s + cov[u1] * t) * cov[v].inverse()
+        assert sum((point[i] * cov[i] for i in range(3)),
+                   FieldElement(0)).is_zero
+        form = sum((ci * s ** (d - i) * t ** i for i, ci in enumerate(c)),
+                   FieldElement(0))
+        assert form == p.evaluate(point)
 
 
 # -- the root path ----------------------------------------------------------

@@ -11,8 +11,9 @@ from starnet.field import FieldElement
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
                            divides, exact_divide, factor_multiplicity,
                            homogenize, is_kth_power_up_to_scalar, kth_root,
-                           line_restriction, restrict_to_line,
-                           squarefree_part, uni_gcd)
+                           restrict_to_line, squarefree_part, uni_gcd)
+
+from oracles import ref_restrict_to_line
 
 coeffs = st.builds(FieldElement,
                    st.integers(min_value=-9, max_value=9),
@@ -86,57 +87,46 @@ def test_homogenize_round_trip(p):
     assert dehomogenize(h) == affine
 
 
-def test_restrict_to_line_matches_evaluation():
-    p = X ** 2 * Y - Z ** 3 + X * Y * Z
-    point = tuple(FieldElement(v) for v in (1, 2, 3))
-    direction = tuple(FieldElement(v) for v in (0, 1, -1))
-    u = restrict_to_line(p, point, direction)
-    for t in (0, 1, Fraction(-2, 3), 5):
-        t = FieldElement(t)
-        at = tuple(pi + t * di for pi, di in zip(point, direction))
-        assert u.evaluate(t) == p.evaluate(at)
-
-
-def test_line_restriction_is_padded():
-    p = (X + Y) * (X - Y)   # degree 2, no z
-    c = line_restriction(p, (FieldElement(0), FieldElement(0),
-                             FieldElement(1)))
-    assert len(c) == 3
-
-
-small_ints = st.integers(min_value=-4, max_value=4)
 homogeneous_polys = st.integers(min_value=0, max_value=4).flatmap(
     lambda d: st.dictionaries(
         st.integers(0, d).flatmap(lambda i: st.integers(0, d - i).map(
             lambda j: (i, j, d - i - j))),
         coeffs, max_size=6).map(MultiPoly))
-covectors = st.one_of(
-    st.sampled_from([(1, 0, 0), (0, 0, 1), (1, -1, 0), (0, 1, 0)]),
-    st.tuples(small_ints, small_ints, small_ints).filter(any))
+line_entries = st.one_of(st.sampled_from([0, 0, 1, -1]), coeffs)
 
 
 @settings(max_examples=80, deadline=None)
-@given(homogeneous_polys, covectors)
-def test_line_restriction_matches_evaluation(p, cov):
-    """c_i is the coefficient of u0^(d-i) u1^i once the last variable with
-    a nonzero covector entry is solved for: check it at d + 2 points
-    (u0, u1), which fix a binary form of degree d."""
-    cov = tuple(FieldElement(c) for c in cov)
-    c = line_restriction(p, cov)
-    d = max(p.degree, 0)
-    assert len(c) == d + 1
-    v = max(i for i in range(3) if not cov[i].is_zero)
-    u0, u1 = (i for i in range(3) if i != v)
-    for s, t in [(0, 1)] + [(1, Fraction(k, 3) - 1) for k in range(d + 1)]:
-        s, t = FieldElement(s), FieldElement(t)
-        point = [None] * 3
-        point[u0], point[u1] = s, t
-        point[v] = -(cov[u0] * s + cov[u1] * t) * cov[v].inverse()
-        assert sum((point[i] * cov[i] for i in range(3)),
-                   FieldElement(0)).is_zero
-        form = sum((ci * s ** (d - i) * t ** i for i, ci in enumerate(c)),
-                   FieldElement(0))
-        assert form == p.evaluate(point)
+@given(st.one_of(polys, homogeneous_polys),
+       st.tuples(line_entries, line_entries, line_entries),
+       st.tuples(line_entries, line_entries, line_entries))
+def test_restrict_to_line_matches_evaluation(p, point, direction):
+    """The restriction has degree <= deg p and agrees with p at deg p + 1
+    points of the line, so it is t -> p(point + t*direction); zero and unit
+    entries make constant and monomial coordinates."""
+    if not any(direction):
+        with pytest.raises(ValueError):
+            restrict_to_line(p, point, direction)
+        return
+    u = restrict_to_line(p, point, direction)
+    assert u.degree <= p.degree
+    for k in range(max(p.degree, 0) + 1):
+        t = FieldElement(Fraction(k, 3) - 1)
+        at = tuple(pi + t * di for pi, di in zip(point, direction))
+        assert u.evaluate(t) == p.evaluate(at)
+    assert u == ref_restrict_to_line(p, point, direction)
+
+
+def test_restrict_to_line_examples():
+    p = X ** 2 * Y - Z ** 3 + X * Y * Z
+    u = restrict_to_line(p, (1, 2, 3), (0, 1, -1))
+    # x = 1, y = 2 + t, z = 3 - t
+    assert u == UniPoly([-19, 29, -10, 1])
+    # x = t, y = 1, z = 0: one shifted term per monomial, nothing else
+    assert restrict_to_line(p, (0, 1, 0), (1, 0, 0)) == UniPoly([0, 0, 1])
+    # x fixed at 0 kills every term that holds x
+    assert restrict_to_line(p, (0, 0, 1), (0, 1, 0)) == UniPoly([-1])
+    with pytest.raises(ValueError):
+        restrict_to_line(p, (1, 2, 3), (0, 0, 0))
 
 
 def test_unipoly_divmod():
