@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials: division, powers, restrictions."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,20 @@ def test_restrict_to_line_examples():
     assert restrict_to_line(p, (0, 0, 1), (0, 1, 0)) == UniPoly([-1])
     with pytest.raises(ValueError):
         restrict_to_line(p, (1, 2, 3), (0, 0, 0))
+
+
+def test_line_restriction_is_padded():
+    """On z = 0 (x = 1, y = t) a z-free form of degree d keeps its d + 1
+    coefficients; one with no y^d term loses its top zeros, and padding
+    both restrictions to a common length gives the d + 1 columns again."""
+    on_z = ((1, 0, 0), (0, 1, 0))
+    full = restrict_to_line((X + Y) * (X - Y), *on_z)
+    assert full == UniPoly([1, 0, -1])
+    short = restrict_to_line(X * X, *on_z)
+    assert short == UniPoly([1])
+    cols = list(zip_longest(short.coeffs, full.coeffs,
+                            fillvalue=FieldElement(0)))
+    assert cols == [(1, 1), (0, 0), (0, -1)]
 
 
 def test_unipoly_divmod():
