@@ -70,10 +70,9 @@ class IntersectionPoint:
 
 
 class Arrangement:
-    def __init__(self, lines, name: str = "", degenerate: bool = False):
+    def __init__(self, lines, name: str = ""):
         self.lines = list(lines)
         self.name = name
-        self.degenerate = degenerate
         self._lattice = None
         self._point_of_pair = None
         self._double_point_blocks = None
@@ -215,14 +214,13 @@ def delete(A: Arrangement, label: str) -> Arrangement:
     idx = A.index_of(label)
     rest = [ln for i, ln in enumerate(A.lines) if i != idx]
     name = f"{A.name}-del-{label}" if A.name else f"del-{label}"
-    return Arrangement(rest, name=name, degenerate=len(rest) < 2)
+    return Arrangement(rest, name=name)
 
 
 # -- builtin catalog -------------------------------------------------------
 
 
 def _b3_lines():
-    one = ONE
     specs = [
         ("x", (1, 0, 0)),
         ("y", (0, 1, 0)),
@@ -234,8 +232,7 @@ def _b3_lines():
         ("y-z", (0, 1, -1)),
         ("y+z", (0, 1, 1)),
     ]
-    return [(lab, tuple(FieldElement(v) * one for v in cov))
-            for lab, cov in specs]
+    return [(lab, tuple(FieldElement(v) for v in cov)) for lab, cov in specs]
 
 
 def double_star_affine_covectors():
@@ -247,17 +244,16 @@ def double_star_affine_covectors():
     sin_t, cos_t = t.sin_t, t.cos_t
     sin_2t, cos_2t = t.sin_2t, t.cos_2t
     rc = sin_t * t.ratio  # sin(t) * cos(t)/cos(2t)
-    one = FieldElement(1)
     covs = [
         (sin_2t - sin_t, cos_2t - cos_t, -rc),
-        (-sin_t, cos_t - one, rc),
+        (-sin_t, cos_t - ONE, rc),
         (sin_2t + sin_2t, ZERO, rc),
-        (sin_t, cos_t - one, -rc),
+        (sin_t, cos_t - ONE, -rc),
         (-(sin_2t - sin_t), cos_2t - cos_t, rc),
         (sin_2t - sin_t, cos_2t - cos_t, -sin_t),
-        (-sin_t, cos_t - one, sin_t),
+        (-sin_t, cos_t - ONE, sin_t),
         (sin_2t + sin_2t, ZERO, sin_t),
-        (sin_t, cos_t - one, -sin_t),
+        (sin_t, cos_t - ONE, -sin_t),
         (-(sin_2t - sin_t), cos_2t - cos_t, sin_t),
     ]
     return covs

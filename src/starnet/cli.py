@@ -103,13 +103,18 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def cmd_multinets(args) -> int:
+def _multinets(args, A):
+    """The multinets of A within --max-k and --max-mult, checked here."""
     if args.max_k < 3:
         raise UsageError("--max-k must be at least 3: a multinet has k >= 3")
     if args.max_mult < 1:
         raise UsageError("--max-mult must be positive")
+    return enumerate_multinets(A, max_k=args.max_k, max_mult=args.max_mult)
+
+
+def cmd_multinets(args) -> int:
     A = _load(args)
-    nets = enumerate_multinets(A, max_k=args.max_k, max_mult=args.max_mult)
+    nets = _multinets(args, A)
     results = []
     for net in nets:
         doc = net.describe()
@@ -139,8 +144,7 @@ def _resolve_pencil(args, A) -> Pencil:
         g1, g2 = (parse_poly(text) for text in args.pencil.split(";", 1))
         return Pencil(g1, g2, ())
     if args.from_multinet is not None:
-        nets = enumerate_multinets(A, max_k=args.max_k,
-                                   max_mult=args.max_mult)
+        nets = _multinets(args, A)
         if not 0 <= args.from_multinet < len(nets):
             raise UsageError(
                 f"--from-multinet index out of range: {len(nets)} found")

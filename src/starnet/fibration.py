@@ -306,17 +306,16 @@ def _discriminant_lambdas(pencil: Pencil):
             continue
         bound = 2 * d1  # entries of the Sylvester matrix are linear in lambda
         nodes, values = [], []
-        node = 0
-        while len(nodes) < bound + 1 and node < bound + 40:
-            lam = Fraction(node)
-            node += 1
+        lams = map(Fraction, count())
+        # the t^d1 coefficient of r1 - lambda*r2 vanishes for at most one
+        # lambda, so the nodes 0, ..., bound + 1 give bound + 1 usable ones
+        while len(nodes) < bound + 1:
+            lam = next(lams)
             f = r1 - r2 * FieldElement(lam)
             if f.degree != d1:
                 continue  # leading coefficient vanished at this node
             nodes.append(lam)
             values.append(_resultant(f, f.derivative()))
-        if len(nodes) < bound + 1:
-            continue
         disc = _newton_interpolate(nodes, values)
         if disc.is_zero:
             continue
@@ -459,19 +458,10 @@ def orbifold_v1_shape(k: int, mu_vector) -> dict:
         raise InvalidOrbifoldData("an orbifold fibration needs k >= 2")
     if any(m < 2 for m in mu_vector):
         raise InvalidOrbifoldData("multiple-fiber multiplicities must be >= 2")
-    if k >= 3:
-        return {
-            "kind": "full-torus",
-            "dimension": k - 1,
-            "torsion": list(mu_vector),
-        }
-    if mu_vector:
-        return {
-            "kind": "off-identity-plus-origin",
-            "dimension": k - 1,
-            "torsion": list(mu_vector),
-        }
-    return {"kind": "origin-only", "dimension": 0, "torsion": []}
+    if k < 3 and not mu_vector:
+        return {"kind": "origin-only", "dimension": 0, "torsion": []}
+    kind = "full-torus" if k >= 3 else "off-identity-plus-origin"
+    return {"kind": kind, "dimension": k - 1, "torsion": list(mu_vector)}
 
 
 def _fiber_exponents(report: FibrationReport, lam_key, n: int):

@@ -10,10 +10,10 @@ and serialization canonical, and each ring operation costs one gcd.
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-
-import mpmath
+from math import ceil, gcd, isqrt, lcm, log10
+from typing import NamedTuple
 
 
 def _ratio(v):
@@ -178,17 +178,11 @@ class FieldElement:
 
     # -- real embedding ------------------------------------------------
 
-    def embed(self, precision: int = 64):
+    def embed(self, precision: int = 64) -> Decimal:
         """Value under r -> +sqrt(5), s -> sin(2*pi/5) at `precision` bits."""
         if precision < 64:
             raise ValueError("precision must be at least 64 bits")
-        a, b, c, d, den = self._v
-        with mpmath.workprec(precision + 16):
-            r = mpmath.sqrt(5)
-            s = mpmath.sin(2 * mpmath.pi / 5)
-            val = (mpmath.mpf(a) / den + r * mpmath.mpf(b) / den
-                   + s * mpmath.mpf(c) / den + r * s * mpmath.mpf(d) / den)
-        return val
+        return _conjugates(self, ceil(precision * log10(2)))[0]
 
     def __float__(self):
         return float(self.embed(64))
@@ -212,10 +206,7 @@ class FieldElement:
         """Exact k-th root in the tower, or None.
 
         Even k: requires a chain of square roots; the nonnegative root is
-        returned.  Odd parts are recovered numerically (PSLQ reconstruction
-        over the basis) and verified exactly, so a returned value is always
-        correct; a None for an element of extreme height may be a false
-        negative, which never occurs at the heights this package produces.
+        returned.  The odd part is exact: see _odd_root.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -228,14 +219,8 @@ class FieldElement:
             if cur is None:
                 return None
             m //= 2
-        if m == 1:
-            return cur
-        root = _odd_root(cur, m)
-        if root is None:
-            return None
-        if k % 2 == 0 and root.sign() < 0:
-            root = -root
-        return root
+        # an odd root keeps the sign of cur, nonnegative after a square root
+        return cur if m == 1 else _odd_root(cur, m)
 
     # -- text ----------------------------------------------------------
 
@@ -394,49 +379,74 @@ def _sqrt_candidates(x: FieldElement):
     return cands
 
 
-def from_real(value):
-    """The element with real embedding `value`, proposed by PSLQ over
-    {1, r, s, r*s} at 120 digits (None if none is found); callers verify."""
-    if abs(value) < mpmath.mpf(10) ** (-90):
-        return ZERO  # zero at this precision; PSLQ needs nonzero entries
-    with mpmath.workdps(120):
-        r = mpmath.sqrt(5)
-        s = mpmath.sin(2 * mpmath.pi / 5)
-        rel = mpmath.pslq([mpmath.mpf(1), r, s, r * s, value],
-                          maxcoeff=10 ** 14, maxsteps=5000)
-    if not rel or rel[4] == 0:
-        return None
-    return _make(rel[0], rel[1], rel[2], rel[3], -rel[4])
+def _conjugates(x: FieldElement, digits: int):
+    """The four real values of x at `digits` significant digits, under
+    r -> +-sqrt(5) and s -> +-sqrt((5 + r)/8), in the order ++, +-, -+, --;
+    the first is the real embedding."""
+    a, b, c, d, den = x._v
+    values = []
+    with localcontext(Context(prec=digits)):
+        sqrt5 = Decimal(5).sqrt()
+        for rho in (sqrt5, -sqrt5):
+            u, v = a + b * rho, (c + d * rho) * ((5 + rho) / 8).sqrt()
+            values += [(u + v) / den, (u - v) / den]
+    return values
+
+
+def _real_root(v: Decimal, m: int) -> Decimal:
+    """The real m-th root of v != 0 for odd m, by Newton's method."""
+    start = Context(prec=16)
+    y = start.power(start.abs(v), start.divide(1, m)).copy_sign(v)
+    for _ in range(getcontext().prec.bit_length()):
+        z = ((m - 1) * y + v / y ** (m - 1)) / m
+        if z == y:
+            break
+        y = z
+    return y
 
 
 def _odd_root(x: FieldElement, m: int):
-    with mpmath.workdps(120):
-        val = x.embed(400)
-        cand = from_real(mpmath.sign(val)
-                         * mpmath.power(abs(val), mpmath.mpf(1) / m))
-    return cand if cand is not None and cand ** m == x else None
+    """The m-th root of x != 0 for odd m, or None if there is none.
+
+    A root y is (p + q*r + u*s + v*r*s)/(4*den) with p, q, u, v integers:
+    2*den*y is integral, so it lies in Z[2s], the ring of integers of
+    Q(zeta_20)^+, whose basis 1, 2s, (5 + r)/2, 5s + r*s has coordinates
+    in Z/2.  The values of y are the real m-th roots of those of x, which
+    lie in [1/(16*den*T^3), T/den] as |Norm(2*den*x)| >= 1; the digits of
+    den*T^4 plus a guard bring p, q, u, v within 1/100.
+    """
+    a, b, c, d, den = x._v
+    T = abs(a) + 3 * abs(b) + abs(c) + 3 * abs(d)
+    digits = ceil((den.bit_length() + 4 * T.bit_length()) * log10(2)) + 8
+    with localcontext(Context(prec=digits)):
+        y1, y2, y3, y4 = (_real_root(v, m) for v in _conjugates(x, digits))
+        # y1 +- y2 = (p + q*rho, sigma*(u + v*rho))/(2*den) at r = rho and
+        # s = +-sigma, sigma > 0; y3 +- y4 alike at r = -rho
+        rho = Decimal(5).sqrt()
+        w1 = (y1 - y2) / ((5 + rho) / 8).sqrt()
+        w2 = (y3 - y4) / ((5 - rho) / 8).sqrt()
+        coords = (den * (y1 + y2 + y3 + y4), den * (y1 + y2 - y3 - y4) / rho,
+                  den * (w1 + w2), den * (w1 - w2) / rho)
+    cand = _make(*(int(t.to_integral_value()) for t in coords), 4 * den)
+    return cand if cand ** m == x else None
 
 
 # -- the trigonometric constants of the double star equations -------------
 
-class TrigConstants:
-    """Exact values of sin, cos at theta = 2*pi/5 and 2*theta."""
+class TrigConstants(NamedTuple):
+    """Exact values of sin, cos at theta = 2*pi/5 and 2*theta, and
+    ratio = cos(theta)/cos(2*theta)."""
 
-    __slots__ = ("sin_t", "cos_t", "sin_2t", "cos_2t", "ratio")
-
-    def __init__(self):
-        object.__setattr__(self, "sin_t", S)
-        object.__setattr__(self, "cos_t", (R - 1) / FieldElement(4))
-        object.__setattr__(self, "sin_2t", S * (R - 1) / FieldElement(2))
-        object.__setattr__(self, "cos_2t", -(R + 1) / FieldElement(4))
-        object.__setattr__(self, "ratio", self.cos_t / self.cos_2t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrigConstants is immutable")
+    sin_t: FieldElement
+    cos_t: FieldElement
+    sin_2t: FieldElement
+    cos_2t: FieldElement
+    ratio: FieldElement
 
 
 def trig_constants() -> TrigConstants:
-    return TrigConstants()
+    cos_t, cos_2t = (R - 1) / 4, -(R + 1) / 4
+    return TrigConstants(S, cos_t, S * (R - 1) / 2, cos_2t, cos_t / cos_2t)
 
 
 # -- text form -------------------------------------------------------------

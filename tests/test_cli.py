@@ -71,9 +71,13 @@ def _doc(*covectors, labels="abc"):
      None),
     (("analyze", "--builtin", "b3", "--pencil", "x;y",
       "--lambda", "1,2,3"), None, "--lambda"),
+    (("analyze", "--builtin", "b3", "--from-multinet", "0", "--max-k", "2"),
+     None, "--max-k"),
+    (("analyze", "--builtin", "b3", "--from-multinet", "0",
+      "--max-mult", "0"), None, "--max-mult"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
         "lambda_zero", "covector_of_two", "one_line", "repeated_label",
-        "lambda_of_three"])
+        "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0"])
 def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"
@@ -283,12 +287,13 @@ def test_human_format_runs(capsys):
 
 
 def test_analyze_does_not_import_sympy():
-    # the package's runtime dependency is mpmath alone
+    # the package has no runtime dependency
     script = ("import sys\n"
               "from starnet.cli import main\n"
               "code = main(['analyze', '--builtin', 'b3_del_z',\n"
               "             '--pencil', 'builtin:b3_del_z'])\n"
               "assert code == 0, code\n"
-              "assert 'sympy' not in sys.modules\n")
+              "assert 'sympy' not in sys.modules\n"
+              "assert 'mpmath' not in sys.modules\n")
     proc = _fresh_interpreter("-c", script)
     assert proc.returncode == 0, proc.stderr

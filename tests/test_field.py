@@ -21,7 +21,7 @@ elements = st.builds(FieldElement, rationals, rationals, rationals, rationals)
 R = FieldElement(0, 1)
 S = FieldElement(0, 0, 1)
 # sqrt(5) to 41 digits: this minus r is -1.8e-41, yet float() of it is
-# +3.3e-24 because the 64-bit embedding cancels catastrophically
+# +9.2e-21 because the 64-bit embedding cancels catastrophically
 SQRT5_41 = Fraction(11180339887498948482045868343656381177203, 5 * 10 ** 39)
 
 
@@ -111,7 +111,7 @@ def test_high_precision_embed():
     val = s.embed(200)
     with mpmath.workprec(210):
         ref = mpmath.sin(2 * mpmath.pi / 5)
-        assert abs(val - ref) < mpmath.mpf(2) ** -190
+        assert abs(mpmath.mpf(str(val)) - ref) < mpmath.mpf(2) ** -190
 
 
 @given(elements)
@@ -156,6 +156,44 @@ def test_kth_root_round_trip(a, k):
     p = a ** k
     root = p.kth_root(k)
     assert root ** k == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_elements, st.sampled_from((3, 5, 6)))
+def test_kth_root_at_any_height(x, k):
+    if x.is_zero:
+        return
+    # odd roots are unique in a real field; an even root is nonnegative
+    want = x if k % 2 or x.sign() >= 0 else -x
+    assert (x ** k).kth_root(k) == want
+
+
+# 5- and 6-digit coordinates; its cube has 48- to 56-digit ones
+HIGH = FieldElement(Fraction(-106958, 331303), Fraction(-683647, 414003),
+                    Fraction(91277, 12658), Fraction(-848091, 861169))
+
+
+# a unit (its four real values are about 10.1, -12.1, -2.0 and 0.0041):
+# over a small denominator its powers have one value far below
+# 1/(den*T), which a precision of the digits of den*T alone misses
+UNIT = FieldElement(-1, 0, 5, 3)
+
+
+@pytest.mark.parametrize("x, k", [(HIGH, 3), (HIGH, 5), (NEAR_ZERO[0], 3),
+                                  (NEAR_ZERO[0], 5), (-NEAR_ZERO[0], 7),
+                                  (UNIT ** 6 / 1000, 3), (UNIT ** 3 / 11, 5)],
+                         ids=["high_cube", "high_fifth", "near_zero_cube",
+                              "near_zero_fifth", "near_zero_seventh",
+                              "unit_cube", "unit_fifth"])
+def test_odd_root_of_high_and_near_zero_elements(x, k):
+    assert (x ** k).kth_root(k) == x
+
+
+def test_kth_root_of_a_non_power_is_none():
+    assert FieldElement(2, 1, 3, 1).kth_root(3) is None
+    assert (HIGH ** 3 * 2).kth_root(3) is None  # 2 is no cube in the field
+    assert (HIGH ** 5 * S).kth_root(5) is None
+    assert (NEAR_ZERO[0] ** 3 * R).kth_root(3) is None
 
 
 def test_pow_negative():

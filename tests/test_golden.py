@@ -10,9 +10,9 @@ Regenerate them only for an intended output change, by running
 
 from pathlib import Path
 
-import mpmath
 import pytest
 
+from starnet import field
 from starnet.cli import main
 from starnet.mpoly import X, Y, Z, is_kth_power_up_to_scalar
 
@@ -53,13 +53,12 @@ def test_json_matches_golden(name, capsys):
 
 
 def test_analyze_uses_no_floating_point(monkeypatch, capsys):
-    # every verdict of the analyze path is exact: it finds no numeric
-    # roots and runs no PSLQ, not even for a cube root of 1
+    # every verdict of the analyze path is exact: it takes no real value
+    # of any element, not even for a cube root of 1
     def numeric(*args, **kwargs):
         raise AssertionError("floating point in an exact decision")
 
-    monkeypatch.setattr(mpmath, "pslq", numeric)
-    monkeypatch.setattr(mpmath, "polyroots", numeric)
+    monkeypatch.setattr(field, "_conjugates", numeric)
     for name in sorted(n for n in CASES if n.startswith("analyze_")):
         assert main([*CASES[name], "--format", "json"]) == 0
         out = capsys.readouterr().out

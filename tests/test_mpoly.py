@@ -61,6 +61,14 @@ def test_kth_root_round_trip(p, k):
     assert root ** k == power
 
 
+def test_kth_root_with_irrational_leading_coefficient():
+    a = FieldElement(Fraction(-106958, 331303), Fraction(-683647, 414003),
+                     Fraction(91277, 12658), Fraction(-848091, 861169))
+    assert kth_root((X * a + Y - Z) ** 3, 3) == X * a + Y - Z
+    with pytest.raises(NotAPower):
+        kth_root((X * a + Y - Z) ** 3 * 2, 3)
+
+
 def test_kth_root_failure():
     with pytest.raises(NotAPower):
         kth_root(X * X + Y, 2)
