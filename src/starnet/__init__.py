@@ -4,11 +4,10 @@ Multinets, orbifold pencils, translated jump-locus components and Aomoto
 complex torsion, all in exact arithmetic over Q(sqrt 5)(sin 2pi/5).
 """
 
-from .field import (FieldElement, parse_element, serialize_element,
-                    trig_constants)
+from .field import FieldElement, serialize_element, trig_constants
 from .mpoly import (MultiPoly, UniPoly, dehomogenize, exact_divide,
-                    factor_multiplicity, homogenize, kth_root,
-                    restrict_to_line)
+                    homogenize, kth_root, restrict_to_line)
+from .exprs import parse_field_element as parse_element
 from .arrangement import (Arrangement, IntersectionPoint, Line, build,
                           builtin, delete, is_essential, render_svg)
 from .multinet import (Multinet, MultinetReport, Pencil, builtin_pencil,

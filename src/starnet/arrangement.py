@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
@@ -290,12 +290,7 @@ def double_star_data():
     cinv = c_const.inverse()
     h1 = p1.scale(cinv)
     h2 = p2.scale(cinv)
-    prod_first = MultiPoly.constant(1)
-    for fm in forms[:5]:
-        prod_first = prod_first * fm
-    prod_last = MultiPoly.constant(1)
-    for fm in forms[5:]:
-        prod_last = prod_last * fm
+    prod_first, prod_last = prod(forms[:5]), prod(forms[5:])
     if prod_last == h1 and prod_first == h2:
         h1_group, h2_group = ["l6", "l7", "l8", "l9", "l10"], \
             ["l1", "l2", "l3", "l4", "l5"]

@@ -19,19 +19,12 @@ from math import inf
 from .arrangement import (BUILTIN_NAMES, arrangement_to_json, builtin, delete,
                           load_arrangement, render_svg)
 from .aomoto import aomoto_complex, h2_torsion
-from .errors import (DuplicateLine, InvalidPencil, NonPositiveMultiplicity,
-                     NotAPartition, ParseError, StarnetError, UnknownBuiltin,
-                     UnknownLine, ZeroCovector)
+from .errors import InputError, StarnetError
 from .exprs import parse_field_element, parse_poly
 from .fibration import (analyze, orbifold_v1_shape, pointed_vs_fiber,
                         translated_component)
 from .multinet import (Pencil, builtin_pencil, enumerate_multinets,
                        find_pointed, multinet_pencil)
-
-# errors caused by what the user typed or supplied
-_INPUT_ERRORS = (ParseError, DuplicateLine, ZeroCovector, UnknownLine,
-                 UnknownBuiltin, NotAPartition, NonPositiveMultiplicity,
-                 InvalidPencil)
 
 
 class UsageError(Exception):
@@ -166,7 +159,9 @@ def cmd_analyze(args) -> int:
         extras.append(lam)
     rep = analyze(A, pencil, extras)
     results = rep.describe(A)
-    results["orbifold_v1_shape"] = orbifold_v1_shape(rep.k, rep.mu_vector)
+    # the base orbifold needs two removed fibers; with fewer there is no shape
+    results["orbifold_v1_shape"] = (orbifold_v1_shape(rep.k, rep.mu_vector)
+                                    if rep.k >= 2 else None)
     hypotheses = dict(rep.hypotheses)
     if rep.classification == "small":
         comp = translated_component(A, pencil, rep)
@@ -292,10 +287,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except (UsageError, *_INPUT_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StarnetError as exc:

@@ -5,7 +5,11 @@ class StarnetError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParseError(StarnetError):
+class InputError(StarnetError):
+    """What the user typed or supplied is malformed or inconsistent."""
+
+
+class ParseError(InputError):
     """Malformed expression or file input."""
 
 
@@ -25,27 +29,27 @@ class RadicalNotCertified(StarnetError):
     """The squarefree part of a form failed its exact certificate."""
 
 
-class DuplicateLine(StarnetError):
+class DuplicateLine(InputError):
     pass
 
 
-class ZeroCovector(StarnetError):
+class ZeroCovector(InputError):
     pass
 
 
-class UnknownLine(StarnetError):
+class UnknownLine(InputError):
     pass
 
 
-class UnknownBuiltin(StarnetError):
+class UnknownBuiltin(InputError):
     pass
 
 
-class NotAPartition(StarnetError):
+class NotAPartition(InputError):
     pass
 
 
-class NonPositiveMultiplicity(StarnetError):
+class NonPositiveMultiplicity(InputError):
     pass
 
 
@@ -53,7 +57,7 @@ class NotAPencil(StarnetError):
     """Class polynomials are not members of a single pencil."""
 
 
-class InvalidPencil(StarnetError):
+class InvalidPencil(InputError):
     """The generators of a pencil are not homogeneous of one degree."""
 
 

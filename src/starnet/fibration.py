@@ -35,13 +35,13 @@ from math import gcd, isqrt, lcm
 
 from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
-                     MultipleMultipleFibers, NotDivisible, NotSmall,
+                     MultipleMultipleFibers, NotAPower, NotDivisible, NotSmall,
                      NotSquarefree, RadicalNotCertified)
 from .field import ONE, ZERO, FieldElement, normalize, serialize_element
 from .mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
-                    exact_divide, hessian, is_kth_power_up_to_scalar,
-                    kth_root, partial, restrict_to_line, squarefree_part)
-from .multinet import Pencil, _is_proportional
+                    exact_divide, hessian, is_proportional, kth_root, partial,
+                    restrict_to_line, squarefree_part)
+from .multinet import Pencil
 
 
 def normalize_lambda(lam):
@@ -67,6 +67,7 @@ class FiberAnalysis:
     arrangement_part: tuple  # ((line index, exponent), ...)
     residual: MultiPoly
     mu: int
+    root: MultiPoly  # monic, with residual = lc * root^mu
 
     @property
     def removed(self) -> bool:
@@ -369,7 +370,7 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=(),
     restriction, caller extras, and always the two base members [0:1], [1:0].
     line_fibers is _line_fibers(A, pencil), computed here when not given.
     """
-    if _is_proportional(pencil.g1, pencil.g2):
+    if is_proportional(pencil.g1, pencil.g2):
         raise DegeneratePencil("g1 and g2 are proportional")
     if line_fibers is None:
         line_fibers = _line_fibers(A, pencil)
@@ -409,10 +410,16 @@ def analyze_fiber(A: Arrangement, pencil: Pencil, lam,
         e, residual = divide_out(residual, A.lines[i].linear_form())
         if e:
             parts.append((i, e))
-    # mu: the largest k with residual = scalar * q^k
-    mu = next((k for k in range(residual.degree, 1, -1)
-               if is_kth_power_up_to_scalar(residual, k)), 1)
-    return FiberAnalysis(lam, fiber, tuple(parts), residual, mu)
+    # mu: the largest k with residual = lc * root^k for a monic root
+    _, lc = residual.leading()
+    root, mu = residual / lc, 1
+    for k in range(residual.degree, 1, -1):
+        try:
+            root, mu = kth_root(root, k), k
+            break
+        except NotAPower:
+            pass
+    return FiberAnalysis(lam, fiber, tuple(parts), residual, mu, root)
 
 
 def analyze(A: Arrangement, pencil: Pencil, extra_lambdas=()) -> FibrationReport:
@@ -591,12 +598,10 @@ def pointed_vs_fiber(A: Arrangement, report: FibrationReport) -> dict:
         raise ValueError("report has no multiple fiber")
     witnesses = []
     for f in report.multiple_fibers:
-        _, lc = f.residual.leading()
         witnesses.append({
             "lambda": list(lambda_key(f.lam)),
             "residual": f.residual.serialize(),
-            "residual_is_product_of_lines":
-                splits_into_linear_factors(kth_root(f.residual / lc, f.mu)),
+            "residual_is_product_of_lines": splits_into_linear_factors(f.root),
         })
     explained = all(w["residual_is_product_of_lines"] for w in witnesses)
     return {"pointed_multinet_explained": explained, "witness": witnesses}

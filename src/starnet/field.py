@@ -496,10 +496,3 @@ def order_keys(vectors):
             key += [a * f for a in nums]
         keys.append(tuple(key))
     return keys
-
-
-def parse_element(text: str) -> FieldElement:
-    """Parse an expression in rationals, r, s with + - * / ^ and parentheses."""
-    from .exprs import parse_field_element
-
-    return parse_field_element(text)

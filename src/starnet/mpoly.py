@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAPower, NotDivisible
-from .field import ONE, ZERO, FieldElement, serialize_element
+from .field import ONE, ZERO, FieldElement, normalize, serialize_element
 
 
 def _coerce_coeff(c) -> FieldElement:
@@ -266,6 +266,15 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     return MultiPoly(quot)
 
 
+def is_proportional(p: MultiPoly, q: MultiPoly) -> bool:
+    """True if p = c*q for a scalar c, or p or q is zero."""
+    if p.is_zero or q.is_zero:
+        return True
+    if set(p.terms) != set(q.terms):
+        return False
+    return normalize(p.terms.values()) == normalize(q.terms[m] for m in p.terms)
+
+
 def divides(d: MultiPoly, p: MultiPoly) -> bool:
     try:
         exact_divide(p, d)
@@ -288,11 +297,6 @@ def divide_out(p: MultiPoly, f: MultiPoly):
             return k, p
         p = q
         k += 1
-
-
-def factor_multiplicity(p: MultiPoly, f: MultiPoly) -> int:
-    """Largest k >= 0 with f^k dividing p exactly."""
-    return divide_out(p, f)[0]
 
 
 def kth_root(p: MultiPoly, k: int) -> MultiPoly:
@@ -340,19 +344,6 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
             raise NotAPower("correction terms do not decrease")
         prev_key = key
         q = q + MultiPoly({texp: rcoef * dinv})
-
-
-def is_kth_power_up_to_scalar(p: MultiPoly, k: int) -> bool:
-    """True if p = scalar * q^k for some q over the field."""
-    if p.is_zero or p.degree % k:
-        return False
-    _, lcoef = p.leading()
-    monic = p.scale(lcoef.inverse())
-    try:
-        kth_root(monic, k)
-        return True
-    except NotAPower:
-        return False
 
 
 def partial(p: MultiPoly, i: int) -> MultiPoly:

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .arrangement import Arrangement, components
+from .arrangement import Arrangement, components, double_star_affine_covectors
 from .errors import (InvalidPencil, NonPositiveMultiplicity, NotAPartition,
-                     NotAPencil)
-from .field import ZERO, normalize
-from .mpoly import MultiPoly
+                     NotAPencil, UnknownBuiltin)
+from .field import ZERO
+from .mpoly import MultiPoly, X, Y, Z, is_proportional
 
 
 def _resolve_classes(A: Arrangement, classes):
@@ -403,10 +403,8 @@ class Pencil:
 
 
 def class_polynomial(A: Arrangement, net: Multinet, ci: int) -> MultiPoly:
-    g = MultiPoly.constant(1)
-    for i in net.classes[ci]:
-        g = g * A.lines[i].linear_form() ** net.mult[i]
-    return g
+    return prod((A.lines[i].linear_form() ** net.mult[i]
+                 for i in net.classes[ci]), start=MultiPoly.constant(1))
 
 
 def _solve_combo(g1: MultiPoly, g2: MultiPoly, gi: MultiPoly):
@@ -439,7 +437,7 @@ def multinet_pencil(A: Arrangement, net: Multinet) -> Pencil:
     """
     gs = [class_polynomial(A, net, ci) for ci in range(net.k)]
     g1, g2 = gs[0], gs[1]
-    if _is_proportional(g1, g2):
+    if is_proportional(g1, g2):
         raise NotAPencil("the first two class polynomials are proportional")
     combos = []
     for gi in gs[2:]:
@@ -452,27 +450,10 @@ def multinet_pencil(A: Arrangement, net: Multinet) -> Pencil:
 
 def builtin_pencil(name: str) -> Pencil:
     """Canonical defining pencil for a builtin arrangement."""
-    from .arrangement import double_star_affine_covectors
-    from .errors import UnknownBuiltin
-    from .mpoly import X, Y, Z
     if name == "double_star":
         forms = [MultiPoly.linear(*cov)
                  for cov in double_star_affine_covectors()]
-        g1 = MultiPoly.constant(1)
-        for f in forms[:5]:
-            g1 = g1 * f
-        g2 = MultiPoly.constant(1)
-        for f in forms[5:]:
-            g2 = g2 * f
-        return Pencil(g1, g2, ())
+        return Pencil(prod(forms[:5]), prod(forms[5:]), ())
     if name in ("b3", "b3_del_z"):
         return Pencil(X * X * (Y * Y - Z * Z), Y * Y * (X * X - Z * Z), ())
     raise UnknownBuiltin(f"no builtin pencil named {name!r}")
-
-
-def _is_proportional(p: MultiPoly, q: MultiPoly) -> bool:
-    if p.is_zero or q.is_zero:
-        return True
-    if set(p.terms) != set(q.terms):
-        return False
-    return normalize(p.terms.values()) == normalize(q.terms[m] for m in p.terms)

@@ -177,6 +177,16 @@ def test_analyze_from_multinet(capsys):
     assert json.loads(out)["results"]["class"] == "large"
 
 
+def test_analyze_with_one_removed_fiber_has_no_shape(capsys):
+    # only the z^2 fiber is removed, so there is no orbifold fibration
+    code, out, err = run(capsys, "analyze", "--builtin", "b3",
+                         "--pencil", "x^2+y^2;z^2", "--format", "json")
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["k"] == 1 and results["class"] == "neither"
+    assert results["orbifold_v1_shape"] is None
+
+
 def test_analyze_degenerate_pencil_is_math_error(capsys):
     code, _, err = run(capsys, "analyze", "--builtin", "b3",
                        "--pencil", "x^2;2*x^2")

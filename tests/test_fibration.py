@@ -23,9 +23,10 @@ from starnet.fibration import (_integer_root_candidates,
                                orbifold_v1_shape, pointed_vs_fiber,
                                splits_into_linear_factors,
                                translated_component)
-from starnet.multinet import Pencil, builtin_pencil
-from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, restrict_to_line,
-                           squarefree_part)
+from starnet.multinet import (Pencil, builtin_pencil, enumerate_multinets,
+                              multinet_pencil)
+from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, kth_root,
+                           restrict_to_line, squarefree_part)
 
 from oracles import lagrange_interpolate, ref_line_lambdas, sylvester_resultant
 
@@ -118,6 +119,35 @@ def test_double_star_small_not_explained():
     assert fb.mu == 2 and fb.residual.degree == 4
     verdict = pointed_vs_fiber(A, rep)
     assert verdict["pointed_multinet_explained"] is False
+
+
+def _b3_multinet_pencil():
+    A = builtin("b3")
+    return A, multinet_pencil(A, enumerate_multinets(A, max_mult=2)[0])
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: (builtin("double_star"), builtin_pencil("double_star")),
+    lambda: (builtin("b3"), builtin_pencil("b3")),
+    lambda: (builtin("b3_del_z"), builtin_pencil("b3_del_z")),
+    _b3_multinet_pencil,
+], ids=["double_star", "b3", "b3_del_z", "b3_from_multinet"])
+def test_fiber_keeps_its_monic_root(setup):
+    A, pencil = setup()
+    rep = analyze(A, pencil)
+    for f in rep.fibers:
+        _, lc = f.residual.leading()
+        assert f.root.leading()[1] == ONE
+        assert f.residual == f.root ** f.mu * lc
+    if rep.multiple_fibers:
+        # the verdict from the kept root is the one from a fresh extraction
+        fresh = []
+        for f in rep.multiple_fibers:
+            _, lc = f.residual.leading()
+            fresh.append(
+                splits_into_linear_factors(kth_root(f.residual / lc, f.mu)))
+        witnesses = pointed_vs_fiber(A, rep)["witness"]
+        assert [w["residual_is_product_of_lines"] for w in witnesses] == fresh
 
 
 def test_swap_invariance():

@@ -14,7 +14,8 @@ import pytest
 
 from starnet import field
 from starnet.cli import main
-from starnet.mpoly import X, Y, Z, is_kth_power_up_to_scalar
+from starnet.errors import NotAPower
+from starnet.mpoly import X, Y, Z, kth_root
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID24 = str(Path(__file__).parent / "data" / "grid24.json")
@@ -63,8 +64,9 @@ def test_analyze_uses_no_floating_point(monkeypatch, capsys):
         assert main([*CASES[name], "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert is_kth_power_up_to_scalar((X * Y + Z * Z) ** 3, 3)
-    assert not is_kth_power_up_to_scalar(X ** 3 * Y ** 3 + Z ** 6, 3)
+    assert kth_root((X * Y + Z * Z) ** 3, 3) == X * Y + Z * Z
+    with pytest.raises(NotAPower):
+        kth_root(X ** 3 * Y ** 3 + Z ** 6, 3)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from starnet.errors import NotAPower, NotDivisible
 from starnet.field import FieldElement
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
-                           divides, exact_divide, factor_multiplicity,
-                           homogenize, is_kth_power_up_to_scalar, kth_root,
-                           restrict_to_line, squarefree_part, uni_gcd)
+                           divide_out, divides, exact_divide, homogenize,
+                           is_proportional, kth_root, restrict_to_line,
+                           squarefree_part, uni_gcd)
 
 from oracles import ref_restrict_to_line
 
@@ -72,15 +72,25 @@ def test_kth_root_with_irrational_leading_coefficient():
 def test_kth_root_failure():
     with pytest.raises(NotAPower):
         kth_root(X * X + Y, 2)
-    assert is_kth_power_up_to_scalar((X + Y) ** 2 * 3, 2)
-    assert not is_kth_power_up_to_scalar(X * X + Y * Z, 2)
+    with pytest.raises(NotAPower):
+        kth_root(X * X + Y * Z, 2)
+    p = (X + Y) ** 2 * 3
+    assert kth_root(p / p.leading()[1], 2) == X + Y
+
+
+def test_is_proportional():
+    p = X * X - Y * Z
+    assert is_proportional(p, p * FieldElement(2, 1))
+    assert is_proportional(p, MultiPoly()) and is_proportional(MultiPoly(), p)
+    assert not is_proportional(p, X * X + Y * Z)
+    assert not is_proportional(p, X * X)
 
 
 def test_factor_multiplicity():
     p = (X + Y) ** 3 * (X - Z)
-    assert factor_multiplicity(p, X + Y) == 3
-    assert factor_multiplicity(p, X - Z) == 1
-    assert factor_multiplicity(p, X + Z) == 0
+    assert divide_out(p, X + Y)[0] == 3
+    assert divide_out(p, X - Z)[0] == 1
+    assert divide_out(p, X + Z)[0] == 0
 
 
 @given(polys)

@@ -1,6 +1,8 @@
 """Multinet checking, enumeration, pointedness and pencils."""
 
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 from starnet.arrangement import build, builtin
 from starnet.errors import (NonPositiveMultiplicity, NotAPartition,
                             NotAPencil, UnknownBuiltin)
-from starnet.multinet import (Multinet, _nullspace, builtin_pencil,
-                              check_multinet, class_polynomial,
-                              enumerate_multinets, find_pointed,
-                              multinet_pencil)
+from starnet.multinet import (Multinet, _integer_solutions, _nullspace,
+                              builtin_pencil, check_multinet,
+                              class_polynomial, enumerate_multinets,
+                              find_pointed, multinet_pencil)
 from starnet.mpoly import X, Y, Z
 
 from oracles import exhaustive_multinets, ref_nullspace
@@ -170,6 +172,21 @@ def test_nullspace_matches_fraction_oracle(system):
     for vec in basis:
         for row in rows:
             assert sum(a * v for a, v in zip(row, vec)) == 0
+
+
+def test_integer_solutions_on_a_plane():
+    # x0 + x1 = 2*x2 and x0 - x1 = x3: a 2-dimensional solution space
+    rows = [[1, 1, -2, 0], [1, -1, 0, -1]]
+    basis = [[1, 1, 1, 0], [Fraction(1, 2), Fraction(-1, 2), 0, 1]]
+    assert _nullspace(rows, 4) == basis
+    for max_mult in (1, 3, 6):
+        brute = [m for m in product(range(1, max_mult + 1), repeat=4)
+                 if gcd(*m) == 1
+                 and all(sum(a * v for a, v in zip(row, m)) == 0
+                         for row in rows)]
+        assert sorted(_integer_solutions(basis, 4, max_mult)) == brute
+    # at max_mult 6, five points are kept and (6, 2, 4, 4), of gcd 2, is not
+    assert len(brute) == 5 and (6, 2, 4, 4) not in brute
 
 
 def test_generic_five_lines_have_no_multinet():
