@@ -1,23 +1,26 @@
 """Parser for field-element and polynomial expressions.
 
-Grammar: integer literals, the symbols r and s (field generators) and the
-variables x, y, z, with + - * / ^ and parentheses.  Adjacent factors are
-multiplied, so "2x^2 y" works.  Division is only allowed by (expressions
-evaluating to) nonzero constants.
+Grammar: integer literals of the ASCII digits 0-9, the symbols r and s
+(field generators) and the variables x, y, z, with + - * / ^ and
+parentheses.  Adjacent factors are multiplied, so "2x^2 y" works.  Division
+is only allowed by (expressions evaluating to) nonzero constants.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .field import FieldElement
+from .field import ONE, ZERO, FieldElement
 from .mpoly import MultiPoly
 
+# A parsed value is a dict {exponent (x, y, z): nonzero coefficient}, so an
+# atom or a product costs no polynomial object; parse_poly builds one.
+_CONST = (0, 0, 0)
 _SYMBOLS = {
-    "r": MultiPoly.constant(FieldElement(0, 1)),
-    "s": MultiPoly.constant(FieldElement(0, 0, 1)),
-    "x": MultiPoly.variable("x"),
-    "y": MultiPoly.variable("y"),
-    "z": MultiPoly.variable("z"),
+    "r": {_CONST: FieldElement(0, 1)},
+    "s": {_CONST: FieldElement(0, 0, 1)},
+    "x": {(1, 0, 0): ONE},
+    "y": {(0, 1, 0): ONE},
+    "z": {(0, 0, 1): ONE},
 }
 
 
@@ -28,9 +31,9 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # not isdigit, which takes "²" and "٣"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", int(text[i:j])))
             i = j
@@ -43,6 +46,48 @@ def _tokenize(text: str):
         else:
             raise ParseError(f"unexpected character {ch!r} at position {i}")
     return tokens
+
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        if e in out:
+            c = out[e] + c
+            if not c:
+                del out[e]
+                continue
+        out[e] = c
+    return out
+
+
+def _neg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (i, j, k), c in a.items():
+        for (l, m, n), d in b.items():
+            e = (i + l, j + m, k + n)
+            out[e] = out[e] + c * d if e in out else c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _pow(a: dict, n: int) -> dict:
+    """a^n for n >= 0; a single term is one scaling of its exponent."""
+    if not n:
+        return {_CONST: ONE}
+    if len(a) == 1:
+        ((i, j, k), c), = a.items()
+        return {(i * n, j * n, k * n): c ** n}
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else _mul(out, a)
+        n >>= 1
+        if n:
+            a = _mul(a, a)
+    return out
 
 
 class _Parser:
@@ -65,39 +110,39 @@ class _Parser:
             raise ParseError(f"expected {kind!r} at token {self.pos}")
         return self.next()
 
-    def parse_expr(self) -> MultiPoly:
+    def parse_expr(self) -> dict:
         value = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.next()[0]
             rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _add(value, rhs if op == "+" else _neg(rhs))
         return value
 
-    def parse_term(self) -> MultiPoly:
+    def parse_term(self) -> dict:
         value = self.parse_factor()
         while True:
             nxt = self.peek()
             if nxt in ("*", "/"):
                 op = self.next()[0]
                 rhs = self.parse_factor()
-                value = value * rhs if op == "*" else _divide(value, rhs)
+                value = _mul(value, rhs) if op == "*" else _divide(value, rhs)
             elif nxt in ("num", "sym", "("):
-                value = value * self.parse_factor()
+                value = _mul(value, self.parse_factor())
             else:
                 return value
 
-    def parse_factor(self) -> MultiPoly:
+    def parse_factor(self) -> dict:
         if self.peek() in ("+", "-"):
             op = self.next()[0]
             val = self.parse_factor()
-            return val if op == "+" else -val
+            return val if op == "+" else _neg(val)
         base = self.parse_atom()
         if self.peek() == "^":
             self.next()
             exp = self.parse_exponent()
             if exp < 0:
-                return _invert(base) ** (-exp)
-            return base ** exp
+                return _pow(_invert(base), -exp)
+            return _pow(base, exp)
         return base
 
     def parse_exponent(self) -> int:
@@ -114,10 +159,11 @@ class _Parser:
             return val
         raise ParseError("expected an integer exponent")
 
-    def parse_atom(self) -> MultiPoly:
+    def parse_atom(self) -> dict:
         kind = self.peek()
         if kind == "num":
-            return MultiPoly.constant(self.next()[1])
+            n = self.next()[1]
+            return {_CONST: FieldElement(n)} if n else {}
         if kind == "sym":
             return _SYMBOLS[self.next()[1]]
         if kind == "(":
@@ -128,27 +174,28 @@ class _Parser:
         raise ParseError(f"unexpected token at position {self.pos}")
 
 
-def _constant_of(p: MultiPoly) -> FieldElement:
-    if not p.is_constant:
+def _constant_of(p: dict) -> FieldElement:
+    if any(e != _CONST for e in p):
         raise ParseError("expected a constant expression")
-    return p.coefficient((0, 0, 0))
+    return p.get(_CONST, ZERO)
 
 
-def _divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
+def _divide(num: dict, den: dict) -> dict:
     c = _constant_of(den)
     if c.is_zero:
         raise ParseError("division by zero in expression")
-    return num.scale(c.inverse())
+    inv = c.inverse()
+    return {e: v * inv for e, v in num.items()}
 
 
-def _invert(p: MultiPoly) -> MultiPoly:
+def _invert(p: dict) -> dict:
     c = _constant_of(p)
     if c.is_zero:
         raise ParseError("inverse of zero in expression")
-    return MultiPoly.constant(c.inverse())
+    return {_CONST: c.inverse()}
 
 
-def parse_poly(text: str) -> MultiPoly:
+def _parse(text: str) -> dict:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
@@ -159,5 +206,9 @@ def parse_poly(text: str) -> MultiPoly:
     return value
 
 
+def parse_poly(text: str) -> MultiPoly:
+    return MultiPoly(_parse(text))
+
+
 def parse_field_element(text: str) -> FieldElement:
-    return _constant_of(parse_poly(text))
+    return _constant_of(_parse(text))

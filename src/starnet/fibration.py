@@ -11,14 +11,17 @@ and g2 fibers and [1:1] is their difference.
 Special fibers are found in two ways.  A line lies in the fiber whose lambda
 makes the restrictions of g1 and g2 to it proportional; each restriction
 (mpoly.restrict_to_line) is taken in a frame of the line that solves its
-equation for one variable.  A fiber with a repeated component restricts to a
-non-reduced form on a probe line, so its lambda is a root of the
-discriminant res(f, f') of f = r1 - lambda*r2: that resultant is computed at
-integer nodes by the Euclidean remainder sequence, the discriminant is
-rebuilt by Newton divided differences, and its rational roots are those of
-the squarefree part of one coordinate polynomial, taken by a primitive
-remainder sequence over the integers.  Each fiber is then divided only by
-the lines whose own lambda is its lambda, and by the lines in every fiber.
+equation for one variable, by Horner's rule in that variable.  A fiber with
+a repeated component restricts to a non-reduced form on a probe line, so
+its lambda is a root of the discriminant res(f, f') of f = r1 - lambda*r2,
+of degree d1: that resultant, a (2*d1 - 1)-square Sylvester determinant
+with entries linear in lambda, is computed at 2*d1 integer nodes by the
+Euclidean remainder sequence, the discriminant is rebuilt by Newton divided
+differences, and its rational roots are those of the squarefree part of one
+coordinate polynomial, taken by a primitive remainder sequence over the
+integers.  Each fiber is then divided, by synthetic division
+(mpoly.divide_out), only by the lines whose own lambda is its lambda, and by
+the lines in every fiber.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -305,12 +308,13 @@ def _discriminant_lambdas(pencil: Pencil):
         d1 = max(r1.degree, r2.degree)
         if d1 < 1:
             continue
-        bound = 2 * d1  # entries of the Sylvester matrix are linear in lambda
+        # res(f, f') is the determinant of the (2*d1 - 1)-square Sylvester
+        # matrix, whose entries are linear in lambda: 2*d1 nodes fix it
         nodes, values = [], []
         lams = map(Fraction, count())
         # the t^d1 coefficient of r1 - lambda*r2 vanishes for at most one
-        # lambda, so the nodes 0, ..., bound + 1 give bound + 1 usable ones
-        while len(nodes) < bound + 1:
+        # lambda, so the nodes 0, ..., 2*d1 give 2*d1 usable ones
+        while len(nodes) < 2 * d1:
             lam = next(lams)
             f = r1 - r2 * FieldElement(lam)
             if f.degree != d1:

@@ -283,20 +283,72 @@ def divides(d: MultiPoly, p: MultiPoly) -> bool:
         return False
 
 
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def divide_out(p: MultiPoly, f: MultiPoly):
-    """(k, p / f^k) for the largest k >= 0 with f^k dividing p exactly."""
+    """(k, p / f^k) for the largest k >= 0 with f^k dividing p exactly, for
+    a linear form f; ValueError for any other f.
+
+    With v the first variable of nonzero coefficient a in f, f = a*(v + m)
+    and p = sum over i of v^i * p_i, with m and each p_i free of v.  The
+    quotient by v + m comes row by row from the top by synthetic division,
+    q_(i-1) = p_i - m*q_i, and the division is exact iff p_0 = m*q_0.
+    Each division costs one product per term of q and of m; the cofactor is
+    built, and scaled by a^(-k), once at the end.
+    """
     if p.is_zero:
         raise ValueError("multiplicity undefined for the zero polynomial")
-    if f.is_constant:
-        raise ValueError("factor must be nonconstant")
+    if not f.terms or any(sum(e) != 1 for e in f.terms):
+        raise ValueError("factor must be a linear form")
+    v = next(i for i in range(3) if _UNITS[i] in f.terms)
+    u, w = (i for i in range(3) if i != v)
+    a_inv = f.terms[_UNITS[v]].inverse()
+    # -m as (exponent step, s) per term s*u or s*w
+    shifts = []
+    for i, shift in ((u, (1, 0)), (w, (0, 1))):
+        if _UNITS[i] in f.terms:
+            s = -f.terms[_UNITS[i]] * a_inv
+            shifts.append((shift, ONE if s == ONE else s))
+    rows = {}
+    for exp, coef in p.terms.items():
+        rows.setdefault(exp[v], {})[(exp[u], exp[w])] = coef
     k = 0
     while True:
-        try:
-            q = exact_divide(p, f)
-        except NotDivisible:
-            return k, p
-        p = q
-        k += 1
+        quot = _divide_rows(rows, shifts)
+        if quot is None:
+            break
+        rows, k = quot, k + 1
+    if not k:
+        return 0, p
+    scale = None if a_inv == ONE else a_inv ** k
+    terms = {}
+    for i, row in rows.items():
+        for (eu, ew), coef in row.items():
+            exp = [0, 0, 0]
+            exp[v], exp[u], exp[w] = i, eu, ew
+            terms[tuple(exp)] = coef if scale is None else coef * scale
+    return k, MultiPoly(terms)
+
+
+def _divide_rows(rows, shifts):
+    """The rows {i: {(e_u, e_w): coefficient of v^i}} of p / (v + m), or
+    None if v + m does not divide p; shifts lists -m as (exponent step, s)
+    per term s*u or s*w."""
+    quot = {}
+    q = {}  # q_i, from q_top = 0 down
+    for i in range(max(rows), -1, -1):
+        row = dict(rows.get(i, ()))  # p_i - m*q_i
+        for (eu, ew), c in q.items():
+            for (du, dw), s in shifts:
+                key = (eu + du, ew + dw)
+                t = c if s is ONE else c * s
+                row[key] = row[key] + t if key in row else t
+        q = {e: c for e, c in row.items() if c}
+        if not i:
+            return None if q else quot  # exact iff p_0 - m*q_0 = 0
+        if q:
+            quot[i - 1] = q
 
 
 def kth_root(p: MultiPoly, k: int) -> MultiPoly:
@@ -532,31 +584,42 @@ def _merge(terms):
 def restrict_to_line(p: MultiPoly, point, direction) -> UniPoly:
     """The univariate polynomial t -> p(point + t*direction).
 
-    A term of p is the sparse product of one row per variable, from the
-    powers of its coordinate point[i] + direction[i]*t.  A constant or a
-    multiple of t has one-entry rows, each a shift and a scaling with no
-    convolution, and a coordinate fixed at 1 is skipped.
+    Coordinate i is x_i = point[i] + direction[i]*t.  With h the last
+    coordinate whose point and direction entries are both nonzero,
+    p = sum over k of x_h^k * p_k with each p_k free of x_h, and the
+    restriction is Horner's rule in x_h over the restrictions of the p_k.
+    A term of p_k is the sparse product of one row per other coordinate,
+    from the powers of that coordinate.  On a line frame or a probe line
+    every other coordinate is a constant or a multiple of t, whose rows
+    have one entry: a shift and a scaling, with no convolution.  A
+    coordinate fixed at 1 is skipped, and a factor equal to 1 is never
+    multiplied.
     """
     dirs = [_coerce_coeff(v) for v in direction]
     if all(v.is_zero for v in dirs):
         raise ValueError("direction must be nonzero")
     pts = [_coerce_coeff(v) for v in point]
+    lins = [[(m, ONE if c == ONE else c)
+             for m, c in ((0, pts[i]), (1, dirs[i])) if c] for i in range(3)]
+    h = max((i for i in range(3) if len(lins[i]) == 2), default=None)
     highs = [max(col) for col in zip(*p.terms)] or [0] * 3
     tables = {}
     for i in range(3):
-        lin = [(m, ONE if c == ONE else c)
-               for m, c in ((0, pts[i]), (1, dirs[i])) if c]
-        if lin == [(0, ONE)]:
+        if i == h or lins[i] == [(0, ONE)]:
             continue
         rows = tables[i] = [[(0, ONE)]]
         for _ in range(highs[i]):
-            rows.append(list(_merge(_sparse_mul(rows[-1], lin)).items()))
-    terms = []
+            rows.append(list(_merge(_sparse_mul(rows[-1], lins[i])).items()))
+    parts = {}  # k -> the terms of the restriction of p_k
     for exp, coef in p.terms.items():
         prod = [(0, coef)]
         for i, rows in tables.items():
             if exp[i]:
                 prod = _sparse_mul(prod, rows[exp[i]])
-        terms += prod
-    out = _merge(terms)
-    return UniPoly([out.get(m, ZERO) for m in range(max(out, default=-1) + 1)])
+        parts.setdefault(0 if h is None else exp[h], []).extend(prod)
+    acc = {}  # Horner: acc = acc * x_h + p_k, from the top k down
+    for k in range(max(parts, default=-1), -1, -1):
+        terms = parts.get(k, [])
+        acc = _merge(_sparse_mul(acc.items(), lins[h]) + terms if acc
+                     else terms)
+    return UniPoly([acc.get(m, ZERO) for m in range(max(acc, default=-1) + 1)])

@@ -14,8 +14,9 @@ import mpmath
 
 from starnet.aomoto import SNFResult
 from starnet.arrangement import Arrangement, build
+from starnet.errors import NotDivisible
 from starnet.field import FieldElement, normalize, serialize_element
-from starnet.mpoly import UniPoly
+from starnet.mpoly import UniPoly, exact_divide
 
 
 def brute_lattice(A: Arrangement):
@@ -393,6 +394,17 @@ def ref_restrict_to_line(p, point, direction):
                 term = term * lin[i]
         total = total + term
     return total
+
+
+def ref_divide_out(p, f):
+    """(k, p / f^k) for the largest k, peeling f off by exact_divide."""
+    k = 0
+    while True:
+        try:
+            p = exact_divide(p, f)
+        except NotDivisible:
+            return k, p
+        k += 1
 
 
 def ref_line_lambdas(A: Arrangement, pencil):

@@ -75,9 +75,15 @@ def _doc(*covectors, labels="abc"):
      None, "--max-k"),
     (("analyze", "--builtin", "b3", "--from-multinet", "0",
       "--max-mult", "0"), None, "--max-mult"),
+    # str.isdigit takes a superscript two and an Arabic-Indic three
+    (("analyze", "--builtin", "b3", "--pencil", "x\u00b2;y^2"), None,
+     "unexpected character"),
+    (("lattice",), _doc(["\u0663", "0", "1"], ["0", "1", "0"],
+                        ["1", "0", "0"]), "unexpected character"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
         "lambda_zero", "covector_of_two", "one_line", "repeated_label",
-        "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0"])
+        "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0",
+        "pencil_superscript_digit", "covector_arabic_indic_digit"])
 def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"

@@ -1,11 +1,13 @@
 """Pencil analysis: special fibers, classification, jump-locus components."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from starnet import fibration
 from starnet.arrangement import Line, build, builtin, delete
 from starnet.cli import main
 from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
@@ -13,7 +15,7 @@ from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
                             StarnetError)
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S, normalize
-from starnet.fibration import (_integer_root_candidates,
+from starnet.fibration import (_PROBES, _integer_root_candidates,
                                _integer_squarefree_part, _line_fibers,
                                _line_frame,
                                _newton_interpolate, _rational_roots,
@@ -25,8 +27,8 @@ from starnet.fibration import (_integer_root_candidates,
                                translated_component)
 from starnet.multinet import (Pencil, builtin_pencil, enumerate_multinets,
                               multinet_pencil)
-from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, kth_root,
-                           restrict_to_line, squarefree_part)
+from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, is_proportional,
+                           kth_root, restrict_to_line, squarefree_part)
 
 from oracles import lagrange_interpolate, ref_line_lambdas, sylvester_resultant
 
@@ -280,6 +282,74 @@ def test_newton_interpolation_matches_lagrange(nodes, data):
     poly = _newton_interpolate(nodes, values)
     assert poly == lagrange_interpolate(nodes, values)
     assert [poly.evaluate(FieldElement(x)) for x in nodes] == values
+
+
+def _probe_resultants(r1, r2, n):
+    """The first n nodes lambda = 0, 1, ... where f = r1 - lambda*r2 keeps
+    its degree, and res(f, f') at each of them."""
+    d1 = max(r1.degree, r2.degree)
+    nodes, values = [], []
+    for lam in map(Fraction, count()):
+        if len(nodes) == n:
+            return nodes, values
+        f = r1 - r2 * FieldElement(lam)
+        if f.degree == d1:
+            nodes.append(lam)
+            values.append(_resultant(f, f.derivative()))
+
+
+def _check_discriminant_nodes(pencil):
+    """_discriminant_lambdas interpolates at 2*d1 nodes, and 2*d1 + 1
+    nodes give the same polynomial, of degree < 2*d1."""
+    used = []
+
+    def spy(nodes, values):
+        poly = _newton_interpolate(nodes, values)
+        used.append((len(nodes), poly))
+        return poly
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibration, "_newton_interpolate", spy)
+        fibration._discriminant_lambdas(pencil)
+    probes = [[restrict_to_line(g, *probe) for g in (pencil.g1, pencil.g2)]
+              for probe in _PROBES]
+    probes = [(r1, r2) for r1, r2 in probes
+              if max(r1.degree, r2.degree) >= 1]
+    assert used
+    for (r1, r2), (n, poly) in zip(probes, used):
+        d1 = max(r1.degree, r2.degree)
+        assert n == 2 * d1
+        full = _newton_interpolate(*_probe_resultants(r1, r2, 2 * d1 + 1))
+        assert full.degree < 2 * d1
+        assert full == poly
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: builtin_pencil("double_star"),
+    lambda: builtin_pencil("b3"),
+    lambda: builtin_pencil("b3_del_z"),
+    lambda: Pencil(X * Y, X * Z, ()),
+    lambda: _b3_multinet_pencil()[1],
+], ids=["double_star", "b3", "b3_del_z", "b3_fixed_x", "b3_from_multinet"])
+def test_discriminant_nodes_on_golden_pencils(setup):
+    _check_discriminant_nodes(setup())
+
+
+@st.composite
+def dense_pencils(draw):
+    d = draw(st.integers(3, 5))
+    monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    coeff = st.builds(FieldElement, st.integers(-9, 9).filter(bool),
+                      st.integers(-3, 3))
+    g1, g2 = (MultiPoly({m: draw(coeff) for m in monos}) for _ in range(2))
+    assume(not is_proportional(g1, g2))
+    return Pencil(g1, g2, ())
+
+
+@settings(max_examples=20, deadline=None)
+@given(dense_pencils())
+def test_discriminant_nodes_on_dense_pencils(pencil):
+    _check_discriminant_nodes(pencil)
 
 
 @settings(max_examples=60, deadline=None)

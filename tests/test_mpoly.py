@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starnet.errors import NotAPower, NotDivisible
@@ -14,13 +14,20 @@ from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
                            is_proportional, kth_root, restrict_to_line,
                            squarefree_part, uni_gcd)
 
-from oracles import ref_restrict_to_line
+from oracles import ref_divide_out, ref_restrict_to_line
 
 coeffs = st.builds(FieldElement,
                    st.integers(min_value=-9, max_value=9),
                    st.integers(min_value=-3, max_value=3))
 exps = st.tuples(*(st.integers(min_value=0, max_value=3),) * 3)
 polys = st.dictionaries(exps, coeffs, min_size=0, max_size=5).map(MultiPoly)
+big = st.integers(-10 ** 30, 10 ** 30)
+tower = st.one_of(
+    coeffs,
+    st.builds(lambda a, b, c, d, den: FieldElement(
+        *(Fraction(v, den) for v in (a, b, c, d))),
+        big, big, big, big, st.integers(1, 10 ** 30)))
+nonzero_tower = tower.filter(bool)
 
 
 @given(polys, polys, polys)
@@ -93,6 +100,38 @@ def test_factor_multiplicity():
     assert divide_out(p, X + Z)[0] == 0
 
 
+# the pivot of a line is its first variable with a nonzero coefficient
+line_forms = st.one_of(
+    st.tuples(nonzero_tower, tower, tower),
+    st.tuples(st.just(0), nonzero_tower, tower),
+    st.tuples(st.just(0), st.just(0), nonzero_tower),
+).map(lambda cov: MultiPoly.linear(*cov))
+cofactors = st.dictionaries(st.tuples(*(st.integers(0, 2),) * 3), tower,
+                            min_size=1, max_size=4).map(MultiPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_forms, st.integers(0, 5), cofactors)
+def test_divide_out_matches_peeling_oracle(f, k, q):
+    """On l^k * q, with q not necessarily homogeneous, synthetic division
+    finds the multiplicity and the cofactor that exact_divide peels off."""
+    assume(not q.is_zero)
+    p = f ** k * q
+    got = divide_out(p, f)
+    assert got == ref_divide_out(p, f)
+    assert got[0] >= k
+    assert f ** got[0] * got[1] == p
+
+
+def test_divide_out_takes_only_a_linear_form():
+    p = (X + Y) ** 2 * Z
+    for f in (MultiPoly.constant(3), MultiPoly(), X + 1, X * Y, X * X - Z):
+        with pytest.raises(ValueError):
+            divide_out(p, f)
+    with pytest.raises(ValueError):
+        divide_out(MultiPoly(), X)
+
+
 @given(polys)
 def test_homogenize_round_trip(p):
     if p.is_zero:
@@ -133,6 +172,37 @@ def test_restrict_to_line_matches_evaluation(p, point, direction):
         at = tuple(pi + t * di for pi, di in zip(point, direction))
         assert u.evaluate(t) == p.evaluate(at)
     assert u == ref_restrict_to_line(p, point, direction)
+
+
+@st.composite
+def lines_with_mixed(draw, n_mixed):
+    """(point, direction) with exactly n_mixed coordinates a + b*t, a and b
+    nonzero; each other coordinate is 1, a constant or a multiple of t."""
+    mixed = draw(st.permutations(range(3)))[:n_mixed]
+    other = st.one_of(st.just((1, 0)), st.tuples(tower, st.just(0)),
+                      st.tuples(st.just(0), nonzero_tower))
+    coords = [draw(st.tuples(nonzero_tower, nonzero_tower) if i in mixed
+                   else other) for i in range(3)]
+    point, direction = zip(*coords)
+    assume(any(direction))
+    return point, direction
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polys, homogeneous_polys,
+                 st.dictionaries(exps, tower, max_size=5).map(MultiPoly)),
+       st.integers(0, 3).flatmap(lines_with_mixed))
+def test_restrict_to_line_pointwise(p, line):
+    """With 0 to 3 coordinates of the form a + b*t, Horner's rule in the
+    last of them gives a polynomial of degree <= deg p that agrees with p
+    at deg p + 1 points of the line."""
+    point, direction = line
+    u = restrict_to_line(p, point, direction)
+    assert u.degree <= p.degree
+    for k in range(max(p.degree, 0) + 1):
+        t = FieldElement(Fraction(2 * k - 3, 5))
+        at = tuple(pi + t * di for pi, di in zip(point, direction))
+        assert u.evaluate(t) == p.evaluate(at)
 
 
 def test_restrict_to_line_examples():
