@@ -11,12 +11,17 @@ and g2 fibers and [1:1] is their difference.
 Special fibers are found in two ways.  A line lies in the fiber whose lambda
 makes the restrictions of g1 and g2 to it proportional; each restriction
 (mpoly.restrict_to_line) is taken in a frame of the line that solves its
-equation for one variable, by Horner's rule in that variable.  A fiber with
-a repeated component restricts to a non-reduced form on a probe line, so
-its lambda is a root of the discriminant res(f, f') of f = r1 - lambda*r2,
-of degree d1: that resultant, a (2*d1 - 1)-square Sylvester determinant
-with entries linear in lambda, is computed at 2*d1 integer nodes by the
-Euclidean remainder sequence, the discriminant is rebuilt by Newton divided
+equation for one variable, by Horner's rule in that variable.  The first
+nonzero column of the two restrictions is normalized to lambda, once per
+line, and every other column is tested against it by cross-multiplication.
+When g1 restricts to 0, a nonzero value of g2 at the frame's base point puts
+the line in [0:1] with no second restriction; only a zero value needs the
+restriction of g2, which tells [0:1] from a fixed line.  A fiber with a
+repeated component restricts to a non-reduced form on a probe line, so its
+lambda is a root of the discriminant res(f, f') of f = r1 - lambda*r2, of
+degree d1: that resultant, a (2*d1 - 1)-square Sylvester determinant with
+entries linear in lambda, is computed at 2*d1 integer nodes by the Euclidean
+remainder sequence, the discriminant is rebuilt by Newton divided
 differences, and its rational roots are those of the squarefree part of one
 coordinate polynomial, taken by a primitive remainder sequence over the
 integers.  Each fiber is then divided, by synthetic division
@@ -60,6 +65,7 @@ def lambda_key(lam):
 
 def fiber_polynomial(pencil: Pencil, lam) -> MultiPoly:
     l0, l1 = normalize_lambda(lam)
+    # with lam normalized, l0 is 0 or 1: scale does no product by either
     return pencil.g1.scale(l1) - pencil.g2.scale(l0)
 
 
@@ -148,20 +154,32 @@ def _resultant(f: UniPoly, g: UniPoly) -> FieldElement:
     deg r) * res(g, r); res(f, c) = c^deg f for a constant c; and
     res(g, 0) = 0 for a nonconstant g.
     """
-    m, n = f.degree, g.degree
+    a, b = list(f.coeffs), list(g.coeffs)
+    m, n = len(a) - 1, len(b) - 1
     if m < 0 or n < 0:
         return ZERO
     res = ONE
     while n > 0:
-        _, r = f.divmod(g)
-        k = r.degree
+        # a mod b; the top cell of each step cancels and is not computed
+        binv = b[-1].inverse()
+        for i in range(m, n - 1, -1):
+            c = a[i]
+            if c.is_zero:
+                continue
+            q = c * binv
+            for j in range(n):
+                a[i - n + j] = a[i - n + j] - q * b[j]
+        del a[n:]
+        while a and a[-1].is_zero:
+            a.pop()
+        k = len(a) - 1
         if k < 0:
             return ZERO
         if m * n % 2:
             res = -res
-        res = res * g.coeffs[-1] ** (m - k)
-        f, g, m, n = g, r, n, k
-    return res * g.coeffs[0] ** m
+        res = res * b[-1] ** (m - k)
+        a, b, m, n = b, a, n, k
+    return res * b[0] ** m
 
 
 def _newton_interpolate(nodes, values) -> UniPoly:
@@ -352,17 +370,25 @@ def _line_fibers(A: Arrangement, pencil: Pencil):
     fibers, fixed = {}, []
     for i, ln in enumerate(A.lines):
         frame = _line_frame(ln.covector)
-        b1, b2 = (restrict_to_line(g, *frame).coeffs
-                  for g in (pencil.g1, pencil.g2))
-        # the fiber [l0:l1] contains the line iff l1*b1 = l0*b2, that is iff
-        # every nonzero column (b1[j], b2[j]) normalizes to (l0, l1)
-        cols = zip_longest(b1, b2, fillvalue=ZERO)  # UniPoly drops top zeros
-        lams = {normalize(col) for col in cols} - {None}
-        if not lams:
-            fixed.append(i)
-        elif len(lams) == 1:
-            lam = lams.pop()
-            fibers.setdefault(lambda_key(lam), (lam, []))[1].append(i)
+        b1 = restrict_to_line(pencil.g1, *frame).coeffs
+        if not b1 and pencil.g2.evaluate(frame[0]):
+            # g1 vanishes on the line and g2 does not: the fiber [0:1]
+            lam = (ZERO, ONE)
+        else:
+            b2 = restrict_to_line(pencil.g2, *frame).coeffs
+            # the fiber [l0:l1] contains the line iff l1*b1 = l0*b2, that is
+            # iff every nonzero column (b1[j], b2[j]) normalizes to (l0, l1)
+            cols = zip_longest(b1, b2, fillvalue=ZERO)  # top zeros dropped
+            lam = next((normalize(col) for col in cols if any(col)), None)
+            if lam is None:
+                fixed.append(i)
+                continue
+            # the other columns by cross-multiplication: l0 is 1, or
+            # (l0, l1) = (0, 1)
+            l0, l1 = lam
+            if not all(c1 * l1 == c2 if l0 else not c1 for c1, c2 in cols):
+                continue
+        fibers.setdefault(lambda_key(lam), (lam, []))[1].append(i)
     return fibers, fixed
 
 

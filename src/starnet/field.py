@@ -32,6 +32,10 @@ class FieldElement:
     __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
+        if type(a) is int and b == c == d == 0:
+            # an integer (not a bool) is already canonical over den = 1
+            _set(self, (a, 0, 0, 0, 1))
+            return
         ratios = [_ratio(v) for v in (a, b, c, d)]
         den = lcm(*(q for _, q in ratios))
         # over the lcm of reduced denominators the five ints are coprime
@@ -167,13 +171,15 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
+        # square and multiply, with no product by 1 and no square past the
+        # top bit of n
+        result, base = ONE, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is ONE else result * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- real embedding ------------------------------------------------

@@ -8,6 +8,7 @@ division, root extraction and serialization are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import NotAPower, NotDivisible
 from .field import ONE, ZERO, FieldElement, normalize, serialize_element
@@ -126,7 +127,7 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for exp, coef in o.terms.items():
-            terms[exp] = terms.get(exp, ZERO) + coef
+            terms[exp] = terms[exp] + coef if exp in terms else coef
         return MultiPoly(terms)
 
     __radd__ = __add__
@@ -138,7 +139,10 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        terms = dict(self.terms)
+        for exp, coef in o.terms.items():
+            terms[exp] = terms[exp] - coef if exp in terms else -coef
+        return MultiPoly(terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -161,7 +165,12 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
+        """c * self, with no product when c is 0 or 1."""
         c = _coerce_coeff(c)
+        if c == ONE:
+            return self
+        if c.is_zero:
+            return MultiPoly()
         return MultiPoly({e: coef * c for e, coef in self.terms.items()})
 
     def __truediv__(self, other):
@@ -173,36 +182,37 @@ class MultiPoly:
             return NotImplemented
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1)
-        base = self
+        # square and multiply, with no product by 1 and no square past the
+        # top bit of n
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.constant(1) if result is None else result
 
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point) -> FieldElement:
-        px, py, pz = (_coerce_coeff(v) for v in point)
+        """p(point); a term with a positive power of a zero coordinate is
+        skipped, and a coordinate equal to 1 is never multiplied."""
+        vals = [_coerce_coeff(v) for v in point]
+        powers = [None if v == ONE else [ONE, v] for v in vals]
         total = ZERO
-        powers = {0: {0: ONE}, 1: {0: ONE}, 2: {0: ONE}}
-        vals = (px, py, pz)
         for exp, coef in self.terms.items():
             term = coef
-            for i in range(3):
-                e = exp[i]
-                cache = powers[i]
-                if e not in cache:
-                    p = max(cache)
-                    acc = cache[p]
-                    while p < e:
-                        acc = acc * vals[i]
-                        p += 1
-                        cache[p] = acc
-                term = term * cache[e]
-            total = total + term
+            for e, v, pw in zip(exp, vals, powers):
+                if not e or pw is None:
+                    continue
+                if v.is_zero:
+                    break
+                while len(pw) <= e:
+                    pw.append(pw[-1] * v)
+                term = term * pw[e]
+            else:
+                total = total + term
         return total
 
     # -- text ------------------------------------------------------------
@@ -359,6 +369,16 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
     k-th root of p's leading coefficient (nonnegative under the embedding
     for even k); if that root does not exist in the field the polynomial is
     not a k-th power over it.
+
+    The remainder p - q^k and the powers q^j, j < k, are kept.  A new term
+    t = c*m of q changes q^j by the sum over i >= 1 of binom(j, i) *
+    q^(j-i) * t^i, and each product with t^i is a shift of exponents by
+    i*m and one scaling per term: no power of q is ever recomputed.  The
+    correction term cancels the leading term of the remainder against
+    k * lt(q)^(k-1) * t; every other term of the update lies below it, so
+    the leading monomial of the remainder strictly falls.  Each term of q
+    lies strictly below the last in grlex order and has degree at most
+    deg p / k, so the loop ends.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -374,20 +394,20 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
     if lroot is None:
         raise NotAPower("leading coefficient has no k-th root in the field")
     qlexp = tuple(e // k for e in lexp)
-    q = MultiPoly({qlexp: lroot})
+    # pows[j] = q^j for j < k, as {exponent: coefficient}
+    lpow = [ONE]
+    for _ in range(k - 1):
+        lpow.append(lroot if lpow[-1] is ONE else lpow[-1] * lroot)
+    pows = [{tuple(e * j for e in qlexp): c} for j, c in enumerate(lpow)]
+    # rem = p - q^k: lroot^k is lcoef exactly
+    rem = dict(p.terms)
+    del rem[lexp]
     # correction denominator k * lt(q)^(k-1)
-    denom = MultiPoly({tuple(e * (k - 1) for e in qlexp):
-                       FieldElement(k) * lroot ** (k - 1)})
-    dexp, dcoef = denom.leading()
-    dinv = dcoef.inverse()
-    # each correction term lies strictly below the last in grlex order and
-    # has degree at most deg p / k, so the loop ends
+    dexp = tuple(e * (k - 1) for e in qlexp)
+    dinv = (FieldElement(k) * pows[k - 1][dexp]).inverse()
     prev_key = _grlex_key(qlexp)
-    while True:
-        rem = p - q ** k
-        if rem.is_zero:
-            return q
-        rexp, rcoef = rem.leading()
+    while rem:
+        rexp = max(rem, key=_grlex_key)
         texp = (rexp[0] - dexp[0], rexp[1] - dexp[1], rexp[2] - dexp[2])
         if min(texp) < 0:
             raise NotAPower("no matching correction term")
@@ -395,7 +415,32 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
         if key >= prev_key:
             raise NotAPower("correction terms do not decrease")
         prev_key = key
-        q = q + MultiPoly({texp: rcoef * dinv})
+        cpow = [ONE, rem[rexp] * dinv]  # c^i for the new term c * x^texp
+        for _ in range(k - 1):
+            cpow.append(cpow[-1] * cpow[1])
+        # from j = k down, so that every q^(j-i) read is still the old one
+        for j in range(k, 0, -1):
+            target = rem if j == k else pows[j]
+            for i in range(1, j + 1):
+                s = cpow[i] if i == j else cpow[i] * comb(j, i)
+                _add_shifted(target, pows[j - i], tuple(i * e for e in texp),
+                             -s if j == k else s)
+    return MultiPoly(pows[1])
+
+
+def _add_shifted(target, terms, shift, s):
+    """target += s * x^shift * terms, for dicts {exponent: coefficient};
+    a term that cancels is removed."""
+    sx, sy, sz = shift
+    for (ex, ey, ez), c in terms.items():
+        exp = (ex + sx, ey + sy, ez + sz)
+        v = s if c is ONE else c * s
+        if exp in target:
+            v = target[exp] + v
+            if not v:
+                del target[exp]
+                continue
+        target[exp] = v
 
 
 def partial(p: MultiPoly, i: int) -> MultiPoly:
@@ -487,7 +532,9 @@ class UniPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             c = _coerce_coeff(other)
-            return UniPoly([a * c for a in self.coeffs])
+            if c == ONE:
+                return self
+            return UniPoly([a * c for a in self.coeffs] if c else [])
         if not isinstance(other, UniPoly):
             return NotImplemented
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1) \
@@ -500,7 +547,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly([c * i for i, c in enumerate(self.coeffs) if i])
 
     def evaluate(self, v) -> FieldElement:
         v = _coerce_coeff(v)
@@ -510,7 +557,7 @@ class UniPoly:
         return acc
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        if self.is_zero or self.coeffs[-1] == ONE:
             return self
         inv = self.coeffs[-1].inverse()
         return UniPoly([c * inv for c in self.coeffs])

@@ -14,9 +14,9 @@ import mpmath
 
 from starnet.aomoto import SNFResult
 from starnet.arrangement import Arrangement, build
-from starnet.errors import NotDivisible
+from starnet.errors import NotAPower, NotDivisible
 from starnet.field import FieldElement, normalize, serialize_element
-from starnet.mpoly import UniPoly, exact_divide
+from starnet.mpoly import MultiPoly, UniPoly, exact_divide
 
 
 def brute_lattice(A: Arrangement):
@@ -405,6 +405,39 @@ def ref_divide_out(p, f):
         except NotDivisible:
             return k, p
         k += 1
+
+
+def _ref_grlex_key(exp):
+    return (sum(exp),) + tuple(exp)
+
+
+def ref_kth_root(p, k):
+    """q with q^k = p, or NotAPower, by graded matching that recomputes q^k
+    and the whole difference p - q^k after every new term of q."""
+    lexp, lcoef = p.leading()
+    if any(e % k for e in lexp) or p.degree % k:
+        raise NotAPower("leading exponent or degree not divisible by k")
+    lroot = lcoef.kth_root(k)
+    if lroot is None:
+        raise NotAPower("leading coefficient has no k-th root in the field")
+    qlexp = tuple(e // k for e in lexp)
+    q = MultiPoly({qlexp: lroot})
+    dexp = tuple(e * (k - 1) for e in qlexp)
+    dinv = (FieldElement(k) * lroot ** (k - 1)).inverse()
+    prev_key = _ref_grlex_key(qlexp)
+    while True:
+        rem = p - q ** k
+        if rem.is_zero:
+            return q
+        rexp, rcoef = rem.leading()
+        texp = tuple(r - d for r, d in zip(rexp, dexp))
+        if min(texp) < 0:
+            raise NotAPower("no matching correction term")
+        key = _ref_grlex_key(texp)
+        if key >= prev_key:
+            raise NotAPower("correction terms do not decrease")
+        prev_key = key
+        q = q + MultiPoly({texp: rcoef * dinv})
 
 
 def ref_line_lambdas(A: Arrangement, pencil):

@@ -399,6 +399,30 @@ def product_of_lines(covs):
     return out
 
 
+def check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed):
+    """Random pencils g1 = (lines), g2 = c*g1 + L*M, times a fixed line:
+    _line_fibers and ref_restrict_to_line give the same lambdas."""
+    lines = {}
+    for cov in SPECIAL_LINES + covs:
+        ln = Line(f"h{len(lines)}", cov)
+        lines.setdefault(ln.covector, ln)
+    A = build(lines.values())
+    n = A.n
+    g1 = product_of_lines([A.lines[i % n].covector for i in g1_lines]
+                          + list(g1_extra))
+    d = g1.degree
+    m = product_of_lines([A.lines[(l_line + k) % n].covector
+                          for k in range(1, d)])
+    g2 = g1.scale(c) + MultiPoly.linear(
+        *A.lines[l_line % n].covector) * m
+    for i in fixed:
+        g1 = g1 * MultiPoly.linear(*A.lines[i % n].covector)
+        g2 = g2 * MultiPoly.linear(*A.lines[i % n].covector)
+    assume(not g2.is_zero)
+    pen = Pencil(g1, g2, ())
+    assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_covectors, min_size=2, max_size=5),
        st.lists(st.integers(0, 7), min_size=1, max_size=3),
@@ -408,27 +432,25 @@ def product_of_lines(covs):
        st.sampled_from([(), (0,), (3,), (7,)]))
 def test_line_fibers_match_restriction_oracle(covs, g1_lines, g1_extra,
                                              l_line, c, fixed):
-    """Random pencils g1 = (lines), g2 = c*g1 + L*M, times a fixed line:
-    _line_fibers and ref_restrict_to_line give the same lambdas."""
-    lines = {}
-    for cov in SPECIAL_LINES + covs:
-        ln = Line(f"h{len(lines)}", tuple(map(FieldElement, cov)))
-        lines.setdefault(ln.covector, ln)
-    A = build(lines.values())
-    n = A.n
-    g1 = product_of_lines([A.lines[i % n].covector for i in g1_lines]
-                          + list(g1_extra))
-    d = g1.degree
-    m = product_of_lines([A.lines[(l_line + k) % n].covector
-                          for k in range(1, d)])
-    g2 = g1.scale(FieldElement(c)) + MultiPoly.linear(
-        *A.lines[l_line % n].covector) * m
-    for i in fixed:
-        g1 = g1 * MultiPoly.linear(*A.lines[i % n].covector)
-        g2 = g2 * MultiPoly.linear(*A.lines[i % n].covector)
-    assume(not g2.is_zero)
-    pen = Pencil(g1, g2, ())
-    assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
+    check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed)
+
+
+tower_entries = st.builds(FieldElement, st.integers(-3, 3), st.integers(-2, 2),
+                          st.fractions(-2, 2, max_denominator=3),
+                          st.integers(-1, 1))
+tower_covectors = st.tuples(*(tower_entries,) * 3).filter(any)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(tower_covectors, min_size=2, max_size=4),
+       st.lists(st.integers(0, 6), min_size=1, max_size=3),
+       st.lists(tower_covectors, max_size=1),
+       st.integers(0, 6),
+       tower_entries,
+       st.sampled_from([(), (0,), (4,)]))
+def test_line_fibers_match_restriction_oracle_over_the_tower(
+        covs, g1_lines, g1_extra, l_line, c, fixed):
+    check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed)
 
 
 def test_line_fibers_on_lines_with_zero_entries():
@@ -444,6 +466,32 @@ def test_line_fibers_on_lines_with_zero_entries():
     lams = line_lambdas(A, pen)
     assert lams == ref_line_lambdas(A, pen)
     assert lams[A.index_of("z")] is None
+
+
+def test_line_fibers_when_g1_vanishes_on_the_line():
+    """g1 = x*z vanishes on x = 0 and on z = 0.  g2 = y^2 is nonzero at
+    the frame point (0, 1, 0) of x = 0, which puts x in [0:1] with no
+    restriction of g2; it vanishes at the frame point (1, 0, 0) of z = 0
+    but not on z = 0, so there the restriction of g2 decides."""
+    A = builtin("b3")
+    pen = Pencil(X * Z, Y * Y, ())
+    x, z = A.index_of("x"), A.index_of("z")
+    assert pen.g2.evaluate(_line_frame(A.lines[x].covector)[0])
+    assert not pen.g2.evaluate(_line_frame(A.lines[z].covector)[0])
+    lams = line_lambdas(A, pen)
+    assert lams == ref_line_lambdas(A, pen)
+    assert lams[x] == lams[z] == ("0", "1")
+
+
+def test_line_fibers_keep_a_fixed_line_fixed():
+    """g1 = x*z and g2 = y*z both vanish on z = 0, g2 also at its frame
+    point: z is fixed, while x, where only g1 vanishes, is in [0:1]."""
+    A = builtin("b3")
+    pen = Pencil(X * Z, Y * Z, ())
+    fibers, fixed = _line_fibers(A, pen)
+    assert fixed == [A.index_of("z")]
+    assert A.index_of("x") in fibers[("0", "1")][1]
+    assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
 
 
 small_ints = st.integers(min_value=-4, max_value=4)

@@ -87,6 +87,26 @@ def test_embedding_is_a_homomorphism(a):
     assert abs(float(a * s) - (float(a) * float(s))) < 1e-9
 
 
+@pytest.mark.parametrize("n", [0, 1, -1, 10 ** 40, -10 ** 40, True, False])
+def test_integer_constructor_matches_the_general_path(n):
+    """FieldElement(n) for an int sets its tuple directly; a bool is not
+    an int for that path, and both give the general path's tuple."""
+    general = FieldElement(Fraction(n))._v
+    assert general == (int(n), 0, 0, 0, 1)
+    for x in (FieldElement(n), FieldElement(n, 0, 0, 0),
+              FieldElement(n, Fraction(0))):
+        assert x._v == general
+        assert all(type(v) is int for v in x._v)
+
+
+def test_integer_constructor_still_checks_its_arguments():
+    with pytest.raises(TypeError):
+        FieldElement(1, "0")
+    with pytest.raises(TypeError):
+        FieldElement(1.0)
+    assert FieldElement(2, 1)._v == (2, 1, 0, 0, 1)
+
+
 def test_trig_constants_numeric():
     t = trig_constants()
     theta = 2 * math.pi / 5

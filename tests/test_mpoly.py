@@ -14,7 +14,7 @@ from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
                            is_proportional, kth_root, restrict_to_line,
                            squarefree_part, uni_gcd)
 
-from oracles import ref_divide_out, ref_restrict_to_line
+from oracles import ref_divide_out, ref_kth_root, ref_restrict_to_line
 
 coeffs = st.builds(FieldElement,
                    st.integers(min_value=-9, max_value=9),
@@ -66,6 +66,43 @@ def test_kth_root_round_trip(p, k):
     power = p ** k
     root = kth_root(power, k)
     assert root ** k == power
+
+
+huge = st.builds(lambda m, sign: sign * m, st.integers(10 ** 29, 10 ** 30),
+                st.sampled_from((1, -1)))
+high_tower = st.builds(lambda a, b, c, d, den: FieldElement(
+    *(Fraction(v, den) for v in (a, b, c, d))),
+    *(st.integers(-3, 3) | huge,) * 4, st.integers(1, 10 ** 30))
+root_polys = st.dictionaries(st.tuples(*(st.integers(0, 1),) * 3),
+                             (coeffs | high_tower).filter(bool), min_size=1,
+                             max_size=3).map(MultiPoly)
+
+
+def _root_or_none(root, p, k):
+    try:
+        return root(p, k)
+    except NotAPower:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(root_polys, st.integers(2, 5), st.booleans(),
+       st.none() | st.tuples(st.tuples(*(st.integers(0, 4),) * 3),
+                             (coeffs | high_tower).filter(bool)))
+def test_kth_root_matches_recomputing_oracle(q, k, monic, perturb):
+    """The kept remainder gives the root, or the NotAPower, that
+    recomputing p - q^k after every term gives: on exact powers and on
+    powers with one term changed, with coordinates up to 10^30."""
+    if monic:
+        q = q / q.leading()[1]
+    p = q ** k
+    if perturb is not None:
+        p = p + MultiPoly({perturb[0]: perturb[1]})
+        assume(not p.is_zero)
+    got = _root_or_none(kth_root, p, k)
+    assert got == _root_or_none(ref_kth_root, p, k)
+    if perturb is None:
+        assert got is not None and got ** k == p
 
 
 def test_kth_root_with_irrational_leading_coefficient():
