@@ -154,32 +154,20 @@ def _resultant(f: UniPoly, g: UniPoly) -> FieldElement:
     deg r) * res(g, r); res(f, c) = c^deg f for a constant c; and
     res(g, 0) = 0 for a nonconstant g.
     """
-    a, b = list(f.coeffs), list(g.coeffs)
-    m, n = len(a) - 1, len(b) - 1
+    m, n = f.degree, g.degree
     if m < 0 or n < 0:
         return ZERO
     res = ONE
     while n > 0:
-        # a mod b; the top cell of each step cancels and is not computed
-        binv = b[-1].inverse()
-        for i in range(m, n - 1, -1):
-            c = a[i]
-            if c.is_zero:
-                continue
-            q = c * binv
-            for j in range(n):
-                a[i - n + j] = a[i - n + j] - q * b[j]
-        del a[n:]
-        while a and a[-1].is_zero:
-            a.pop()
-        k = len(a) - 1
+        _, r = f.divmod(g)
+        k = r.degree
         if k < 0:
             return ZERO
         if m * n % 2:
             res = -res
-        res = res * b[-1] ** (m - k)
-        a, b, m, n = b, a, n, k
-    return res * b[0] ** m
+        res = res * g.coeffs[-1] ** (m - k)
+        f, g, m, n = g, r, n, k
+    return res * g.coeffs[0] ** m
 
 
 def _newton_interpolate(nodes, values) -> UniPoly:

@@ -32,7 +32,8 @@ class FieldElement:
     __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        if type(a) is int and b == c == d == 0:
+        if type(a) is int and type(b) is type(c) is type(d) is int \
+                and not (b or c or d):
             # an integer (not a bool) is already canonical over den = 1
             _set(self, (a, 0, 0, 0, 1))
             return

@@ -575,9 +575,10 @@ class UniPoly:
                 continue
             q = c * dinv
             quot[i - dd] = q
-            for j in range(dd + 1):
+            # the top cell, rem[i], cancels to 0 and is dropped below
+            for j in range(dd):
                 rem[i - dd + j] = rem[i - dd + j] - q * d.coeffs[j]
-        return UniPoly(quot), UniPoly(rem)
+        return UniPoly(quot), UniPoly(rem[:dd])
 
     def __str__(self):
         if self.is_zero:

@@ -104,6 +104,11 @@ def test_integer_constructor_still_checks_its_arguments():
         FieldElement(1, "0")
     with pytest.raises(TypeError):
         FieldElement(1.0)
+    # zero coordinates that are not ints are still checked
+    with pytest.raises(TypeError):
+        FieldElement(1, 0.0)
+    with pytest.raises(TypeError):
+        FieldElement(1, FieldElement(0))
     assert FieldElement(2, 1)._v == (2, 1, 0, 0, 1)
 
 
