@@ -8,7 +8,10 @@ degree-one integer class omega gives the two-step complex whose second
 cohomology torsion is computed by Smith normal form.  The transforms U and
 V are kept as well; V is as wide as the basis, so its columns are held as
 sparse dicts while reducing, and each column operation costs only the
-nonzeros of its source column.
+nonzeros of its source column.  The sweeps are sparse as well: a row
+operation touches only the columns where the pivot row is nonzero, and a
+column operation only the rows where the pivot column is nonzero, which
+after the row sweep is the pivot row alone.
 """
 
 from __future__ import annotations
@@ -114,7 +117,12 @@ def snf(M) -> SNFResult:
 
     Column j of V is kept as a dict {row: entry}, so that a column
     operation touches only the nonzeros of V; V is made dense once, at
-    the end."""
+    the end.  A row operation updates A only at the nonzero columns of
+    the pivot row, and a column operation only at the nonzero rows of the
+    pivot column; both index lists are made again after each swap, the
+    only step that changes the pivot row or column.  The operations are
+    those of the dense sweeps, in the same order, so U, V and the
+    diagonal are the same."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
@@ -130,12 +138,19 @@ def snf(M) -> SNFResult:
             row[i], row[j] = row[j], row[i]
         Vcols[i], Vcols[j] = Vcols[j], Vcols[i]
 
-    def add_row(src, dst, f):
-        A[dst] = [a + f * b for a, b in zip(A[dst], A[src])]
+    def add_row(src, dst, f, cols):
+        """Row dst += f * row src; cols holds the nonzero columns of A's
+        row src, the only entries of A the operation changes."""
+        a, b = A[dst], A[src]
+        for j in cols:
+            a[j] += f * b[j]
         U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
 
-    def add_col(src, dst, f):
-        for row in A:
+    def add_col(src, dst, f, rows):
+        """Column dst += f * column src; rows holds the nonzero rows of
+        A's column src."""
+        for i in rows:
+            row = A[i]
             row[dst] += f * row[src]
         col = Vcols[dst]
         for r, v in Vcols[src].items():
@@ -144,6 +159,12 @@ def snf(M) -> SNFResult:
                 col[r] = w
             else:
                 col.pop(r, None)   # f may be 0 and the entry absent
+
+    def nonzero_cols(i):
+        return [j for j, v in enumerate(A[i]) if v]
+
+    def nonzero_rows(j):
+        return [i for i in range(m) if A[i][j]]
 
     def negate_row(i):
         A[i] = [-a for a in A[i]]
@@ -180,18 +201,23 @@ def snf(M) -> SNFResult:
             dirty = True
             while dirty:
                 dirty = False
-                for i in range(t + 1, m):
+                # a row operation on row i, or a swap of rows t and i,
+                # leaves the later rows as they are, so the rows to clear
+                # are listed once per sweep; the same holds for columns
+                cols = nonzero_cols(t)
+                for i in [i for i in range(t + 1, m) if A[i][t]]:
+                    add_row(t, i, -(A[i][t] // A[t][t]), cols)
                     if A[i][t]:
-                        add_row(t, i, -(A[i][t] // A[t][t]))
-                        if A[i][t]:
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, n):
+                        swap_rows(t, i)
+                        cols = nonzero_cols(t)
+                        dirty = True
+                rows = nonzero_rows(t)
+                for j in [j for j in range(t + 1, n) if A[t][j]]:
+                    add_col(t, j, -(A[t][j] // A[t][t]), rows)
                     if A[t][j]:
-                        add_col(t, j, -(A[t][j] // A[t][t]))
-                        if A[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
+                        swap_cols(t, j)
+                        rows = nonzero_rows(t)
+                        dirty = True
             if A[t][t] < 0:
                 negate_row(t)
             t += 1
@@ -208,7 +234,7 @@ def snf(M) -> SNFResult:
                 break
         if bad is None:
             break
-        add_col(bad + 1, bad, 1)
+        add_col(bad + 1, bad, 1, nonzero_rows(bad + 1))
         rank_t = reduce_from(bad)
     divisors = tuple(A[i][i] for i in range(rank_t) if A[i][i])
     diagonal = tuple(A[i][i] for i in range(limit))

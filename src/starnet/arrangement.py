@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
@@ -47,14 +47,30 @@ class Line:
 
 
 class IntersectionPoint:
-    __slots__ = ("coords", "incident")
+    """A multiple point and its incident lines, in increasing order.
 
-    def __init__(self, coords, incident):
-        object.__setattr__(self, "coords", tuple(coords))
+    The point is given either by its normalized coordinates, a tuple of
+    field elements, or, in a rational arrangement, by a tuple of ints, its
+    primitive integer vector.  From ints, `coords` is made only when it is
+    first read.  `is_at_infinity` reads the given tuple, so it needs no
+    field element."""
+    __slots__ = ("_vector", "_coords", "incident")
+
+    def __init__(self, vector, incident):
+        vector = tuple(vector)
+        object.__setattr__(self, "_vector", vector)
+        object.__setattr__(self, "_coords",
+                           None if type(vector[0]) is int else vector)
         object.__setattr__(self, "incident", tuple(sorted(incident)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionPoint is immutable")
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            object.__setattr__(self, "_coords", normalize(self._vector))
+        return self._coords
 
     @property
     def multiplicity(self) -> int:
@@ -62,7 +78,7 @@ class IntersectionPoint:
 
     @property
     def is_at_infinity(self) -> bool:
-        return self.coords[2].is_zero
+        return not self._vector[2]
 
     def __repr__(self):
         cs = ":".join(str(c) for c in self.coords)
@@ -184,8 +200,9 @@ def _compute_lattice(A: Arrangement):
     # the lines of the pairs meeting at a point are exactly its incident set.
     # A rational arrangement is computed on integers: each covector becomes
     # its primitive integer vector once, each pair's point is keyed by its
-    # primitive integer cross product, and only each distinct point is
-    # normalized into the field.
+    # primitive integer cross product, and that vector is what the point
+    # keeps; its field coordinates are made only if they are read.  An
+    # irrational arrangement normalizes each point in the tower.
     ints = [integer_vector(ln.covector) for ln in A.lines]
     rational = None not in ints
     covectors = ints if rational else [ln.covector for ln in A.lines]
@@ -197,13 +214,20 @@ def _compute_lattice(A: Arrangement):
             # cannot happen for projectively distinct lines
             raise ZeroCovector("coincident lines in lattice computation")
         incident.setdefault(pt, set()).update((i, j))
-    if rational:
-        incident = {normalize(pt): inc for pt, inc in incident.items()}
-    # points in the lexicographic order of their rational coordinates, by
+    # points in the lexicographic order of their normalized coordinates, by
     # integer keys over one common denominator (no Fractions)
-    keyed = sorted(zip(order_keys(incident), incident.items()),
-                   key=lambda kv: kv[0])
+    keys = (_integer_order_keys if rational else order_keys)(incident)
+    keyed = sorted(zip(keys, incident.items()), key=lambda kv: kv[0])
     return [IntersectionPoint(pt, inc) for _, (pt, inc) in keyed]
+
+
+def _integer_order_keys(points):
+    """One integer tuple per primitive integer vector, ordered as the
+    vectors' normalized coordinates v/l are, l the (positive) leading
+    entry: each entry times L/l, L the lcm of every l."""
+    leads = [next(v for v in pt if v) for pt in points]
+    L = lcm(*leads)
+    return [tuple(v * (L // l) for v in pt) for pt, l in zip(points, leads)]
 
 
 def is_essential(A: Arrangement) -> bool:
@@ -356,6 +380,10 @@ def arrangement_from_json(doc: dict) -> Arrangement:
             if not isinstance(cov, list) or len(cov) != 3:
                 raise ParseError(
                     f"line {label!r} wants a covector list of 3 entries")
+            for e in cov:
+                if not isinstance(e, str):
+                    raise ParseError(f"line {label!r}: covector entry {e!r} "
+                                     "is not a string")
         lines = [(label, tuple(parse_field_element(e) for e in cov))
                  for label, cov in items]
     except (KeyError, TypeError) as exc:

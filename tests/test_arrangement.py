@@ -25,6 +25,10 @@ def _check_lattice_against_oracle(A):
     pts = A.lattice()
     assert len(pts) == len(oracle)
     for p in pts:
+        # read before coords: a rational point answers from its integer
+        # vector, with no field element made yet
+        at_infinity = p.is_at_infinity
+        assert at_infinity == p.coords[2].is_zero
         key = tuple(c.coords() for c in p.coords)
         assert key in oracle
         assert frozenset(p.incident) == oracle[key]
@@ -84,8 +88,8 @@ def test_lattice_is_in_fraction_order(covectors, extra):
     if extra is not None:
         covs.append(extra)
     A = build(_distinct_lines(covs))
-    _assert_oracle_order(A)
     _check_lattice_against_oracle(A)
+    _assert_oracle_order(A)
 
 
 @given(st.tuples(*3 * [st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)]),
@@ -115,8 +119,8 @@ def test_double_star_images_are_in_fraction_order(entries, with_infinity):
     if with_infinity:
         covs.append((ZERO, ZERO, ONE))
     A = build(_distinct_lines(covs))
-    _assert_oracle_order(A)
     _check_lattice_against_oracle(A)
+    _assert_oracle_order(A)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

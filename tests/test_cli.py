@@ -80,10 +80,13 @@ def _doc(*covectors, labels="abc"):
      "unexpected character"),
     (("lattice",), _doc(["\u0663", "0", "1"], ["0", "1", "0"],
                         ["1", "0", "0"]), "unexpected character"),
+    (("lattice",), _doc([1, 0, 0], ["0", "1", "0"]),
+     "line 'a': covector entry 1 is not a string"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
         "lambda_zero", "covector_of_two", "one_line", "repeated_label",
         "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0",
-        "pencil_superscript_digit", "covector_arabic_indic_digit"])
+        "pencil_superscript_digit", "covector_arabic_indic_digit",
+        "covector_entry_not_string"])
 def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"
