@@ -63,8 +63,10 @@ class InvalidPencil(InputError):
 
 class DegeneratePencil(StarnetError):
     """The pencil cannot be analyzed: its two generators are proportional,
-    or no probe line gives a nonzero discriminant to locate the special
-    fibers, as when every member shares a fixed multiple component."""
+    or no probe line can carry the search for multiple fibers (every probe
+    passes through a base point at infinity, meets the base locus with
+    multiplicity, or restricts the generators to proportional forms), as
+    when every member shares a fixed multiple component."""
 
 
 class NotSmall(StarnetError):

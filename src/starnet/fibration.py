@@ -16,15 +16,15 @@ nonzero column of the two restrictions is normalized to lambda, once per
 line, and every other column is tested against it by cross-multiplication.
 When g1 restricts to 0, a nonzero value of g2 at the frame's base point puts
 the line in [0:1] with no second restriction; only a zero value needs the
-restriction of g2, which tells [0:1] from a fixed line.  A fiber with a
-repeated component restricts to a non-reduced form on a probe line, so its
-lambda is a root of the discriminant res(f, f') of f = r1 - lambda*r2, of
-degree d1: that resultant, a (2*d1 - 1)-square Sylvester determinant with
-entries linear in lambda, is computed at 2*d1 integer nodes by the Euclidean
-remainder sequence, the discriminant is rebuilt by Newton divided
-differences, and its rational roots are those of the squarefree part of one
-coordinate polynomial, taken by a primitive remainder sequence over the
-integers.  Each fiber is then divided, by synthetic division
+restriction of g2, which tells [0:1] from a fixed line.  A multiple fiber
+C^m * B is found where its component C meets one probe line: there the
+Jacobian form g1*dg2 - g2*dg1, divisible by C^(m - 1), vanishes.  The zeros
+on the line are those of one univariate gcd of two of its coefficients, and
+the parameters of the fibers through them are the roots of a resultant of
+degree at most the number of zeros, interpolated at that many integer nodes
+plus one.  The rational roots of that resultant are those of the
+squarefree part of one coordinate polynomial, taken by a primitive remainder
+sequence over the integers.  Each fiber is then divided, by synthetic division
 (mpoly.divide_out), only by the lines whose own lambda is its lambda, and by
 the lines in every fiber.
 
@@ -48,7 +48,7 @@ from .errors import (DegeneratePencil, InvalidOrbifoldData,
 from .field import ONE, ZERO, FieldElement, normalize, serialize_element
 from .mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
                     exact_divide, hessian, is_proportional, kth_root, partial,
-                    restrict_to_line, squarefree_part)
+                    restrict_to_line, squarefree_part, uni_gcd)
 from .multinet import Pencil
 
 
@@ -307,32 +307,66 @@ def _integer_root_candidates(q):
 
 
 def _discriminant_lambdas(pencil: Pencil):
-    """Rational lambda where a fixed probe-line restriction is non-reduced."""
+    """Lambda of the fibers through the zeros, on a probe line, of the
+    pencil's Jacobian form J = g1*grad(g2) - g2*grad(g1): the rational ones
+    through the affine zeros, and the one through the point at infinity.
+
+    The gcd of the coefficients of J is prod C^(m_C - 1) over the fiber
+    components C of multiplicity m_C (Pereira-Yuzvinsky, Adv. Math. 2008;
+    Falk-Yuzvinsky, Compositio Math. 2007), so every point of a multiple
+    component is a zero of J.  On the line L = P + t*D, with E = (0, 0, 1)
+    independent of P and D, J vanishes at t iff J.D and J.E do: by Euler's
+    relation x.J = 0, so J.P = -t*J.D.  On L, J.D is the Wronskian
+    W = r1*r2' - r2*r1' of the restrictions r1, r2 and J.E is
+    r1*(dg2/dz)|L - r2*(dg1/dz)|L, and G = gcd(W, J.E) has the affine
+    zeros.  The fiber through a zero t0 of G is r1/F - lambda*r2/F = 0 at
+    t0, where F = gcd(r1, r2) has the base points on L; R(lambda) =
+    res(G, r1/F - lambda*r2/F) has degree <= deg G, and is interpolated
+    from deg G + 1 integer nodes.  J vanishes at the point at infinity D iff
+    deg W < 2d - 2 and deg J.E < 2d - 1, and then the fiber through D, over
+    [r1's t^d coefficient : r2's], is returned as well, in K and not only
+    in Q.  Each lambda found is a root of the discriminant of r1 - lambda*r2;
+    a member that L only touches, with no zero of J on L, is not found.
+
+    A line through a base point at infinity, on which F is not squarefree,
+    or on which r1 and r2 are proportional is skipped.  The name is kept
+    from the search it replaced, which took every root of that
+    discriminant.
+    """
+    d = pencil.g1.degree
+    dz1, dz2 = partial(pencil.g1, 2), partial(pencil.g2, 2)
     for point, direction in _PROBES:
         r1 = restrict_to_line(pencil.g1, point, direction)
         r2 = restrict_to_line(pencil.g2, point, direction)
-        d1 = max(r1.degree, r2.degree)
-        if d1 < 1:
+        if r1.degree < d and r2.degree < d:
+            continue  # the point at infinity is a base point
+        w = r1 * r2.derivative() - r2 * r1.derivative()
+        if w.is_zero:
             continue
-        # res(f, f') is the determinant of the (2*d1 - 1)-square Sylvester
-        # matrix, whose entries are linear in lambda: 2*d1 nodes fix it
-        nodes, values = [], []
-        lams = map(Fraction, count())
-        # the t^d1 coefficient of r1 - lambda*r2 vanishes for at most one
-        # lambda, so the nodes 0, ..., 2*d1 give 2*d1 usable ones
-        while len(nodes) < 2 * d1:
-            lam = next(lams)
-            f = r1 - r2 * FieldElement(lam)
-            if f.degree != d1:
-                continue  # leading coefficient vanished at this node
-            nodes.append(lam)
-            values.append(_resultant(f, f.derivative()))
-        disc = _newton_interpolate(nodes, values)
-        if disc.is_zero:
-            continue
-        return [(FieldElement(root), ONE) for root in _rational_roots(disc)]
-    raise DegeneratePencil("no probe line gives a nonzero discriminant, as "
-                           "when the pencil has a fixed multiple component")
+        je = (r1 * restrict_to_line(dz2, point, direction)
+              - r2 * restrict_to_line(dz1, point, direction))
+        g = uni_gcd(je, w)
+        # F divides W and J.E, so F = gcd(G, r1, r2)
+        f = uni_gcd(g, r1.divmod(g)[1])
+        f = uni_gcd(f, r2.divmod(f)[1])
+        if uni_gcd(f, f.derivative()).degree > 0:
+            continue  # as for a fixed multiple component
+        lams = []
+        if w.degree < 2 * d - 2 and je.degree < 2 * d - 1:
+            lams.append(tuple(r.coeffs[d] if r.degree == d else ZERO
+                              for r in (r1, r2)))
+        if g.degree > 0:
+            if f.degree > 0:
+                r1, r2 = r1.divmod(f)[0], r2.divmod(f)[0]
+            a, b = r1.divmod(g)[1], r2.divmod(g)[1]
+            nodes = range(g.degree + 1)
+            values = [_resultant(g, a - b * lam) for lam in nodes]
+            lams += [(FieldElement(root), ONE) for root in
+                     _rational_roots(_newton_interpolate(nodes, values))]
+        return lams
+    raise DegeneratePencil("no probe line gives a proper Jacobian zero "
+                           "search, as when the pencil has a fixed multiple "
+                           "component")
 
 
 def _line_frame(covector):
@@ -384,8 +418,9 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=(),
                       line_fibers=None):
     """Sound candidate list of special parameters.
 
-    Per-line parameters, rational discriminant roots of a probe-line
-    restriction, caller extras, and always the two base members [0:1], [1:0].
+    Per-line parameters, the parameters of the fibers through the zeros of
+    the pencil's Jacobian form on a probe line (_discriminant_lambdas),
+    caller extras, and always the two base members [0:1], [1:0].
     line_fibers is _line_fibers(A, pencil), computed here when not given.
     """
     if is_proportional(pencil.g1, pencil.g2):

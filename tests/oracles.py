@@ -6,7 +6,7 @@ obviously correct on the small instances the tests use.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import gcd
 import random
 
@@ -14,9 +14,11 @@ import mpmath
 
 from starnet.aomoto import SNFResult
 from starnet.arrangement import Arrangement, build
-from starnet.errors import NotAPower, NotDivisible
-from starnet.field import FieldElement, normalize, serialize_element
-from starnet.mpoly import MultiPoly, UniPoly, exact_divide
+from starnet.errors import DegeneratePencil, NotAPower, NotDivisible
+from starnet.fibration import (_PROBES, _newton_interpolate, _rational_roots,
+                               _resultant)
+from starnet.field import ONE, FieldElement, normalize, serialize_element
+from starnet.mpoly import MultiPoly, UniPoly, exact_divide, restrict_to_line
 
 
 def brute_lattice(A: Arrangement):
@@ -475,6 +477,38 @@ def ref_line_lambdas(A: Arrangement, pencil):
 def _cross_nonzero(p, q):
     return any(not (p[i] * q[j] - p[j] * q[i]).is_zero
                for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def ref_discriminant_lambdas(pencil):
+    """Rational lambda where a fixed probe-line restriction is non-reduced:
+    the rational roots of the discriminant res(f, f') of f = r1 - lambda*r2
+    on the first probe line where it is nonzero, rebuilt from 2*d1 nodes.
+    Every lambda where the line is tangent to a member is a root."""
+    for point, direction in _PROBES:
+        r1 = restrict_to_line(pencil.g1, point, direction)
+        r2 = restrict_to_line(pencil.g2, point, direction)
+        d1 = max(r1.degree, r2.degree)
+        if d1 < 1:
+            continue
+        # res(f, f') is the determinant of the (2*d1 - 1)-square Sylvester
+        # matrix, whose entries are linear in lambda: 2*d1 nodes fix it
+        nodes, values = [], []
+        lams = map(Fraction, count())
+        # the t^d1 coefficient of r1 - lambda*r2 vanishes for at most one
+        # lambda, so the nodes 0, ..., 2*d1 give 2*d1 usable ones
+        while len(nodes) < 2 * d1:
+            lam = next(lams)
+            f = r1 - r2 * FieldElement(lam)
+            if f.degree != d1:
+                continue  # leading coefficient vanished at this node
+            nodes.append(lam)
+            values.append(_resultant(f, f.derivative()))
+        disc = _newton_interpolate(nodes, values)
+        if disc.is_zero:
+            continue
+        return [(FieldElement(root), ONE) for root in _rational_roots(disc)]
+    raise DegeneratePencil("no probe line gives a nonzero discriminant, as "
+                           "when the pencil has a fixed multiple component")
 
 
 # -- Smith normal form on dense transforms ---------------------------------

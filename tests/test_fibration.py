@@ -1,13 +1,12 @@
 """Pencil analysis: special fibers, classification, jump-locus components."""
 
+import json
 from fractions import Fraction
-from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starnet import fibration
 from starnet.arrangement import Line, build, builtin, delete
 from starnet.cli import main
 from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
@@ -15,13 +14,15 @@ from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
                             StarnetError)
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S, normalize
-from starnet.fibration import (_PROBES, _integer_root_candidates,
+from starnet.fibration import (_PROBES, _discriminant_lambdas,
+                               _integer_root_candidates,
                                _integer_squarefree_part, _line_fibers,
                                _line_frame,
                                _newton_interpolate, _rational_roots,
                                _resultant, analyze,
                                analyze_fiber, fiber_polynomial,
-                               lambda_candidates, normalize_lambda,
+                               lambda_candidates, lambda_key,
+                               normalize_lambda,
                                orbifold_v1_shape, pointed_vs_fiber,
                                splits_into_linear_factors,
                                translated_component)
@@ -30,7 +31,8 @@ from starnet.multinet import (Pencil, builtin_pencil, enumerate_multinets,
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, is_proportional,
                            kth_root, restrict_to_line, squarefree_part)
 
-from oracles import lagrange_interpolate, ref_line_lambdas, sylvester_resultant
+from oracles import (lagrange_interpolate, ref_discriminant_lambdas,
+                     ref_line_lambdas, sylvester_resultant)
 
 
 def test_normalize_lambda():
@@ -92,8 +94,8 @@ def test_b3_del_z_small_and_explained():
 
 
 def test_b3_del_z_irrational_multiple_fiber():
-    # with g2 scaled by r the multiple fiber moves to [1:r]: no rational
-    # discriminant root finds it, only the per-line parameters do
+    # with g2 scaled by r the multiple fiber moves to [1:r]: the probe-line
+    # search keeps rational roots only, so the per-line parameters find it
     A = builtin("b3_del_z")
     pen = builtin_pencil("b3_del_z")
     rep = analyze(A, Pencil(pen.g1, pen.g2.scale(R), ()))
@@ -105,8 +107,8 @@ def test_b3_del_z_irrational_multiple_fiber():
 
 
 def test_fixed_double_component_is_loud(capsys):
-    # every member of the pencil contains x twice, so no probe line gives a
-    # nonzero discriminant
+    # every member of the pencil contains x twice, so every probe line meets
+    # the base locus with multiplicity
     code = main(["analyze", "--builtin", "b3", "--pencil", "x^2*y; x^2*z"])
     assert code == 1
     assert "analysis failed: DegeneratePencil" in capsys.readouterr().err
@@ -284,44 +286,16 @@ def test_newton_interpolation_matches_lagrange(nodes, data):
     assert [poly.evaluate(FieldElement(x)) for x in nodes] == values
 
 
-def _probe_resultants(r1, r2, n):
-    """The first n nodes lambda = 0, 1, ... where f = r1 - lambda*r2 keeps
-    its degree, and res(f, f') at each of them."""
-    d1 = max(r1.degree, r2.degree)
-    nodes, values = [], []
-    for lam in map(Fraction, count()):
-        if len(nodes) == n:
-            return nodes, values
-        f = r1 - r2 * FieldElement(lam)
-        if f.degree == d1:
-            nodes.append(lam)
-            values.append(_resultant(f, f.derivative()))
+def _keys(lams):
+    return {lambda_key(normalize_lambda(lam)) for lam in lams}
 
 
-def _check_discriminant_nodes(pencil):
-    """_discriminant_lambdas interpolates at 2*d1 nodes, and 2*d1 + 1
-    nodes give the same polynomial, of degree < 2*d1."""
-    used = []
-
-    def spy(nodes, values):
-        poly = _newton_interpolate(nodes, values)
-        used.append((len(nodes), poly))
-        return poly
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fibration, "_newton_interpolate", spy)
-        fibration._discriminant_lambdas(pencil)
-    probes = [[restrict_to_line(g, *probe) for g in (pencil.g1, pencil.g2)]
-              for probe in _PROBES]
-    probes = [(r1, r2) for r1, r2 in probes
-              if max(r1.degree, r2.degree) >= 1]
-    assert used
-    for (r1, r2), (n, poly) in zip(probes, used):
-        d1 = max(r1.degree, r2.degree)
-        assert n == 2 * d1
-        full = _newton_interpolate(*_probe_resultants(r1, r2, 2 * d1 + 1))
-        assert full.degree < 2 * d1
-        assert full == poly
+def _check_within_reference(pencil):
+    """The Jacobian zero search finds a subset of the rational roots of the
+    2*d1-node probe discriminant, which also lists every member that the
+    probe line is merely tangent to."""
+    assert _keys(_discriminant_lambdas(pencil)) \
+        <= _keys(ref_discriminant_lambdas(pencil))
 
 
 @pytest.mark.parametrize("setup", [
@@ -331,25 +305,84 @@ def _check_discriminant_nodes(pencil):
     lambda: Pencil(X * Y, X * Z, ()),
     lambda: _b3_multinet_pencil()[1],
 ], ids=["double_star", "b3", "b3_del_z", "b3_fixed_x", "b3_from_multinet"])
-def test_discriminant_nodes_on_golden_pencils(setup):
-    _check_discriminant_nodes(setup())
+def test_discriminant_lambdas_within_reference_on_golden_pencils(setup):
+    _check_within_reference(setup())
+
+
+def homogeneous_forms(degree, coeff):
+    monos = [(i, j, degree - i - j) for i in range(degree + 1)
+             for j in range(degree + 1 - i)]
+    return st.lists(coeff, min_size=len(monos), max_size=len(monos)).map(
+        lambda cs: MultiPoly(dict(zip(monos, cs))))
 
 
 @st.composite
 def dense_pencils(draw):
     d = draw(st.integers(3, 5))
-    monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
     coeff = st.builds(FieldElement, st.integers(-9, 9).filter(bool),
                       st.integers(-3, 3))
-    g1, g2 = (MultiPoly({m: draw(coeff) for m in monos}) for _ in range(2))
+    g1, g2 = (draw(homogeneous_forms(d, coeff)) for _ in range(2))
     assume(not is_proportional(g1, g2))
     return Pencil(g1, g2, ())
 
 
 @settings(max_examples=20, deadline=None)
 @given(dense_pencils())
-def test_discriminant_nodes_on_dense_pencils(pencil):
-    _check_discriminant_nodes(pencil)
+def test_discriminant_lambdas_within_reference_on_dense_pencils(pencil):
+    _check_within_reference(pencil)
+
+
+def test_probe_lines_span_the_plane_with_e():
+    # J.D and J.E vanish together only where J does when (P, D, E) is a
+    # basis; with E = (0, 0, 1), det(P, D, E) = P_x*D_y - P_y*D_x
+    for point, direction in _PROBES:
+        assert point[0] * direction[1] != point[1] * direction[0]
+
+
+tower_coeffs = st.builds(FieldElement, *[st.integers(-30, 30)] * 4)
+
+
+def _check_planted_fiber(lam0, c, m, b, g2):
+    pencil = Pencil(g2.scale(FieldElement(lam0)) + c ** m * b, g2, ())
+    want = lambda_key(normalize_lambda((FieldElement(lam0), ONE)))
+    assert want in _keys(_discriminant_lambdas(pencil))
+    assert want in _keys(lambda_candidates(builtin("b3"), pencil))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=20),
+       st.integers(1, 2).flatmap(lambda k: homogeneous_forms(k, tower_coeffs)),
+       st.integers(2, 3), st.integers(0, 1), st.data())
+def test_planted_multiple_fiber_is_a_candidate(lam0, c, m, deg_b, data):
+    # g1 = lam0*g2 + C^m*B: the fiber over [lam0 : 1] holds the line or
+    # conic C m times
+    assume(not c.is_zero)
+    coeff = st.builds(FieldElement, st.integers(-9, 9), st.integers(-3, 3))
+    b = data.draw(homogeneous_forms(deg_b, tower_coeffs))
+    g2 = data.draw(homogeneous_forms(m * c.degree + deg_b, coeff))
+    assume(not b.is_zero and not g2.is_zero)
+    _check_planted_fiber(lam0, c, m, b, g2)
+
+
+def test_planted_fiber_through_the_probe_point_at_infinity():
+    # x - 7y meets the first probe line (t, 1/3 + t/7, 1) only at its point
+    # at infinity (1, 1/7, 0), so only the rule for that point finds it
+    c = parse_poly("x - 7*y")
+    point, direction = _PROBES[0]
+    assert restrict_to_line(c, point, direction).degree == 0
+    assert c.evaluate(direction).is_zero
+    _check_planted_fiber(Fraction(2), c, 2, MultiPoly.constant(1),
+                         parse_poly("x^2 + 3*y*z - z^2"))
+
+
+def test_tangent_member_is_not_a_fiber(capsys):
+    # the probe line is tangent to one smooth conic of the pencil, over
+    # [1 : 450/49]; no zero of the Jacobian form lies on it
+    code = main(["analyze", "--builtin", "b3", "--pencil", "x^2+y^2;z^2",
+                 "--format", "json"])
+    assert code == 0
+    fibers = json.loads(capsys.readouterr().out)["results"]["fibers"]
+    assert [f["lambda"] for f in fibers] == [["0", "1"], ["1", "0"]]
 
 
 @settings(max_examples=60, deadline=None)
