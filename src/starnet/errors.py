@@ -64,8 +64,8 @@ class InvalidPencil(InputError):
 class DegeneratePencil(StarnetError):
     """The pencil cannot be analyzed: its two generators are proportional,
     or no probe line can carry the search for multiple fibers (every probe
-    passes through a base point at infinity, meets the base locus with
-    multiplicity, or restricts the generators to proportional forms), as
+    meets the base locus with multiplicity, at its point at infinity or
+    elsewhere, or restricts the generators to proportional forms), as
     when every member shares a fixed multiple component."""
 
 

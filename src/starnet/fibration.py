@@ -325,11 +325,16 @@ def _discriminant_lambdas(pencil: Pencil):
     from deg G + 1 integer nodes.  J vanishes at the point at infinity D iff
     deg W < 2d - 2 and deg J.E < 2d - 1, and then the fiber through D, over
     [r1's t^d coefficient : r2's], is returned as well, in K and not only
-    in Q.  Each lambda found is a root of the discriminant of r1 - lambda*r2;
-    a member that L only touches, with no zero of J on L, is not found.
+    in Q.  When D is a base point, a simple common zero of r1 and r2 (both
+    lose degree 1), J vanishes there and, as at the zeros of F, the fiber
+    of higher order there, over [r1's t^(d-1) coefficient : r2's], is
+    returned.  Each lambda found is a root of the discriminant of
+    r1 - lambda*r2; a member that L only touches, with no zero of J on L,
+    is not found.
 
-    A line through a base point at infinity, on which F is not squarefree,
-    or on which r1 and r2 are proportional is skipped.  The name is kept
+    A line on which D is a multiple base point (both restrictions lose
+    degree 2 or more), on which F is not squarefree, or on which r1 and r2
+    are proportional is skipped.  The name is kept
     from the search it replaced, which took every root of that
     discriminant.
     """
@@ -338,8 +343,10 @@ def _discriminant_lambdas(pencil: Pencil):
     for point, direction in _PROBES:
         r1 = restrict_to_line(pencil.g1, point, direction)
         r2 = restrict_to_line(pencil.g2, point, direction)
-        if r1.degree < d and r2.degree < d:
-            continue  # the point at infinity is a base point
+        # the order of the point at infinity D as a common zero of r1, r2
+        k = d - max(r1.degree, r2.degree)
+        if k > 1:
+            continue  # D is a multiple base point
         w = r1 * r2.derivative() - r2 * r1.derivative()
         if w.is_zero:
             continue
@@ -352,8 +359,10 @@ def _discriminant_lambdas(pencil: Pencil):
         if uni_gcd(f, f.derivative()).degree > 0:
             continue  # as for a fixed multiple component
         lams = []
-        if w.degree < 2 * d - 2 and je.degree < 2 * d - 1:
-            lams.append(tuple(r.coeffs[d] if r.degree == d else ZERO
+        if k or (w.degree < 2 * d - 2 and je.degree < 2 * d - 1):
+            # J vanishes at D; at a base point, as at the zeros of F, the
+            # fiber of higher order there than the others
+            lams.append(tuple(r.coeffs[d - k] if r.degree == d - k else ZERO
                               for r in (r1, r2)))
         if g.degree > 0:
             if f.degree > 0:
