@@ -19,16 +19,12 @@ from math import inf
 from .arrangement import (BUILTIN_NAMES, arrangement_to_json, builtin, delete,
                           load_arrangement, render_svg)
 from .aomoto import aomoto_complex, h2_torsion
-from .errors import InputError, StarnetError
+from .errors import InputError, StarnetError, UsageError
 from .exprs import parse_field_element, parse_poly
 from .fibration import (analyze, orbifold_v1_shape, pointed_vs_fiber,
                         translated_component)
 from .multinet import (Pencil, builtin_pencil, enumerate_multinets,
                        find_pointed, multinet_pencil)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load(args):
@@ -96,18 +92,9 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _multinets(args, A):
-    """The multinets of A within --max-k and --max-mult, checked here."""
-    if args.max_k < 3:
-        raise UsageError("--max-k must be at least 3: a multinet has k >= 3")
-    if args.max_mult < 1:
-        raise UsageError("--max-mult must be positive")
-    return enumerate_multinets(A, max_k=args.max_k, max_mult=args.max_mult)
-
-
 def cmd_multinets(args) -> int:
     A = _load(args)
-    nets = _multinets(args, A)
+    nets = enumerate_multinets(A, max_k=args.max_k, max_mult=args.max_mult)
     results = []
     for net in nets:
         doc = net.describe()
@@ -137,7 +124,8 @@ def _resolve_pencil(args, A) -> Pencil:
         g1, g2 = (parse_poly(text) for text in args.pencil.split(";", 1))
         return Pencil(g1, g2, ())
     if args.from_multinet is not None:
-        nets = _multinets(args, A)
+        nets = enumerate_multinets(A, max_k=args.max_k,
+                                   max_mult=args.max_mult)
         if not 0 <= args.from_multinet < len(nets):
             raise UsageError(
                 f"--from-multinet index out of range: {len(nets)} found")
@@ -287,7 +275,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except (UsageError, InputError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StarnetError as exc:

@@ -13,6 +13,10 @@ class ParseError(InputError):
     """Malformed expression or file input."""
 
 
+class UsageError(InputError):
+    """An option or parameter is missing, out of range or inconsistent."""
+
+
 class NotDivisible(StarnetError):
     """Exact polynomial division left a nonzero remainder."""
 

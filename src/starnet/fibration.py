@@ -23,10 +23,9 @@ on the line are those of one univariate gcd of two of its coefficients, and
 the parameters of the fibers through them are the roots of a resultant of
 degree at most the number of zeros, interpolated at that many integer nodes
 plus one.  The rational roots of that resultant are those of the
-squarefree part of one coordinate polynomial, taken by a primitive remainder
-sequence over the integers.  Each fiber is then divided, by synthetic division
-(mpoly.divide_out), only by the lines whose own lambda is its lambda, and by
-the lines in every fiber.
+squarefree part (mpoly.squarefree_part) of one coordinate polynomial.  Each
+fiber is then divided, by synthetic division (mpoly.divide_out), only by the
+lines whose own lambda is its lambda, and by the lines in every fiber.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -39,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import count, zip_longest
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
@@ -208,59 +207,12 @@ def _rational_roots(poly: UniPoly):
         return []
     chosen = next(cp for cp in zip(*(c.coords() for c in poly.coeffs))
                   if any(cp))
-    den = lcm(*(c.denominator for c in chosen))
-    sf = _integer_squarefree_part([int(c * den) for c in chosen])
-    p = [Fraction(c, sf[-1]) for c in sf]
+    sf = squarefree_part(UniPoly(chosen)).monic()
+    p = [c.coords()[0] for c in sf.coeffs]
     den = lcm(*(c.denominator for c in p))
     q = [int(c * den ** (len(p) - 1 - i)) for i, c in enumerate(p)]
     cands = (Fraction(y, den) for y in _integer_root_candidates(q))
     return sorted({c for c in cands if poly.evaluate(FieldElement(c)).is_zero})
-
-
-def _primitive(a):
-    """a (low to high) without trailing zeros, divided by its content and
-    signed so that its leading coefficient is positive; [] for zero."""
-    while a and not a[-1]:
-        a = a[:-1]
-    if not a:
-        return []
-    g = gcd(*a)
-    g = g if a[-1] > 0 else -g
-    return [c // g for c in a]
-
-
-def _pseudo_remainder(a, b):
-    """prem(a, b) for integer polynomials, b nonzero: a remainder of
-    lc(b)^e * a by b, computed without fractions."""
-    n, lb = len(b) - 1, b[-1]
-    while len(a) > n:
-        la, shift = a[-1], len(a) - 1 - n
-        a = [lb * c for c in a]
-        for j, c in enumerate(b):
-            a[shift + j] -= la * c
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _integer_squarefree_part(q):
-    """q / gcd(q, q') for a nonzero integer polynomial q (low to high), as a
-    primitive integer polynomial with positive leading coefficient.  The
-    gcd is the last nonzero entry of the primitive remainder sequence."""
-    a = _primitive(q)
-    b = _primitive([i * c for i, c in enumerate(a)][1:])
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    # a is the primitive gcd, so the quotient has integer coefficients
-    rem, quot = _primitive(q), []
-    while len(rem) >= len(a):
-        c = rem[-1] // a[-1]
-        quot.append(c)
-        shift = len(rem) - len(a)
-        for j, ac in enumerate(a):
-            rem[shift + j] -= c * ac
-        rem.pop()
-    return _primitive(quot[::-1])
 
 
 def _horner_mod(coeffs, x, m):

@@ -80,10 +80,6 @@ class MultiPoly:
         return max(e[0] + e[1] + e[2] for e in self.terms)
 
     @property
-    def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self.terms)
-
-    @property
     def is_homogeneous(self) -> bool:
         degs = {e[0] + e[1] + e[2] for e in self.terms}
         return len(degs) <= 1

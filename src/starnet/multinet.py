@@ -20,7 +20,7 @@ from math import gcd, lcm, prod
 
 from .arrangement import Arrangement, components, double_star_affine_covectors
 from .errors import (InvalidPencil, NonPositiveMultiplicity, NotAPartition,
-                     NotAPencil, UnknownBuiltin)
+                     NotAPencil, UnknownBuiltin, UsageError)
 from .field import ZERO
 from .mpoly import MultiPoly, X, Y, Z, is_proportional
 
@@ -299,9 +299,9 @@ def enumerate_multinets(A: Arrangement, max_k: int = 4, max_mult: int = 4):
     which every multinet keeps inside one class.
     """
     if max_k < 3:
-        raise ValueError("max_k must be at least 3")
+        raise UsageError("max_k must be at least 3: a multinet has k >= 3")
     if max_mult < 1:
-        raise ValueError("max_mult must be at least 1")
+        raise UsageError("max_mult must be at least 1")
     n = A.n
     points = A.lattice()
     blocks = A.double_point_blocks()

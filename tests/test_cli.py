@@ -72,9 +72,9 @@ def _doc(*covectors, labels="abc"):
     (("analyze", "--builtin", "b3", "--pencil", "x;y",
       "--lambda", "1,2,3"), None, "--lambda"),
     (("analyze", "--builtin", "b3", "--from-multinet", "0", "--max-k", "2"),
-     None, "--max-k"),
+     None, "max_k"),
     (("analyze", "--builtin", "b3", "--from-multinet", "0",
-      "--max-mult", "0"), None, "--max-mult"),
+      "--max-mult", "0"), None, "max_mult"),
     # str.isdigit takes a superscript two and an Arabic-Indic three
     (("analyze", "--builtin", "b3", "--pencil", "x\u00b2;y^2"), None,
      "unexpected character"),

@@ -15,8 +15,7 @@ from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S, normalize
 from starnet.fibration import (_PROBES, _discriminant_lambdas,
-                               _integer_root_candidates,
-                               _integer_squarefree_part, _line_fibers,
+                               _integer_root_candidates, _line_fibers,
                                _line_frame,
                                _newton_interpolate, _rational_roots,
                                _resultant, analyze,
@@ -29,7 +28,7 @@ from starnet.fibration import (_PROBES, _discriminant_lambdas,
 from starnet.multinet import (Pencil, builtin_pencil, enumerate_multinets,
                               multinet_pencil)
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, is_proportional,
-                           kth_root, restrict_to_line, squarefree_part)
+                           kth_root, restrict_to_line)
 
 from oracles import (lagrange_interpolate, ref_discriminant_lambdas,
                      ref_line_lambdas, sylvester_resultant)
@@ -411,30 +410,6 @@ def test_tangent_member_is_not_a_fiber(capsys):
     assert code == 0
     fibers = json.loads(capsys.readouterr().out)["results"]["fibers"]
     assert [f["lambda"] for f in fibers] == [["0", "1"], ["1", "0"]]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.lists(st.integers(-10 ** 12, 10 ** 12),
-                                   min_size=1, max_size=3),
-                          st.integers(1, 3)),
-                min_size=1, max_size=4),
-       st.integers(-10 ** 30, 10 ** 30).filter(bool))
-def test_integer_squarefree_part_matches_field_gcd(factors, scale):
-    q = [scale]
-    for coeffs, mult in factors:
-        if not any(coeffs):
-            continue
-        for _ in range(mult):
-            q = [sum(q[i] * coeffs[k - i] for i in range(len(q))
-                     if 0 <= k - i < len(coeffs))
-                 for k in range(len(q) + len(coeffs) - 1)]
-    while not q[-1]:
-        q.pop()
-    sf = _integer_squarefree_part(q)
-    assert sf[-1] > 0
-    want = squarefree_part(UniPoly([FieldElement(c) for c in q])).monic()
-    assert [Fraction(c, sf[-1]) for c in sf] == \
-        [c.coords()[0] for c in want.coeffs]
 
 
 def line_lambdas(A, pencil):

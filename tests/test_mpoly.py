@@ -289,6 +289,26 @@ def test_squarefree_part():
         (lin * (x + one)) * FieldElement(4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-10 ** 12, 10 ** 12),
+                                   min_size=1, max_size=3),
+                          st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.integers(-10 ** 30, 10 ** 30).filter(bool))
+def test_squarefree_part_of_high_height_products(factors, scale):
+    p = UniPoly([scale])
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            p = p * UniPoly(coeffs) if any(coeffs) else p
+    sf = squarefree_part(p)
+    assert p.divmod(sf)[1].is_zero
+    assert uni_gcd(sf, sf.derivative()).degree == 0
+    # every root of p is a root of sf, of multiplicity at most deg p
+    power = UniPoly([1]).divmod(p)[1]
+    for _ in range(p.degree):
+        power = (power * sf).divmod(p)[1]
+    assert power.is_zero
+
 def test_evaluate_partial_degrees():
     p = X ** 3 + Y * Z
     pt = tuple(FieldElement(v) for v in (2, 3, 5))

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starnet.arrangement import build, builtin
-from starnet.errors import (NonPositiveMultiplicity, NotAPartition,
-                            NotAPencil, UnknownBuiltin)
+from starnet.errors import (InputError, NonPositiveMultiplicity,
+                            NotAPartition, NotAPencil, UnknownBuiltin)
 from starnet.multinet import (Multinet, _integer_solutions, _nullspace,
                               builtin_pencil, check_multinet,
                               class_polynomial, enumerate_multinets,
@@ -78,7 +78,10 @@ def test_bad_inputs():
         check_multinet(A, [["x"], ["x"], ["y"]], (1, 1, 1))
     with pytest.raises(NonPositiveMultiplicity):
         check_multinet(A, [["x"], ["y"], ["z"]], (0, 1, 1))
-
+    with pytest.raises(InputError, match="k >= 3"):
+        enumerate_multinets(A, max_k=2)
+    with pytest.raises(InputError, match="max_mult"):
+        enumerate_multinets(A, max_mult=0)
 
 def test_enumerator_matches_exhaustive_small():
     for A in (triangle(), hexagon_net()):
