@@ -5,18 +5,19 @@ broken-circuit style basis: at each affine intersection point p with
 incident lines i1 < ... < ir, the products (i1, ij) for j >= 2.  Parallel
 lines meet only at infinity and contribute nothing.  Cup product with a
 degree-one integer class omega gives the two-step complex whose second
-cohomology torsion is computed by Smith normal form.  The transforms U and
-V are kept as well; V is as wide as the basis, so its columns are held as
-sparse dicts while reducing, and each column operation costs only the
-nonzeros of its source column.  The sweeps are sparse as well: a row
-operation touches only the columns where the pivot row is nonzero, and a
-column operation only the rows where the pivot column is nonzero, which
-after the row sweep is the pivot row alone.
+cohomology torsion is computed by Smith normal form.  The elimination
+runs on the matrix alone and logs its row and column operations; the
+unimodular transforms U and V are built from the log the first time they
+are read, and nothing in the package reads them.  The sweeps are sparse:
+a row operation touches only the columns where the pivot row is nonzero,
+and a column operation only the rows where the pivot column is nonzero,
+which after the row sweep is the pivot row alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 from .arrangement import Arrangement
@@ -100,65 +101,106 @@ def aomoto_complex(A: Arrangement, a) -> AomotoComplex:
 
 @dataclass(frozen=True)
 class SNFResult:
+    """U*M*V = diagonal, with U and V unimodular.  The elimination logs its
+    operations instead of applying them to U and V: an entry (i, j) swaps
+    lines i and j, (src, dst, f) adds f times line src to line dst and (i,)
+    negates row i.  U and V replay the log the first time they are read."""
     divisors: tuple    # nonzero diagonal, divisibility chain
     rank: int
     shape: tuple       # (rows, cols) of the input
-    U: tuple           # unimodular row transform
-    V: tuple           # unimodular column transform
     diagonal: tuple    # full diagonal of U*M*V, including zeros
+    row_ops: tuple = field(compare=False, repr=False)
+    col_ops: tuple = field(compare=False, repr=False)
 
     @property
     def torsion(self):
         return tuple(d for d in self.divisors if d > 1)
 
+    @cached_property
+    def U(self) -> tuple:
+        m = self.shape[0]
+        return tuple(tuple(row.get(k, 0) for k in range(m))
+                     for row in _replay(self.row_ops, m))
+
+    @cached_property
+    def V(self) -> tuple:
+        n = self.shape[1]
+        V = [[0] * n for _ in range(n)]
+        for j, col in enumerate(_replay(self.col_ops, n)):
+            for r, v in col.items():
+                V[r][j] = v
+        return tuple(map(tuple, V))
+
+
+def _replay(ops, size):
+    """The lines of the identity of the given size after the logged
+    operations, each a dict {position: entry} of its nonzeros, so that an
+    operation touches only the nonzeros of its source line; V is as wide
+    as the input."""
+    lines = [{k: 1} for k in range(size)]
+    for op in ops:
+        match op:
+            case (src, dst, f):
+                line = lines[dst]
+                for k, v in lines[src].items():
+                    w = line.get(k, 0) + f * v
+                    if w:
+                        line[k] = w
+                    else:
+                        del line[k]
+            case (i, j):
+                lines[i], lines[j] = lines[j], lines[i]
+            case (i,):
+                lines[i] = {k: -v for k, v in lines[i].items()}
+    return lines
+
 
 def snf(M) -> SNFResult:
-    """Smith normal form with unimodular transforms, arbitrary precision.
+    """Smith normal form, arbitrary precision.
 
-    Column j of V is kept as a dict {row: entry}, so that a column
-    operation touches only the nonzeros of V; V is made dense once, at
-    the end.  A row operation updates A only at the nonzero columns of
-    the pivot row, and a column operation only at the nonzero rows of the
-    pivot column; both index lists are made again after each swap, the
-    only step that changes the pivot row or column.  The operations are
-    those of the dense sweeps, in the same order, so U, V and the
-    diagonal are the same."""
+    The elimination runs on the matrix alone and logs each row and column
+    operation; the result builds U and V from the log when they are read,
+    and nothing in the package reads them.  A row operation updates the
+    matrix only at the nonzero columns of the pivot row, and a column
+    operation only at the nonzero rows of the pivot column; both index
+    lists are made again after each swap, the only step that changes the
+    pivot row or column.  The operations are those of the dense sweeps, in
+    the same order, less the swaps of a line with itself and the additions
+    of 0 times a line, so U, V and the diagonal are the same."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Vcols = [{j: 1} for j in range(n)]
+    row_ops = []
+    col_ops = []
 
     def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            row_ops.append((i, j))
 
     def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        Vcols[i], Vcols[j] = Vcols[j], Vcols[i]
+        if i != j:
+            for row in A:
+                row[i], row[j] = row[j], row[i]
+            col_ops.append((i, j))
 
     def add_row(src, dst, f, cols):
-        """Row dst += f * row src; cols holds the nonzero columns of A's
-        row src, the only entries of A the operation changes."""
-        a, b = A[dst], A[src]
-        for j in cols:
-            a[j] += f * b[j]
-        U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
+        """Row dst += f * row src; cols holds the nonzero columns of row
+        src, the only entries the operation changes."""
+        if f:
+            a, b = A[dst], A[src]
+            for j in cols:
+                a[j] += f * b[j]
+            row_ops.append((src, dst, f))
 
     def add_col(src, dst, f, rows):
         """Column dst += f * column src; rows holds the nonzero rows of
-        A's column src."""
-        for i in rows:
-            row = A[i]
-            row[dst] += f * row[src]
-        col = Vcols[dst]
-        for r, v in Vcols[src].items():
-            w = col.get(r, 0) + f * v
-            if w:
-                col[r] = w
-            else:
-                col.pop(r, None)   # f may be 0 and the entry absent
+        column src."""
+        if f:
+            for i in rows:
+                row = A[i]
+                row[dst] += f * row[src]
+            col_ops.append((src, dst, f))
 
     def nonzero_cols(i):
         return [j for j, v in enumerate(A[i]) if v]
@@ -168,7 +210,7 @@ def snf(M) -> SNFResult:
 
     def negate_row(i):
         A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
+        row_ops.append((i,))
 
     limit = min(m, n)
 
@@ -238,14 +280,9 @@ def snf(M) -> SNFResult:
         rank_t = reduce_from(bad)
     divisors = tuple(A[i][i] for i in range(rank_t) if A[i][i])
     diagonal = tuple(A[i][i] for i in range(limit))
-    V = [[0] * n for _ in range(n)]
-    for j, col in enumerate(Vcols):
-        for r, v in col.items():
-            V[r][j] = v
     return SNFResult(divisors=divisors, rank=len(divisors), shape=(m, n),
-                     U=tuple(tuple(r) for r in U),
-                     V=tuple(tuple(r) for r in V),
-                     diagonal=diagonal)
+                     diagonal=diagonal, row_ops=tuple(row_ops),
+                     col_ops=tuple(col_ops))
 
 
 @dataclass(frozen=True)

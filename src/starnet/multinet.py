@@ -351,7 +351,9 @@ def _integer_solutions(basis, n, max_mult):
     # determined by its values there -- scan only those
     dim = len(basis)
     if max_mult ** dim > 1_000_000:
-        raise ValueError("multiplicity search space too large")
+        raise UsageError(f"multiplicity search space too large: max_mult "
+                         f"{max_mult} to the power of the solution space's "
+                         f"dimension {dim} exceeds 10^6")
     for t in product(range(1, max_mult + 1), repeat=dim):
         cand = [Fraction(0)] * n
         for tv, vec in zip(t, basis):

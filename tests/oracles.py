@@ -5,6 +5,7 @@ search over partitions, determinantal divisors via minors.  Slow but
 obviously correct on the small instances the tests use.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import gcd
@@ -12,7 +13,6 @@ import random
 
 import mpmath
 
-from starnet.aomoto import SNFResult
 from starnet.arrangement import Arrangement, build
 from starnet.errors import DegeneratePencil, NotAPower, NotDivisible
 from starnet.fibration import (_PROBES, _newton_interpolate, _rational_roots,
@@ -513,12 +513,23 @@ def ref_discriminant_lambdas(pencil):
 
 # -- Smith normal form on dense transforms ---------------------------------
 
-def ref_snf(M) -> SNFResult:
+@dataclass(frozen=True)
+class RefSNF:
+    divisors: tuple
+    rank: int
+    shape: tuple
+    U: tuple
+    V: tuple
+    diagonal: tuple
+
+
+def ref_snf(M) -> RefSNF:
     """Smith normal form with unimodular transforms on dense matrices.
 
     The same pivot rule and operation sequence as starnet.aomoto.snf, with
-    V a dense list of rows and a pivot scan over the whole trailing
-    submatrix, so every field of the result must agree."""
+    U and V dense lists of rows updated by every operation and a pivot scan
+    over the whole trailing submatrix, so every field of the result, and
+    snf's U and V, must agree."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
@@ -602,10 +613,10 @@ def ref_snf(M) -> SNFResult:
         rank_t = reduce_from(bad)
     divisors = tuple(A[i][i] for i in range(rank_t) if A[i][i])
     diagonal = tuple(A[i][i] for i in range(limit))
-    return SNFResult(divisors=divisors, rank=len(divisors), shape=(m, n),
-                     U=tuple(tuple(r) for r in U),
-                     V=tuple(tuple(r) for r in V),
-                     diagonal=diagonal)
+    return RefSNF(divisors=divisors, rank=len(divisors), shape=(m, n),
+                  U=tuple(tuple(r) for r in U),
+                  V=tuple(tuple(r) for r in V),
+                  diagonal=diagonal)
 
 
 # -- lattice order and element text on Fraction coordinates ----------------

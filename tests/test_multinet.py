@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from starnet.arrangement import build, builtin
 from starnet.errors import (InputError, NonPositiveMultiplicity,
-                            NotAPartition, NotAPencil, UnknownBuiltin)
+                            NotAPartition, NotAPencil, UnknownBuiltin,
+                            UsageError)
 from starnet.multinet import (Multinet, _integer_solutions, _nullspace,
                               builtin_pencil, check_multinet,
                               class_polynomial, enumerate_multinets,
@@ -190,6 +191,13 @@ def test_integer_solutions_on_a_plane():
         assert sorted(_integer_solutions(basis, 4, max_mult)) == brute
     # at max_mult 6, five points are kept and (6, 2, 4, 4), of gcd 2, is not
     assert len(brute) == 5 and (6, 2, 4, 4) not in brute
+
+
+def test_integer_solutions_search_space_bound_is_a_usage_error():
+    # 1001^2 > 10^6 points to scan on a 2-dimensional solution space
+    basis = [[1, 1, 1, 0], [Fraction(1, 2), Fraction(-1, 2), 0, 1]]
+    with pytest.raises(UsageError, match=r"max_mult 1001.*dimension 2"):
+        next(_integer_solutions(basis, 4, 1001))
 
 
 def test_generic_five_lines_have_no_multinet():
