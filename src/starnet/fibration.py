@@ -22,10 +22,10 @@ Jacobian form g1*dg2 - g2*dg1, divisible by C^(m - 1), vanishes.  The zeros
 on the line are those of one univariate gcd of two of its coefficients, and
 the parameters of the fibers through them are the roots of a resultant of
 degree at most the number of zeros, interpolated at that many integer nodes
-plus one.  The rational roots of that resultant are those of the
-squarefree part (mpoly.squarefree_part) of one coordinate polynomial.  Each
-fiber is then divided, by synthetic division (mpoly.divide_out), only by the
-lines whose own lambda is its lambda, and by the lines in every fiber.
+plus one.  Its roots in K, those of its squarefree part, are found through
+an inert prime (field.roots, starnet.modp).  Each fiber is then divided, by
+synthetic division (mpoly.divide_out), only by the lines whose own lambda
+is its lambda, and by the lines in every fiber.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -37,14 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import count, zip_longest
-from math import isqrt, lcm
+from itertools import zip_longest
 
 from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
                      MultipleMultipleFibers, NotAPower, NotDivisible, NotSmall,
-                     NotSquarefree, RadicalNotCertified)
-from .field import ONE, ZERO, FieldElement, normalize, serialize_element
+                     RadicalNotCertified)
+from .field import (ONE, ZERO, FieldElement, normalize, roots,
+                    serialize_element)
 from .mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
                     exact_divide, hessian, is_proportional, kth_root, partial,
                     restrict_to_line, squarefree_part, uni_gcd)
@@ -196,71 +196,15 @@ _PROBES = (
 
 
 def _rational_roots(poly: UniPoly):
-    """Rational values where the field-coefficient polynomial vanishes.
-
-    A rational root kills every coordinate polynomial over Q, so it is a
-    root of the monic squarefree part p of one of them.  With L the common
-    denominator of p, the rational roots of p are y / L for the integer
-    roots y of the monic integer q(y) = L^d * p(y / L).
-    """
-    if poly.is_zero:
-        return []
-    chosen = next(cp for cp in zip(*(c.coords() for c in poly.coeffs))
-                  if any(cp))
-    sf = squarefree_part(UniPoly(chosen)).monic()
-    p = [c.coords()[0] for c in sf.coeffs]
-    den = lcm(*(c.denominator for c in p))
-    q = [int(c * den ** (len(p) - 1 - i)) for i, c in enumerate(p)]
-    cands = (Fraction(y, den) for y in _integer_root_candidates(q))
-    return sorted({c for c in cands if poly.evaluate(FieldElement(c)).is_zero})
-
-
-def _horner_mod(coeffs, x, m):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _integer_root_candidates(q):
-    """Candidates holding every integer root of the monic q (low to high,
-    squarefree over Q).  Roots satisfy |y| < B = 1 + max |q_i|; each is the
-    symmetric residue of a simple root of q mod the first prime where all
-    roots are simple, lifted by Newton's iteration modulo p^(2^j) > 2B.
-
-    A prime with a multiple root of q mod p divides res(q, q'), which is
-    nonzero for a squarefree q, so the product of such primes is at most
-    Hadamard's bound H on the Sylvester matrix of (q, q'):
-    H^2 = |q|^(2(d-1)) * |q'|^(2d).  Past that bound q is not squarefree,
-    and NotSquarefree is raised."""
-    bound = 1 + max((abs(c) for c in q[:-1]), default=0)
-    dq = [i * c for i, c in enumerate(q)][1:]
-    d = len(dq)
-    hadamard2 = (sum(c * c for c in q) ** (d - 1)
-                 * sum(c * c for c in dq) ** d) if d else 1
-    bad = 1
-    for p in count(2):
-        if all(p % k for k in range(2, isqrt(p) + 1)):
-            roots = [r for r in range(p) if not _horner_mod(q, r, p)]
-            if all(_horner_mod(dq, r, p) for r in roots):
-                break
-            bad *= p
-            if bad * bad > hadamard2:
-                raise NotSquarefree(
-                    "integer root search: the polynomial has a repeated "
-                    "root modulo more primes than its discriminant allows")
-    for r in roots:
-        m = p
-        while m <= 2 * bound:
-            m *= m
-            r = (r - _horner_mod(q, r, m)
-                 * pow(_horner_mod(dq, r, m), -1, m)) % m
-        yield r if 2 * r <= m else r - m
+    """The roots in K of the nonzero polynomial, those of its squarefree
+    part (field.roots); the name is kept for perfbench's
+    fibration.rational_roots span, from a search for rational roots only."""
+    return roots(squarefree_part(poly).monic().coeffs)
 
 
 def _discriminant_lambdas(pencil: Pencil):
     """Lambda of the fibers through the zeros, on a probe line, of the
-    pencil's Jacobian form J = g1*grad(g2) - g2*grad(g1): the rational ones
+    pencil's Jacobian form J = g1*grad(g2) - g2*grad(g1): those in K
     through the affine zeros, and the one through the point at infinity.
 
     The gcd of the coefficients of J is prod C^(m_C - 1) over the fiber
@@ -276,13 +220,12 @@ def _discriminant_lambdas(pencil: Pencil):
     res(G, r1/F - lambda*r2/F) has degree <= deg G, and is interpolated
     from deg G + 1 integer nodes.  J vanishes at the point at infinity D iff
     deg W < 2d - 2 and deg J.E < 2d - 1, and then the fiber through D, over
-    [r1's t^d coefficient : r2's], is returned as well, in K and not only
-    in Q.  When D is a base point, a simple common zero of r1 and r2 (both
-    lose degree 1), J vanishes there and, as at the zeros of F, the fiber
-    of higher order there, over [r1's t^(d-1) coefficient : r2's], is
-    returned.  Each lambda found is a root of the discriminant of
-    r1 - lambda*r2; a member that L only touches, with no zero of J on L,
-    is not found.
+    [r1's t^d coefficient : r2's], is returned as well.  When D is a base
+    point, a simple common zero of r1 and r2 (both lose degree 1), J
+    vanishes there and, as at the zeros of F, the fiber of higher order
+    there, over [r1's t^(d-1) coefficient : r2's], is returned.  Each
+    lambda found is a root of the discriminant of r1 - lambda*r2; a member
+    that L only touches, with no zero of J on L, is not found.
 
     A line on which D is a multiple base point (both restrictions lose
     degree 2 or more), on which F is not squarefree, or on which r1 and r2
@@ -322,7 +265,7 @@ def _discriminant_lambdas(pencil: Pencil):
             a, b = r1.divmod(g)[1], r2.divmod(g)[1]
             nodes = range(g.degree + 1)
             values = [_resultant(g, a - b * lam) for lam in nodes]
-            lams += [(FieldElement(root), ONE) for root in
+            lams += [(root, ONE) for root in
                      _rational_roots(_newton_interpolate(nodes, values))]
         return lams
     raise DegeneratePencil("no probe line gives a proper Jacobian zero "

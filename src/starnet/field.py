@@ -10,10 +10,12 @@ and serialization canonical, and each ring operation costs one gcd.
 
 from __future__ import annotations
 
-from decimal import Context, Decimal, getcontext, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from math import ceil, gcd, isqrt, lcm, log10
+from math import ceil, gcd, lcm, log10
 from typing import NamedTuple
+
+from . import modp
 
 
 def _ratio(v):
@@ -84,7 +86,7 @@ class FieldElement:
             return sb
         # A + B*s with A, B of opposite signs: the larger of |A| and |B|*s
         # wins, and A^2 - B^2*s^2 = (u + v*r)/8 says which
-        return sa if _sign_qr(*_s_norm8(a, b, c, d)) > 0 else sb
+        return sa if _sign_qr(*modp.s_norm8(a, b, c, d)) > 0 else sb
 
     # -- ring operations -----------------------------------------------
 
@@ -149,7 +151,7 @@ class FieldElement:
             return _make(den, 0, 0, 0, a)
         # (A + B*s)^-1 = (A - B*s) / (A^2 - B^2*s^2), the norm down to Q(r)
         # being (u + v*r)/8, whose inverse is 8*(u - v*r)/(u^2 - 5*v^2)
-        u, v = _s_norm8(a, b, c, d)
+        u, v = modp.s_norm8(a, b, c, d)
         k = 8 * den
         return _make(k * (a * u - 5 * b * v), k * (b * u - a * v),
                      k * (5 * d * v - c * u), k * (c * v - d * u),
@@ -197,37 +199,19 @@ class FieldElement:
     # -- roots ---------------------------------------------------------
 
     def sqrt(self):
-        """Exact square root in the tower, or None if there is none.
-
-        The returned root is the one that is nonnegative under the real
-        embedding.
-        """
-        if self.is_zero:
-            return ZERO
-        for cand in _sqrt_candidates(self):
-            if cand * cand == self:
-                return -cand if cand.sign() < 0 else cand
-        return None
+        """The nonnegative square root in the field, or None."""
+        return self.kth_root(2)
 
     def kth_root(self, k: int):
-        """Exact k-th root in the tower, or None.
-
-        Even k: requires a chain of square roots; the nonnegative root is
-        returned.  The odd part is exact: see _odd_root.
-        """
+        """The k-th root in the field: of the roots of y^k - self (roots), y
+        and -y for even k and at most one for odd k, as the field is real,
+        the one of larger sign, or None if there is none."""
         if k < 1:
             raise ValueError("k must be positive")
         if self.is_zero:
             return ZERO
-        cur = self
-        m = k
-        while m % 2 == 0:
-            cur = cur.sqrt()
-            if cur is None:
-                return None
-            m //= 2
-        # an odd root keeps the sign of cur, nonnegative after a square root
-        return cur if m == 1 else _odd_root(cur, m)
+        return max(roots([-self] + [ZERO] * (k - 1) + [ONE]),
+                   key=FieldElement.sign, default=None)
 
     # -- text ----------------------------------------------------------
 
@@ -273,13 +257,6 @@ def _coerce(other):
     return None
 
 
-def _s_norm8(a, b, c, d):
-    """(u, v) with 8*(A^2 - B^2*s^2) = u + v*r, for A = a + b*r, B = c + d*r."""
-    p = c * c + 5 * d * d
-    q = 2 * c * d
-    return 8 * (a * a + 5 * b * b) - 5 * (p + q), 16 * a * b - p - 5 * q
-
-
 def _sign_qr(a, b) -> int:
     """Sign of a + b*sqrt(5) for integers a, b."""
     sa = (a > 0) - (a < 0)
@@ -295,7 +272,6 @@ ZERO = FieldElement(0)
 ONE = FieldElement(1)
 R = FieldElement(0, 1)
 S = FieldElement(0, 0, 1)
-_S2 = S * S
 
 
 def normalize(vec):
@@ -327,63 +303,15 @@ def integer_vector(vec):
     return tuple(a // g for a in ints)
 
 
-def _exact_isqrt(n: int):
-    """The integer m >= 0 with m*m == n, or None."""
-    if n < 0:
-        return None
-    m = isqrt(n)
-    return m if m * m == n else None
-
-
-def _rat_sqrt(n: int, d: int):
-    """The nonnegative rational square root of n/d (d > 0), or None.
-
-    n/d is a rational square exactly when n*d is an integer square.
-    """
-    m = _exact_isqrt(n * d)
-    return None if m is None else _make(m, 0, 0, 0, d)
-
-
-def _qr_sqrt_candidates(x: FieldElement):
-    """Candidate square roots in Q(r) of x = (a + b*r)/den."""
-    a, b, _, _, den = x._v
-    out = []
-    if not b:
-        t = _rat_sqrt(a, den)
-        if t is not None:
-            out.append(t)
-        t = _rat_sqrt(a, 5 * den)
-        if t is not None:
-            out.append(t * R)
-        return out
-    # (t + w*r)^2 = x: t^2 = (a +- sqrt(a^2 - 5*b^2)) / (2*den), w = b/(2*t*den)
-    e = _exact_isqrt(a * a - 5 * b * b)
-    if e is None:
-        return out
-    for n in (a + e, a - e):
-        t = _rat_sqrt(n, 2 * den)
-        if t:
-            out.append(t + _make(b, 0, 0, 0, 2 * den) / t * R)
-    return out
-
-
-def _sqrt_candidates(x: FieldElement):
-    a, b, c, d, den = x._v
-    C = _make(a, b, 0, 0, den)
-    if not (c or d):
-        # either a root inside Q(r), or a pure s-multiple B*s with B^2*s^2 = C
-        return (_qr_sqrt_candidates(C)
-                + [B * S for B in _qr_sqrt_candidates(C / _S2)])
-    # (A + B*s)^2 = A^2 + B^2*s^2 + 2*A*B*s: solve A^2 as a root of
-    # t^2 - C*t + s^2*D^2/4 over Q(r)
-    D = _make(c, d, 0, 0, den)
-    cands = []
-    for sd in _qr_sqrt_candidates(C * C - D * D * _S2):
-        for a2 in ((C + sd) / 2, (C - sd) / 2):
-            for A in _qr_sqrt_candidates(a2):
-                if A:
-                    cands.append(A + D / (2 * A) * S)
-    return cands
+def roots(coeffs):
+    """The roots in the field of the monic polynomial with coefficients
+    coeffs, low to high, and no repeated root: the candidates of modp.roots,
+    over their common denominator, at which the polynomial vanishes."""
+    L = lcm(*(c._v[4] for c in coeffs))
+    ys = (_make(*v) for v in modp.roots(
+        [tuple(a * (L // c._v[4]) for a in c._v[:4]) for c in coeffs]))
+    return [y for y in ys
+            if not sum((c * y ** i for i, c in enumerate(coeffs)), ZERO)]
 
 
 def _conjugates(x: FieldElement, digits: int):
@@ -398,44 +326,6 @@ def _conjugates(x: FieldElement, digits: int):
             u, v = a + b * rho, (c + d * rho) * ((5 + rho) / 8).sqrt()
             values += [(u + v) / den, (u - v) / den]
     return values
-
-
-def _real_root(v: Decimal, m: int) -> Decimal:
-    """The real m-th root of v != 0 for odd m, by Newton's method."""
-    start = Context(prec=16)
-    y = start.power(start.abs(v), start.divide(1, m)).copy_sign(v)
-    for _ in range(getcontext().prec.bit_length()):
-        z = ((m - 1) * y + v / y ** (m - 1)) / m
-        if z == y:
-            break
-        y = z
-    return y
-
-
-def _odd_root(x: FieldElement, m: int):
-    """The m-th root of x != 0 for odd m, or None if there is none.
-
-    A root y is (p + q*r + u*s + v*r*s)/(4*den) with p, q, u, v integers:
-    2*den*y is integral, so it lies in Z[2s], the ring of integers of
-    Q(zeta_20)^+, whose basis 1, 2s, (5 + r)/2, 5s + r*s has coordinates
-    in Z/2.  The values of y are the real m-th roots of those of x, which
-    lie in [1/(16*den*T^3), T/den] as |Norm(2*den*x)| >= 1; the digits of
-    den*T^4 plus a guard bring p, q, u, v within 1/100.
-    """
-    a, b, c, d, den = x._v
-    T = abs(a) + 3 * abs(b) + abs(c) + 3 * abs(d)
-    digits = ceil((den.bit_length() + 4 * T.bit_length()) * log10(2)) + 8
-    with localcontext(Context(prec=digits)):
-        y1, y2, y3, y4 = (_real_root(v, m) for v in _conjugates(x, digits))
-        # y1 +- y2 = (p + q*rho, sigma*(u + v*rho))/(2*den) at r = rho and
-        # s = +-sigma, sigma > 0; y3 +- y4 alike at r = -rho
-        rho = Decimal(5).sqrt()
-        w1 = (y1 - y2) / ((5 + rho) / 8).sqrt()
-        w2 = (y3 - y4) / ((5 - rho) / 8).sqrt()
-        coords = (den * (y1 + y2 + y3 + y4), den * (y1 + y2 - y3 - y4) / rho,
-                  den * (w1 + w2), den * (w1 - w2) / rho)
-    cand = _make(*(int(t.to_integral_value()) for t in coords), 4 * den)
-    return cand if cand ** m == x else None
 
 
 # -- the trigonometric constants of the double star equations -------------

@@ -385,7 +385,7 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
         raise NotAPower("leading exponent not divisible by k")
     if p.degree % k:
         raise NotAPower("degree not divisible by k")
-    # 1 is its own root: no numeric search for a monic p
+    # 1 is its own root: no root search for a monic p
     lroot = ONE if lcoef == ONE else lcoef.kth_root(k)
     if lroot is None:
         raise NotAPower("leading coefficient has no k-th root in the field")

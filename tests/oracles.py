@@ -17,7 +17,7 @@ from starnet.arrangement import Arrangement, build
 from starnet.errors import DegeneratePencil, NotAPower, NotDivisible
 from starnet.fibration import (_PROBES, _newton_interpolate, _rational_roots,
                                _resultant)
-from starnet.field import ONE, FieldElement, normalize, serialize_element
+from starnet.field import ONE, R, S, FieldElement, normalize, serialize_element
 from starnet.mpoly import MultiPoly, UniPoly, exact_divide, restrict_to_line
 
 
@@ -480,8 +480,8 @@ def _cross_nonzero(p, q):
 
 
 def ref_discriminant_lambdas(pencil):
-    """Rational lambda where a fixed probe-line restriction is non-reduced:
-    the rational roots of the discriminant res(f, f') of f = r1 - lambda*r2
+    """Lambda in K where a fixed probe-line restriction is non-reduced:
+    the roots in K of the discriminant res(f, f') of f = r1 - lambda*r2
     on the first probe line where it is nonzero, rebuilt from 2*d1 nodes.
     Every lambda where the line is tangent to a member is a root."""
     for point, direction in _PROBES:
@@ -506,7 +506,7 @@ def ref_discriminant_lambdas(pencil):
         disc = _newton_interpolate(nodes, values)
         if disc.is_zero:
             continue
-        return [(FieldElement(root), ONE) for root in _rational_roots(disc)]
+        return [(root, ONE) for root in _rational_roots(disc)]
     raise DegeneratePencil("no probe line gives a nonzero discriminant, as "
                            "when the pencil has a fixed multiple component")
 
@@ -653,3 +653,12 @@ def ref_serialize_element(x: FieldElement) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+# -- the Galois group of K ------------------------------------------------
+
+def tau(x):
+    """The automorphism r -> -r, s -> s*(r - 1)/2 of K, of order 4: the
+    image of s squares to (5 - r)/8, as s^2 = (5 + r)/8 requires."""
+    a, b, c, d = x.coords()
+    return FieldElement(a, -b) + FieldElement(c, -d) * S * (R - 1) / 2

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from starnet.arrangement import Line, build, builtin, delete
 from starnet.cli import main
 from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
-                            InvalidPencil, NotSmall, NotSquarefree,
-                            StarnetError)
+                            InvalidPencil, NotSmall)
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S, normalize
 from starnet.fibration import (_PROBES, _discriminant_lambdas,
-                               _integer_root_candidates, _line_fibers,
-                               _line_frame,
+                               _line_fibers, _line_frame,
                                _newton_interpolate, _rational_roots,
                                _resultant, analyze,
                                analyze_fiber, fiber_polynomial,
@@ -31,7 +29,7 @@ from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, is_proportional,
                            kth_root, restrict_to_line)
 
 from oracles import (lagrange_interpolate, ref_discriminant_lambdas,
-                     ref_line_lambdas, sylvester_resultant)
+                     ref_line_lambdas, sylvester_resultant, tau)
 
 
 def test_normalize_lambda():
@@ -290,14 +288,11 @@ def _keys(lams):
 
 
 def _check_within_reference(pencil):
-    """The rational lambda of the Jacobian zero search are a subset of the
-    rational roots of the 2*d1-node probe discriminant, which also lists
-    every member that the probe line is merely tangent to.  The one lambda
-    of the point at infinity may lie in K but not in Q, where the reference
-    does not look, so only rational lambda are compared."""
-    rational = [lam for lam in _discriminant_lambdas(pencil)
-                if all(c.is_rational for c in normalize_lambda(lam))]
-    assert _keys(rational) <= _keys(ref_discriminant_lambdas(pencil))
+    """The lambda of the Jacobian zero search are a subset of the roots in K
+    of the 2*d1-node probe discriminant, which also lists every member that
+    the probe line is merely tangent to."""
+    assert _keys(_discriminant_lambdas(pencil)) \
+        <= _keys(ref_discriminant_lambdas(pencil))
 
 
 @pytest.mark.parametrize("setup", [
@@ -347,19 +342,24 @@ tower_coeffs = st.builds(FieldElement, *[st.integers(-30, 30)] * 4)
 
 
 def _check_planted_fiber(lam0, c, m, b, g2):
-    pencil = Pencil(g2.scale(FieldElement(lam0)) + c ** m * b, g2, ())
-    want = lambda_key(normalize_lambda((FieldElement(lam0), ONE)))
+    pencil = Pencil(g2.scale(lam0) + c ** m * b, g2, ())
+    want = lambda_key(normalize_lambda((lam0, ONE)))
     assert want in _keys(_discriminant_lambdas(pencil))
     assert want in _keys(lambda_candidates(builtin("b3"), pencil))
 
 
+small_fractions = st.fractions(min_value=-50, max_value=50,
+                               max_denominator=20)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.fractions(min_value=-50, max_value=50, max_denominator=20),
+@given(st.one_of(st.builds(FieldElement, small_fractions),
+                 st.builds(FieldElement, *[small_fractions] * 4)),
        st.integers(1, 2).flatmap(lambda k: homogeneous_forms(k, tower_coeffs)),
        st.integers(2, 3), st.integers(0, 1), st.data())
 def test_planted_multiple_fiber_is_a_candidate(lam0, c, m, deg_b, data):
-    # g1 = lam0*g2 + C^m*B: the fiber over [lam0 : 1] holds the line or
-    # conic C m times
+    # g1 = lam0*g2 + C^m*B, lam0 in K: the fiber over [lam0 : 1] holds the
+    # line or conic C m times
     assume(not c.is_zero)
     coeff = st.builds(FieldElement, st.integers(-9, 9), st.integers(-3, 3))
     b = data.draw(homogeneous_forms(deg_b, tower_coeffs))
@@ -375,7 +375,7 @@ def test_planted_fiber_through_the_probe_point_at_infinity():
     point, direction = _PROBES[0]
     assert restrict_to_line(c, point, direction).degree == 0
     assert c.evaluate(direction).is_zero
-    _check_planted_fiber(Fraction(2), c, 2, MultiPoly.constant(1),
+    _check_planted_fiber(FieldElement(2), c, 2, MultiPoly.constant(1),
                          parse_poly("x^2 + 3*y*z - z^2"))
 
 
@@ -386,7 +386,63 @@ def test_planted_fiber_through_a_base_point_at_infinity():
     g2 = parse_poly("x*z + 3*y*z - z^2")
     point, direction = _PROBES[0]
     assert restrict_to_line(g2, point, direction).degree == 1
-    _check_planted_fiber(Fraction(2), c, 2, MultiPoly.constant(1), g2)
+    _check_planted_fiber(FieldElement(2), c, 2, MultiPoly.constant(1), g2)
+
+
+def test_planted_fiber_over_an_irrational_lambda():
+    # the double conic over [2 - 3r + s : 1], on no arrangement line, is
+    # found only from a root in K but not in Q
+    lam0 = FieldElement(2, -3, 1)
+    _check_planted_fiber(lam0, parse_poly("x^2 + y*z - 2*z^2"), 2,
+                         MultiPoly.constant(1),
+                         parse_poly("x^4 - 3*x*y^3 + y^2*z^2 + 5*z^4"))
+
+
+COMPOSITE = ("x^2-2*x*z+(-5-2*r)*y^2+z^2; "
+             "x^2-2*x*z+(-5+2*r)*y^2+z^2")
+
+
+def test_composite_double_star_pencil_finds_both_multiple_fibers(capsys):
+    # the pencil <l1*l5, l7*l9> on the double star: (x - z)^2 over
+    # [1 : 9 - 4r] = [9 + 4r : 1] is a second multiple fiber
+    A = builtin("double_star")
+    g1, g2 = (parse_poly(p) for p in COMPOSITE.split(";"))
+    pencil = Pencil(g1, g2, ())
+    assert lambda_key(normalize_lambda((FieldElement(9, 4), ONE))) \
+        in _keys(lambda_candidates(A, pencil))
+    assert len(analyze(A, pencil).multiple_fibers) == 2
+    code = main(["analyze", "--builtin", "double_star", "--pencil",
+                 COMPOSITE])
+    assert code == 1
+    assert "MultipleMultipleFibers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_analyze_is_galois_equivariant(k):
+    # tau^k of the double star and of its pencil give the same class,
+    # mu_vector and pointed verdict, and the tau^k-images of the fibers
+    def conj(x):
+        for _ in range(k):
+            x = tau(x)
+        return x
+
+    def conj_poly(p):
+        return MultiPoly({e: conj(c) for e, c in p.terms.items()})
+
+    A, pen = builtin("double_star"), builtin_pencil("double_star")
+    B = build([(ln.label, [conj(c) for c in ln.covector]) for ln in A.lines])
+    rep = analyze(A, pen)
+    image = analyze(B, Pencil(conj_poly(pen.g1), conj_poly(pen.g2), ()))
+    assert image.classification == rep.classification
+    assert image.mu_vector == rep.mu_vector
+    verdict = "pointed_multinet_explained"
+    assert pointed_vs_fiber(B, image)[verdict] \
+        == pointed_vs_fiber(A, rep)[verdict]
+    assert {lambda_key(f.lam): (f.arrangement_part, f.residual, f.mu)
+            for f in image.fibers} == {
+        lambda_key(normalize_lambda([conj(c) for c in f.lam])):
+            (f.arrangement_part, conj_poly(f.residual), f.mu)
+        for f in rep.fibers}
 
 
 def test_fixed_line_through_the_probe_points_at_infinity():
@@ -583,6 +639,7 @@ def product(factors):
 
 T2_PLUS_1 = UniPoly([ONE, ZERO, ONE])
 T2_MINUS_3 = UniPoly([FieldElement(-3), ZERO, ONE])
+T2_MINUS_S = UniPoly([-S, ZERO, ONE])
 
 
 def test_swapped_deleted_b3_is_explained():
@@ -644,27 +701,19 @@ def test_products_of_lines_split_and_a_conic_does_not(lines, conic):
 
 
 def test_rational_roots_planted():
-    planted = [Fraction(-1, 10 ** 30), Fraction(10 ** 40 + 7, 13),
-               Fraction(-5, 7), Fraction(0), Fraction(3, 2)]
-    poly = product([t_minus(Fraction(-1, 10 ** 30)),
-                    t_minus(Fraction(10 ** 40 + 7, 13)),
-                    t_minus(Fraction(-5, 7)), t_minus(Fraction(-5, 7)),
-                    t_minus(0), t_minus(0),
-                    t_minus(Fraction(3, 2)), t_minus(Fraction(3, 2)),
-                    t_minus(Fraction(3, 2)),
-                    t_minus(R), T2_MINUS_3, T2_PLUS_1]) * FieldElement(7, 2)
-    assert _rational_roots(poly) == sorted(planted)
-    assert _rational_roots(product([t_minus(R), T2_MINUS_3,
-                                    T2_PLUS_1])) == []
-
-
-def test_integer_roots_of_a_square_fail_loudly():
-    # (t - 1)^2 (t + 2): t = 1 is a double root modulo every prime, and the
-    # discriminant bound stops the prime search after 2*3*5*7*11
-    assert issubclass(NotSquarefree, StarnetError)
-    with pytest.raises(NotSquarefree):
-        list(_integer_root_candidates([2, -3, 0, 1]))
-    assert sorted(_integer_root_candidates([-2, 1, 1])) == [-2, 1]
+    # the roots in K, however repeated, of a product with factors that have
+    # no root in K; the name is kept from the rational root search
+    planted = [FieldElement(Fraction(-1, 10 ** 30)),
+               FieldElement(Fraction(10 ** 40 + 7, 13)), ZERO, R,
+               FieldElement(9, -4), S,
+               FieldElement(Fraction(1, 3), 2, Fraction(-5, 7), 1)]
+    poly = product([t_minus(x) for i, x in enumerate(planted)
+                    for _ in range(1 + i % 3)]
+                   + [T2_MINUS_3, T2_PLUS_1, T2_MINUS_S]) * FieldElement(7, 2)
+    found = _rational_roots(poly)
+    assert len(found) == len(planted) and set(found) == set(planted)
+    assert _rational_roots(product([T2_MINUS_3, T2_PLUS_1,
+                                    T2_MINUS_S])) == []
 
 
 rationals = st.one_of(
@@ -673,12 +722,14 @@ rationals = st.one_of(
               st.integers(1, 10 ** 30)),
     st.builds(lambda k, sign: Fraction(sign, 10 ** k),
               st.integers(20, 60), st.sampled_from((-1, 1))))
+k_elements = st.one_of(st.builds(FieldElement, rationals),
+                       st.builds(FieldElement, *[small_fractions] * 4))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(rationals, st.integers(1, 3)), min_size=1,
+@given(st.lists(st.tuples(k_elements, st.integers(1, 3)), min_size=1,
                 max_size=4),
-       st.sampled_from((UniPoly([ONE]), t_minus(R), T2_MINUS_3, T2_PLUS_1)),
+       st.sampled_from((UniPoly([ONE]), T2_MINUS_S, T2_MINUS_3, T2_PLUS_1)),
        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
        st.fractions(min_value=1, max_value=100, max_denominator=100))
 def test_rational_roots_property(planted, irrational, extra, scale):
@@ -688,4 +739,5 @@ def test_rational_roots_property(planted, irrational, extra, scale):
         return
     found = _rational_roots(poly)
     assert {q for q, _ in planted} <= set(found)
-    assert all(poly.evaluate(FieldElement(q)).is_zero for q in found)
+    assert len(set(found)) == len(found)
+    assert all(poly.evaluate(q).is_zero for q in found)

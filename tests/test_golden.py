@@ -67,6 +67,11 @@ def test_analyze_uses_no_floating_point(monkeypatch, capsys):
     assert kth_root((X * Y + Z * Z) ** 3, 3) == X * Y + Z * Z
     with pytest.raises(NotAPower):
         kth_root(X ** 3 * Y ** 3 + Z ** 6, 3)
+    # a leading coefficient 8 takes the field's cube root, and field roots
+    # go through an inert prime, with no real values
+    assert kth_root((2 * X * Y + Z * Z) ** 3, 3) == 2 * X * Y + Z * Z
+    x = field.FieldElement(3, -2, 5, 7)
+    assert (x ** 3).kth_root(3) == x and (x * x).sqrt() == x
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Modules import only from lower layers, in the order
 
-    errors < field < mpoly < exprs < arrangement < multinet
+    errors < modp < field < mpoly < exprs < arrangement < multinet
            < {fibration, aomoto} < cli
 
 (__init__ re-exports from all of them).  No module imports a private name
@@ -19,8 +19,9 @@ import pytest
 import starnet
 
 SRC = Path(starnet.__file__).parent
-LAYER = {"errors": 0, "field": 1, "mpoly": 2, "exprs": 3, "arrangement": 4,
-         "multinet": 5, "fibration": 6, "aomoto": 6, "cli": 7}
+LAYER = {"errors": 0, "modp": 1, "field": 2, "mpoly": 3, "exprs": 4,
+         "arrangement": 5, "multinet": 6, "fibration": 7, "aomoto": 7,
+         "cli": 8}
 
 
 def test_every_module_has_a_layer():
