@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .field import ONE, ZERO, FieldElement
-from .mpoly import MultiPoly
+from .mpoly import (MultiPoly, add_terms, mul_terms, neg_terms, pow_terms,
+                    sub_terms)
 
-# A parsed value is a dict {exponent (x, y, z): nonzero coefficient}, so an
-# atom or a product costs no polynomial object; parse_poly builds one.
+# A parsed value is a term dict {exponent (x, y, z): nonzero coefficient},
+# on which mpoly's term kernels compute, so an atom or a product costs no
+# polynomial object; parse_poly builds one.
 _CONST = (0, 0, 0)
 _SYMBOLS = {
     "r": {_CONST: FieldElement(0, 1)},
@@ -48,48 +50,6 @@ def _tokenize(text: str):
     return tokens
 
 
-def _add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        if e in out:
-            c = out[e] + c
-            if not c:
-                del out[e]
-                continue
-        out[e] = c
-    return out
-
-
-def _neg(a: dict) -> dict:
-    return {e: -c for e, c in a.items()}
-
-
-def _mul(a: dict, b: dict) -> dict:
-    out = {}
-    for (i, j, k), c in a.items():
-        for (l, m, n), d in b.items():
-            e = (i + l, j + m, k + n)
-            out[e] = out[e] + c * d if e in out else c * d
-    return {e: c for e, c in out.items() if c}
-
-
-def _pow(a: dict, n: int) -> dict:
-    """a^n for n >= 0; a single term is one scaling of its exponent."""
-    if not n:
-        return {_CONST: ONE}
-    if len(a) == 1:
-        ((i, j, k), c), = a.items()
-        return {(i * n, j * n, k * n): c ** n}
-    out = None
-    while n:
-        if n & 1:
-            out = a if out is None else _mul(out, a)
-        n >>= 1
-        if n:
-            a = _mul(a, a)
-    return out
-
-
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -115,7 +75,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.next()[0]
             rhs = self.parse_term()
-            value = _add(value, rhs if op == "+" else _neg(rhs))
+            value = (add_terms if op == "+" else sub_terms)(value, rhs)
         return value
 
     def parse_term(self) -> dict:
@@ -125,9 +85,9 @@ class _Parser:
             if nxt in ("*", "/"):
                 op = self.next()[0]
                 rhs = self.parse_factor()
-                value = _mul(value, rhs) if op == "*" else _divide(value, rhs)
+                value = mul_terms(value, rhs if op == "*" else _invert(rhs))
             elif nxt in ("num", "sym", "("):
-                value = _mul(value, self.parse_factor())
+                value = mul_terms(value, self.parse_factor())
             else:
                 return value
 
@@ -135,14 +95,14 @@ class _Parser:
         if self.peek() in ("+", "-"):
             op = self.next()[0]
             val = self.parse_factor()
-            return val if op == "+" else _neg(val)
+            return val if op == "+" else neg_terms(val)
         base = self.parse_atom()
         if self.peek() == "^":
             self.next()
             exp = self.parse_exponent()
             if exp < 0:
-                return _pow(_invert(base), -exp)
-            return _pow(base, exp)
+                return pow_terms(_invert(base), -exp)
+            return pow_terms(base, exp)
         return base
 
     def parse_exponent(self) -> int:
@@ -180,18 +140,10 @@ def _constant_of(p: dict) -> FieldElement:
     return p.get(_CONST, ZERO)
 
 
-def _divide(num: dict, den: dict) -> dict:
-    c = _constant_of(den)
-    if c.is_zero:
-        raise ParseError("division by zero in expression")
-    inv = c.inverse()
-    return {e: v * inv for e, v in num.items()}
-
-
 def _invert(p: dict) -> dict:
     c = _constant_of(p)
     if c.is_zero:
-        raise ParseError("inverse of zero in expression")
+        raise ParseError("division by zero in expression")
     return {_CONST: c.inverse()}
 
 

@@ -188,10 +188,15 @@ class FieldElement:
     # -- real embedding ------------------------------------------------
 
     def embed(self, precision: int = 64) -> Decimal:
-        """Value under r -> +sqrt(5), s -> sin(2*pi/5) at `precision` bits."""
+        """Value under r -> +sqrt(5), s -> +sqrt((5 + r)/8) = sin(2*pi/5)
+        at `precision` bits; the package's only path to a real value."""
         if precision < 64:
             raise ValueError("precision must be at least 64 bits")
-        return _conjugates(self, ceil(precision * log10(2)))[0]
+        a, b, c, d, den = self._v
+        with localcontext(Context(prec=ceil(precision * log10(2)))):
+            sqrt5 = Decimal(5).sqrt()
+            u, v = a + b * sqrt5, (c + d * sqrt5) * ((5 + sqrt5) / 8).sqrt()
+            return (u + v) / den
 
     def __float__(self):
         return float(self.embed(64))
@@ -312,20 +317,6 @@ def roots(coeffs):
         [tuple(a * (L // c._v[4]) for a in c._v[:4]) for c in coeffs]))
     return [y for y in ys
             if not sum((c * y ** i for i, c in enumerate(coeffs)), ZERO)]
-
-
-def _conjugates(x: FieldElement, digits: int):
-    """The four real values of x at `digits` significant digits, under
-    r -> +-sqrt(5) and s -> +-sqrt((5 + r)/8), in the order ++, +-, -+, --;
-    the first is the real embedding."""
-    a, b, c, d, den = x._v
-    values = []
-    with localcontext(Context(prec=digits)):
-        sqrt5 = Decimal(5).sqrt()
-        for rho in (sqrt5, -sqrt5):
-            u, v = a + b * rho, (c + d * rho) * ((5 + rho) / 8).sqrt()
-            values += [(u + v) / den, (u - v) / den]
-    return values
 
 
 # -- the trigonometric constants of the double star equations -------------

@@ -26,6 +26,69 @@ def _grlex_key(exp):
     return (exp[0] + exp[1] + exp[2], exp[0], exp[1], exp[2])
 
 
+# -- term arithmetic --------------------------------------------------------
+# a + b, a - b, -a, a * b and a^n on term dicts {exponent (x, y, z):
+# nonzero coefficient}, and a result holds no zero: the one sparse
+# arithmetic of MultiPoly's operators, exact_divide, kth_root and the parser.
+
+def add_terms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        if e not in out:
+            out[e] = c
+        elif c := out[e] + c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def sub_terms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        if e not in out:
+            out[e] = -c
+        elif c := out[e] - c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def neg_terms(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    out = {}
+    for (i, j, k), c in a.items():
+        for (l, m, n), d in b.items():
+            e = (i + l, j + m, k + n)
+            out[e] = out[e] + c * d if e in out else c * d
+    if len(a) == 1 or len(b) == 1:
+        return out  # a product by one nonzero term cancels nothing
+    return {e: c for e, c in out.items() if c}
+
+
+def pow_terms(a: dict, n: int) -> dict:
+    """a^n for n >= 0: one scaling of the exponent for a single term, else
+    square and multiply, with no product by 1 and no square past the top
+    bit of n."""
+    if not n:
+        return {(0, 0, 0): ONE}
+    if len(a) == 1:
+        ((i, j, k), c), = a.items()
+        return {(i * n, j * n, k * n): c ** n}
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else mul_terms(out, a)
+        n >>= 1
+        if n:
+            a = mul_terms(a, a)
+    return out
+
+
 class MultiPoly:
     """Sparse polynomial in x, y, z with FieldElement coefficients."""
 
@@ -41,7 +104,7 @@ class MultiPoly:
                     if ex < 0 or ey < 0 or ez < 0:
                         raise ValueError("negative exponent in monomial")
                     clean[(ex, ey, ez)] = coef
-        object.__setattr__(self, "terms", clean)
+        _set(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -91,19 +154,15 @@ class MultiPoly:
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
 
-    def coefficient(self, exp) -> FieldElement:
-        return self.terms.get(tuple(exp), ZERO)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
                       reverse=True)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == o.terms
 
     def __hash__(self):
         return hash(tuple(self.sorted_terms()))
@@ -121,24 +180,18 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exp, coef in o.terms.items():
-            terms[exp] = terms[exp] + coef if exp in terms else coef
-        return MultiPoly(terms)
+        return _wrap(add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return _wrap(neg_terms(self.terms))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exp, coef in o.terms.items():
-            terms[exp] = terms[exp] - coef if exp in terms else -coef
-        return MultiPoly(terms)
+        return _wrap(sub_terms(self.terms, o.terms))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -147,16 +200,7 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod = c1 * c2
-                if exp in terms:
-                    terms[exp] = terms[exp] + prod
-                else:
-                    terms[exp] = prod
-        return MultiPoly(terms)
+        return _wrap(mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -165,9 +209,7 @@ class MultiPoly:
         c = _coerce_coeff(c)
         if c == ONE:
             return self
-        if c.is_zero:
-            return MultiPoly()
-        return MultiPoly({e: coef * c for e, coef in self.terms.items()})
+        return _wrap(mul_terms(self.terms, {(0, 0, 0): c}) if c else {})
 
     def __truediv__(self, other):
         c = _coerce_coeff(other)
@@ -178,16 +220,7 @@ class MultiPoly:
             return NotImplemented
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        # square and multiply, with no product by 1 and no square past the
-        # top bit of n
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return MultiPoly.constant(1) if result is None else result
+        return _wrap(pow_terms(self.terms, n))
 
     # -- evaluation ------------------------------------------------------
 
@@ -240,6 +273,18 @@ class MultiPoly:
         return f"MultiPoly<{self.serialize()}>"
 
 
+_set = MultiPoly.terms.__set__
+
+
+def _wrap(terms: dict) -> MultiPoly:
+    """A MultiPoly over the result of a term kernel, with no checks: only
+    MultiPoly() coerces coefficients, drops zeros and rejects negative
+    exponents, for terms from outside."""
+    p = object.__new__(MultiPoly)
+    _set(p, terms)
+    return p
+
+
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
 Z = MultiPoly.variable("z")
@@ -260,16 +305,15 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     dexp, dcoef = d.leading()
     dinv = dcoef.inverse()
     quot = {}
-    rem = p
-    while not rem.is_zero:
-        rexp, rcoef = rem.leading()
+    rem = p.terms
+    while rem:
+        rexp = max(rem, key=_grlex_key)
         qexp = (rexp[0] - dexp[0], rexp[1] - dexp[1], rexp[2] - dexp[2])
         if min(qexp) < 0:
             raise NotDivisible(f"{d.serialize()} does not divide the input")
-        qcoef = rcoef * dinv
-        quot[qexp] = qcoef
-        rem = rem - d * MultiPoly({qexp: qcoef})
-    return MultiPoly(quot)
+        quot[qexp] = qcoef = rem[rexp] * dinv
+        rem = sub_terms(rem, mul_terms(d.terms, {qexp: qcoef}))
+    return _wrap(quot)
 
 
 def is_proportional(p: MultiPoly, q: MultiPoly) -> bool:
@@ -391,13 +435,9 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
         raise NotAPower("leading coefficient has no k-th root in the field")
     qlexp = tuple(e // k for e in lexp)
     # pows[j] = q^j for j < k, as {exponent: coefficient}
-    lpow = [ONE]
-    for _ in range(k - 1):
-        lpow.append(lroot if lpow[-1] is ONE else lpow[-1] * lroot)
-    pows = [{tuple(e * j for e in qlexp): c} for j, c in enumerate(lpow)]
-    # rem = p - q^k: lroot^k is lcoef exactly
-    rem = dict(p.terms)
-    del rem[lexp]
+    pows = [pow_terms({qlexp: lroot}, j) for j in range(k)]
+    # rem = p - q^k
+    rem = sub_terms(p.terms, pow_terms({qlexp: lroot}, k))
     # correction denominator k * lt(q)^(k-1)
     dexp = tuple(e * (k - 1) for e in qlexp)
     dinv = (FieldElement(k) * pows[k - 1][dexp]).inverse()
@@ -411,32 +451,19 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
         if key >= prev_key:
             raise NotAPower("correction terms do not decrease")
         prev_key = key
-        cpow = [ONE, rem[rexp] * dinv]  # c^i for the new term c * x^texp
-        for _ in range(k - 1):
-            cpow.append(cpow[-1] * cpow[1])
+        c = rem[rexp] * dinv  # the new term c * x^texp
+        cpow = [c ** i for i in range(k + 1)]
         # from j = k down, so that every q^(j-i) read is still the old one
         for j in range(k, 0, -1):
-            target = rem if j == k else pows[j]
             for i in range(1, j + 1):
                 s = cpow[i] if i == j else cpow[i] * comb(j, i)
-                _add_shifted(target, pows[j - i], tuple(i * e for e in texp),
-                             -s if j == k else s)
-    return MultiPoly(pows[1])
-
-
-def _add_shifted(target, terms, shift, s):
-    """target += s * x^shift * terms, for dicts {exponent: coefficient};
-    a term that cancels is removed."""
-    sx, sy, sz = shift
-    for (ex, ey, ez), c in terms.items():
-        exp = (ex + sx, ey + sy, ez + sz)
-        v = s if c is ONE else c * s
-        if exp in target:
-            v = target[exp] + v
-            if not v:
-                del target[exp]
-                continue
-        target[exp] = v
+                t = {tuple(i * e for e in texp): s}
+                step = t if i == j else mul_terms(pows[j - i], t)  # q^0 = 1
+                if j == k:
+                    rem = sub_terms(rem, step)
+                else:
+                    pows[j] = add_terms(pows[j], step)
+    return _wrap(pows[1])
 
 
 def partial(p: MultiPoly, i: int) -> MultiPoly:

@@ -337,12 +337,10 @@ def _integer_solutions(basis, n, max_mult):
         vec = basis[0]
         den = lcm(*(v.denominator for v in vec))
         ints = [int(v * den) for v in vec]
+        # _nullspace puts 1 on the free coordinate, so that entry of ints
+        # is den > 0: g is never 0, and ints is never all negative
         g = gcd(*ints)
-        if g == 0:
-            return
         ints = [v // g for v in ints]
-        if all(v < 0 for v in ints):
-            ints = [-v for v in ints]
         if all(1 <= v <= max_mult for v in ints):
             yield tuple(ints)
         return

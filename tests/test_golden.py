@@ -59,7 +59,7 @@ def test_analyze_uses_no_floating_point(monkeypatch, capsys):
     def numeric(*args, **kwargs):
         raise AssertionError("floating point in an exact decision")
 
-    monkeypatch.setattr(field, "_conjugates", numeric)
+    monkeypatch.setattr(field.FieldElement, "embed", numeric)
     for name in sorted(n for n in CASES if n.startswith("analyze_")):
         assert main([*CASES[name], "--format", "json"]) == 0
         out = capsys.readouterr().out

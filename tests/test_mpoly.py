@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starnet.errors import NotAPower, NotDivisible
+from starnet.exprs import parse_poly
 from starnet.field import FieldElement
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
                            divide_out, divides, exact_divide, homogenize,
@@ -47,6 +48,43 @@ def test_exact_divide_round_trip(p, q):
     prod = p * q
     assert divides(q, prod)
     assert exact_divide(prod, q) == p
+
+
+def _assert_clean(p):
+    """p stores only nonzero FieldElement coefficients, so it is what the
+    checking constructor makes of its own terms."""
+    assert all(type(c) is FieldElement and c for c in p.terms.values())
+    assert p == MultiPoly(dict(p.terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, tower)
+def test_results_hold_no_zero(p, r, c):
+    """Every result skips the constructor's checks, so a term that cancels
+    must be dropped by the arithmetic itself; q = -p + r makes p + q and
+    p * q cancel."""
+    assume(not p.is_zero)
+    q = -p + r
+    assert p + q == r
+    results = [p + q, p - q, -p, p * q, p ** 3, p.scale(c),
+               parse_poly(p.serialize())]
+    if not q.is_zero:
+        results.append(exact_divide(p * q, q))
+        assert results[-1] == p
+    results.append(kth_root(p ** 2, 2))
+    assert results[-1] in (p, -p)
+    for res in results:
+        _assert_clean(res)
+
+
+def test_constructor_checks_outside_terms():
+    with pytest.raises(ValueError):
+        MultiPoly({(-1, 0, 0): 1})
+    with pytest.raises(TypeError):
+        MultiPoly({(1, 0, 0): 1.5})
+    p = MultiPoly({(1, 0, 0): 0, (0, 1, 0): Fraction(1, 2)})
+    assert p.terms == {(0, 1, 0): FieldElement(Fraction(1, 2))}
+    _assert_clean(p)
 
 
 def test_exact_divide_failure():
