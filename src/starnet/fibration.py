@@ -8,24 +8,23 @@ small/large and describe the translated jump-locus component it produces.
 The fiber over [l0 : l1] is l1*g1 - l0*g2, so [0:1] and [1:0] are the g1
 and g2 fibers and [1:1] is their difference.
 
-Special fibers are found in two ways.  A line lies in the fiber whose lambda
-makes the restrictions of g1 and g2 to it proportional; each restriction
-(mpoly.restrict_to_line) is taken in a frame of the line that solves its
-equation for one variable, by Horner's rule in that variable.  The first
-nonzero column of the two restrictions is normalized to lambda, once per
-line, and every other column is tested against it by cross-multiplication.
-When g1 restricts to 0, a nonzero value of g2 at the frame's base point puts
-the line in [0:1] with no second restriction; only a zero value needs the
-restriction of g2, which tells [0:1] from a fixed line.  A multiple fiber
-C^m * B is found where its component C meets one probe line: there the
-Jacobian form g1*dg2 - g2*dg1, divisible by C^(m - 1), vanishes.  The zeros
-on the line are those of one univariate gcd of two of its coefficients, and
-the parameters of the fibers through them are the roots of a resultant of
-degree at most the number of zeros, interpolated at that many integer nodes
-plus one.  Its roots in K, those of its squarefree part, are found through
-an inert prime (field.roots, starnet.modp).  Each fiber is then divided, by
-synthetic division (mpoly.divide_out), only by the lines whose own lambda
-is its lambda, and by the lines in every fiber.
+Special fibers are found in two ways.  A line in the fiber over mu has
+[g1(P) : g2(P)] = mu at each of its points P off the base locus, so each
+line is given that ratio at the first such point among d + 1 points of a
+frame of the line; a line on which g1 and g2 vanish at all d + 1 is fixed,
+as a form of degree d with d + 1 zeros on a line vanishes on it.  A
+multiple fiber C^m * B is found where its component C meets one probe
+line: there the Jacobian form g1*dg2 - g2*dg1, divisible by C^(m - 1),
+vanishes.  The zeros on the line are those of one univariate gcd of two of
+its coefficients, and the parameters of the fibers through them are the
+roots of a resultant of degree at most the number of zeros, interpolated
+at that many integer nodes plus one.  Its roots in K, those of its
+squarefree part, are found through an inert prime (field.roots,
+starnet.modp).  A line lies in a fiber only if synthetic division of the
+fiber by it (mpoly.divide_out) is exact, so a per-line lambda that no
+other search found is a candidate only if one of its lines divides its
+fiber, and each fiber is divided only by its lambda's lines and the fixed
+lines.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, count, islice
 
 from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
@@ -287,34 +286,27 @@ def _line_frame(covector):
 
 
 def _line_fibers(A: Arrangement, pencil: Pencil):
-    """Which fibers contain which arrangement lines.
-
-    Returns (fibers, fixed): fibers maps the key of each lambda whose fiber
-    contains a line to (lambda, indices of those lines); fixed lists the
-    lines on which g1 and g2 both vanish, which lie in every fiber.
+    """(fibers, fixed): fibers maps the key of each lambda to (lambda,
+    indices of the lines given it), and fixed lists the lines on which g1
+    and g2 both vanish.  A line is given [g1(P) : g2(P)] at the first P off
+    the base locus among d + 1 points of its frame: the base point, the
+    point at infinity D, then the base point plus j*D; with no such P it is
+    fixed.  Only dividing the fiber by the line proves that it lies there.
     """
+    g1, g2 = pencil.g1, pencil.g2
     fibers, fixed = {}, []
     for i, ln in enumerate(A.lines):
-        frame = _line_frame(ln.covector)
-        b1 = restrict_to_line(pencil.g1, *frame).coeffs
-        if not b1 and pencil.g2.evaluate(frame[0]):
-            # g1 vanishes on the line and g2 does not: the fiber [0:1]
-            lam = (ZERO, ONE)
+        point, direction = _line_frame(ln.covector)
+        points = chain((point, direction),
+                       ([p + q * j for p, q in zip(point, direction)]
+                        for j in count(1)))
+        for pt in islice(points, max(g1.degree, 0) + 1):
+            lam = normalize((g1.evaluate(pt), g2.evaluate(pt)))
+            if lam is not None:
+                fibers.setdefault(lambda_key(lam), (lam, []))[1].append(i)
+                break
         else:
-            b2 = restrict_to_line(pencil.g2, *frame).coeffs
-            # the fiber [l0:l1] contains the line iff l1*b1 = l0*b2, that is
-            # iff every nonzero column (b1[j], b2[j]) normalizes to (l0, l1)
-            cols = zip_longest(b1, b2, fillvalue=ZERO)  # top zeros dropped
-            lam = next((normalize(col) for col in cols if any(col)), None)
-            if lam is None:
-                fixed.append(i)
-                continue
-            # the other columns by cross-multiplication: l0 is 1, or
-            # (l0, l1) = (0, 1)
-            l0, l1 = lam
-            if not all(c1 * l1 == c2 if l0 else not c1 for c1, c2 in cols):
-                continue
-        fibers.setdefault(lambda_key(lam), (lam, []))[1].append(i)
+            fixed.append(i)
     return fibers, fixed
 
 
@@ -322,10 +314,11 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=(),
                       line_fibers=None):
     """Sound candidate list of special parameters.
 
-    Per-line parameters, the parameters of the fibers through the zeros of
-    the pencil's Jacobian form on a probe line (_discriminant_lambdas),
-    caller extras, and always the two base members [0:1], [1:0].
-    line_fibers is _line_fibers(A, pencil), computed here when not given.
+    The two base members [0:1], [1:0], the parameters of the fibers through
+    the zeros of the pencil's Jacobian form on a probe line
+    (_discriminant_lambdas), caller extras, and each other per-line lambda
+    whose fiber a line given it divides.  line_fibers is _line_fibers(A,
+    pencil), computed here when not given.
     """
     if is_proportional(pencil.g1, pencil.g2):
         raise DegeneratePencil("g1 and g2 are proportional")
@@ -339,12 +332,16 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=(),
 
     add((ZERO, ONE))
     add((ONE, ZERO))
-    for lam, _ in line_fibers[0].values():
-        add(lam)
     for lam in _discriminant_lambdas(pencil):
         add(lam)
     for lam in extra:
         add(lam)
+    for key, (lam, lines) in line_fibers[0].items():
+        if key not in found:
+            fiber = fiber_polynomial(pencil, lam)
+            if any(divide_out(fiber, A.lines[i].linear_form())[0]
+                   for i in lines):
+                found[key] = lam
     return [found[k] for k in sorted(found)]
 
 
@@ -355,7 +352,8 @@ def analyze_fiber(A: Arrangement, pencil: Pencil, lam,
     """Peel arrangement lines off the fiber over lam and find its mu.
 
     lines are the indices of the lines to try, every line by default; a
-    line outside them must not divide the fiber.
+    line outside them must not divide the fiber, and a line among them that
+    does not divide it peels with exponent 0 and is not reported.
     """
     lam = normalize_lambda(lam)
     fiber = fiber_polynomial(pencil, lam)
@@ -383,7 +381,7 @@ def analyze(A: Arrangement, pencil: Pencil, extra_lambdas=()) -> FibrationReport
     line_fibers = _line_fibers(A, pencil)
     candidates = lambda_candidates(A, pencil, extra_lambdas, line_fibers)
     on_line, fixed = line_fibers
-    # a line lies in the fiber over lam iff its own lambda is lam
+    # a line can lie in the fiber over lam only if its own lambda is lam
     fibers = [analyze_fiber(A, pencil, lam,
                             fixed + on_line.get(lambda_key(lam), (lam, []))[1])
               for lam in candidates]

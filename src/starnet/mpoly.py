@@ -98,12 +98,13 @@ class MultiPoly:
         clean = {}
         if terms:
             for exp, coef in terms.items():
+                if type(exp) is not tuple or len(exp) != 3 or not all(
+                        type(e) is int and e >= 0 for e in exp):
+                    raise ValueError(f"monomial exponent {exp!r} is not "
+                                     "three nonnegative integers")
                 coef = _coerce_coeff(coef)
                 if not coef.is_zero:
-                    ex, ey, ez = exp
-                    if ex < 0 or ey < 0 or ez < 0:
-                        raise ValueError("negative exponent in monomial")
-                    clean[(ex, ey, ez)] = coef
+                    clean[exp] = coef
         _set(self, clean)
 
     def __setattr__(self, name, value):
@@ -278,8 +279,8 @@ _set = MultiPoly.terms.__set__
 
 def _wrap(terms: dict) -> MultiPoly:
     """A MultiPoly over the result of a term kernel, with no checks: only
-    MultiPoly() coerces coefficients, drops zeros and rejects negative
-    exponents, for terms from outside."""
+    MultiPoly() coerces coefficients, drops zeros and rejects keys that are
+    not three nonnegative ints, for terms from outside."""
     p = object.__new__(MultiPoly)
     _set(p, terms)
     return p
@@ -378,7 +379,7 @@ def divide_out(p: MultiPoly, f: MultiPoly):
             exp = [0, 0, 0]
             exp[v], exp[u], exp[w] = i, eu, ew
             terms[tuple(exp)] = coef if scale is None else coef * scale
-    return k, MultiPoly(terms)
+    return k, _wrap(terms)
 
 
 def _divide_rows(rows, shifts):
@@ -468,9 +469,9 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
 
 def partial(p: MultiPoly, i: int) -> MultiPoly:
     """The derivative of p by the variable of index i (0, 1, 2 = x, y, z)."""
-    return MultiPoly({exp[:i] + (exp[i] - 1,) + exp[i + 1:]:
-                      coef * FieldElement(exp[i])
-                      for exp, coef in p.terms.items() if exp[i]})
+    return _wrap({exp[:i] + (exp[i] - 1,) + exp[i + 1:]:
+                  coef * FieldElement(exp[i])
+                  for exp, coef in p.terms.items() if exp[i]})
 
 
 def hessian(p: MultiPoly) -> MultiPoly:

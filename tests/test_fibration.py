@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from starnet import fibration, mpoly
 from starnet.arrangement import Line, build, builtin, delete
 from starnet.cli import main
 from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
@@ -25,8 +26,8 @@ from starnet.fibration import (_PROBES, _discriminant_lambdas,
                                translated_component)
 from starnet.multinet import (Pencil, builtin_pencil, enumerate_multinets,
                               multinet_pencil)
-from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, is_proportional,
-                           kth_root, restrict_to_line)
+from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out,
+                           is_proportional, kth_root, restrict_to_line)
 
 from oracles import (lagrange_interpolate, ref_discriminant_lambdas,
                      ref_line_lambdas, sylvester_resultant, tau)
@@ -469,12 +470,18 @@ def test_tangent_member_is_not_a_fiber(capsys):
 
 
 def line_lambdas(A, pencil):
-    """_line_fibers(A, pencil) in ref_line_lambdas's per-line form."""
+    """The proven fiber of each line in ref_line_lambdas's per-line form: a
+    line's _line_fibers lambda when the line divides that fiber (the zero
+    fiber of a proportional pencil included), else None; "fixed" for a
+    fixed line."""
     fibers, fixed = _line_fibers(A, pencil)
     out = [None] * A.n
-    for key, (_, lines) in fibers.items():
+    for key, (lam, lines) in fibers.items():
+        fiber = fiber_polynomial(pencil, lam)
         for i in lines:
-            out[i] = key
+            if fiber.is_zero \
+                    or divide_out(fiber, A.lines[i].linear_form())[0] >= 1:
+                out[i] = key
     for i in fixed:
         out[i] = "fixed"
     return out
@@ -552,38 +559,65 @@ def test_line_fibers_on_lines_with_zero_entries():
         assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
     fibers, fixed = _line_fibers(A, Pencil(X * Y, X * Z, ()))
     assert fixed == [0]
-    # on z = 0, g1 restricts to [1] and g2 to [1, 0, 1]: the column
-    # (0, 1) past the end of g1's restriction keeps z out of [1 : 1]
+    # z = 0 is given [1 : 1] at its frame point (1, 0, 0), but z does not
+    # divide the fiber -y^2 over [1 : 1]: it lies in no fiber
     pen = Pencil(X * X, X * X + Y * Y, ())
+    z = A.index_of("z")
+    assert z in _line_fibers(A, pen)[0][("1", "1")][1]
     lams = line_lambdas(A, pen)
     assert lams == ref_line_lambdas(A, pen)
-    assert lams[A.index_of("z")] is None
+    assert lams[z] is None
 
 
 def test_line_fibers_when_g1_vanishes_on_the_line():
     """g1 = x*z vanishes on x = 0 and on z = 0.  g2 = y^2 is nonzero at
-    the frame point (0, 1, 0) of x = 0, which puts x in [0:1] with no
-    restriction of g2; it vanishes at the frame point (1, 0, 0) of z = 0
-    but not on z = 0, so there the restriction of g2 decides."""
+    the frame point (0, 1, 0) of x = 0, which puts x in [0:1]; it vanishes
+    at the frame point (1, 0, 0) of z = 0, a base point, so the frame's
+    point at infinity (0, 1, 0) decides z."""
     A = builtin("b3")
     pen = Pencil(X * Z, Y * Y, ())
     x, z = A.index_of("x"), A.index_of("z")
     assert pen.g2.evaluate(_line_frame(A.lines[x].covector)[0])
     assert not pen.g2.evaluate(_line_frame(A.lines[z].covector)[0])
+    assert pen.g2.evaluate(_line_frame(A.lines[z].covector)[1])
     lams = line_lambdas(A, pen)
     assert lams == ref_line_lambdas(A, pen)
     assert lams[x] == lams[z] == ("0", "1")
 
 
 def test_line_fibers_keep_a_fixed_line_fixed():
-    """g1 = x*z and g2 = y*z both vanish on z = 0, g2 also at its frame
-    point: z is fixed, while x, where only g1 vanishes, is in [0:1]."""
+    """g1 = x*z and g2 = y*z both vanish on z = 0: at its three frame
+    points (1, 0, 0), (0, 1, 0) and (1, 1, 0), so z is fixed.  On x = 0
+    both vanish at the frame points (0, 1, 0) and (0, 0, 1), base points,
+    and the third, (0, 1, 1), puts x in [0:1]."""
     A = builtin("b3")
     pen = Pencil(X * Z, Y * Z, ())
     fibers, fixed = _line_fibers(A, pen)
     assert fixed == [A.index_of("z")]
     assert A.index_of("x") in fibers[("0", "1")][1]
     assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
+
+
+@pytest.mark.parametrize("name", ["b3", "double_star"])
+def test_line_fibers_restrict_nothing(name, monkeypatch):
+    # a line's lambda comes from point values alone
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return restrict_to_line(*args)
+
+    monkeypatch.setattr(mpoly, "restrict_to_line", counted)
+    monkeypatch.setattr(fibration, "restrict_to_line", counted)
+    A = builtin(name)
+    for pen in (builtin_pencil(name), Pencil(X * Z, Y * Z, ()),
+                Pencil(X * Y, X * Y + Z * Z, ())):
+        fibers, fixed = _line_fibers(A, pen)
+        assert sum(len(lines) for _, lines in fibers.values()) \
+            + len(fixed) == A.n
+    assert not calls
+    analyze(A, builtin_pencil(name))
+    assert calls  # the counter sees the probe line's restrictions
 
 
 small_ints = st.integers(min_value=-4, max_value=4)

@@ -32,6 +32,10 @@ CASES = {
                          "--pencil", "builtin:b3_del_z"),
     "analyze_b3_fixed_x": ("analyze", "--builtin", "b3",
                            "--pencil", "x*y; x*z"),
+    # both frame points of z, (1:0:0) and (0:1:0), are base points: the
+    # third, (1:1:0), puts z in the fiber over [1:1], z^2
+    "analyze_b3_z_squared": ("analyze", "--builtin", "b3",
+                             "--pencil", "x*y; x*y+z^2"),
     "analyze_b3_from_multinet": ("analyze", "--builtin", "b3",
                                  "--from-multinet", "0", "--max-mult", "2"),
     "multinets_b3_mult2": ("multinets", "--builtin", "b3", "--max-mult", "2"),

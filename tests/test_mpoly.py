@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials: division, powers, restrictions."""
 
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -80,6 +81,11 @@ def test_results_hold_no_zero(p, r, c):
 def test_constructor_checks_outside_terms():
     with pytest.raises(ValueError):
         MultiPoly({(-1, 0, 0): 1})
+    # every key is checked, one with a zero coefficient too, and named
+    for key, coef in [((-1, 0, 0), 0), ((1, 0, 0, 5), 0), ((1, 0), 1),
+                      ((1.5, 0, 0), 1)]:
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            MultiPoly({key: coef})
     with pytest.raises(TypeError):
         MultiPoly({(1, 0, 0): 1.5})
     p = MultiPoly({(1, 0, 0): 0, (0, 1, 0): Fraction(1, 2)})
