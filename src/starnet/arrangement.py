@@ -397,7 +397,8 @@ def load_arrangement(path: str) -> Arrangement:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
         raise ParseError(f"cannot read arrangement file: {exc}") from exc
     return arrangement_from_json(doc)
 

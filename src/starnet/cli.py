@@ -152,7 +152,7 @@ def cmd_analyze(args) -> int:
                                     if rep.k >= 2 else None)
     hypotheses = dict(rep.hypotheses)
     if rep.classification == "small":
-        comp = translated_component(A, pencil, rep)
+        comp = translated_component(A, rep)
         results["translated_component"] = comp.describe(A)
         explained = pointed_vs_fiber(A, rep)
         results["pointed_comparison"] = explained

@@ -152,7 +152,10 @@ def _parse(text: str) -> dict:
     if not tokens:
         raise ParseError("empty expression")
     parser = _Parser(tokens)
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.pos != len(tokens):
         raise ParseError(f"trailing input at token {parser.pos}")
     return value

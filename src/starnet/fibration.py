@@ -23,8 +23,9 @@ squarefree part, are found through an inert prime (field.roots,
 starnet.modp).  A line lies in a fiber only if synthetic division of the
 fiber by it (mpoly.divide_out) is exact, so a per-line lambda that no
 other search found is a candidate only if one of its lines divides its
-fiber, and each fiber is divided only by its lambda's lines and the fixed
-lines.
+fiber.  Each candidate carries its lines, the fixed lines and those given
+its lambda, and its fiber is divided by those alone; the report's removed
+fibers, multiple fibers and class are read off the analyzed fibers.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -34,7 +35,7 @@ Curves; Brieskorn-Knoerrer, Plane Algebraic Curves): no roots are found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 
@@ -70,7 +71,6 @@ def fiber_polynomial(pencil: Pencil, lam) -> MultiPoly:
 @dataclass(frozen=True)
 class FiberAnalysis:
     lam: tuple
-    fiber_poly: MultiPoly
     arrangement_part: tuple  # ((line index, exponent), ...)
     residual: MultiPoly
     mu: int
@@ -94,13 +94,33 @@ class FiberAnalysis:
 
 @dataclass(frozen=True)
 class FibrationReport:
-    k: int
-    removed: tuple          # lambda values of fully removed fibers
-    fibers: tuple           # every analyzed FiberAnalysis
-    multiple_fibers: tuple  # the sublist with mu >= 2 and not removed
-    classification: str     # small | large | neither
-    mu_vector: tuple
-    hypotheses: dict = dc_field(default_factory=dict)
+    fibers: tuple      # every analyzed FiberAnalysis, in lambda_key order
+    hypotheses: dict
+
+    @property
+    def removed(self) -> tuple:
+        """The lambda of the fully removed fibers."""
+        return tuple(f.lam for f in self.fibers if f.removed)
+
+    @property
+    def k(self) -> int:
+        return len(self.removed)
+
+    @property
+    def multiple_fibers(self) -> tuple:
+        return tuple(f for f in self.fibers if not f.removed and f.mu >= 2)
+
+    @property
+    def mu_vector(self) -> tuple:
+        return tuple(f.mu for f in self.multiple_fibers)
+
+    @property
+    def classification(self) -> str:
+        """small (two removed fibers and a multiple one), large (three or
+        more removed fibers) or neither."""
+        if self.k >= 3:
+            return "large"
+        return "small" if self.k == 2 and self.multiple_fibers else "neither"
 
     def describe(self, A: Arrangement) -> dict:
         return {
@@ -286,11 +306,11 @@ def _line_frame(covector):
 
 
 def _line_fibers(A: Arrangement, pencil: Pencil):
-    """(fibers, fixed): fibers maps the key of each lambda to (lambda,
-    indices of the lines given it), and fixed lists the lines on which g1
-    and g2 both vanish.  A line is given [g1(P) : g2(P)] at the first P off
-    the base locus among d + 1 points of its frame: the base point, the
-    point at infinity D, then the base point plus j*D; with no such P it is
+    """(fibers, fixed): fibers maps each normalized lambda to the indices
+    of the lines given it, and fixed lists the lines on which g1 and g2
+    both vanish.  A line is given [g1(P) : g2(P)] at the first P off the
+    base locus among d + 1 points of its frame: the base point, the point
+    at infinity D, then the base point plus j*D; with no such P it is
     fixed.  Only dividing the fiber by the line proves that it lies there.
     """
     g1, g2 = pencil.g1, pencil.g2
@@ -303,65 +323,56 @@ def _line_fibers(A: Arrangement, pencil: Pencil):
         for pt in islice(points, max(g1.degree, 0) + 1):
             lam = normalize((g1.evaluate(pt), g2.evaluate(pt)))
             if lam is not None:
-                fibers.setdefault(lambda_key(lam), (lam, []))[1].append(i)
+                fibers.setdefault(lam, []).append(i)
                 break
         else:
             fixed.append(i)
     return fibers, fixed
 
 
-def lambda_candidates(A: Arrangement, pencil: Pencil, extra=(),
-                      line_fibers=None):
-    """Sound candidate list of special parameters.
+def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
+    """Sound candidate list of special parameters, as (lam, lines) pairs
+    in lambda_key order.
 
-    The two base members [0:1], [1:0], the parameters of the fibers through
-    the zeros of the pencil's Jacobian form on a probe line
-    (_discriminant_lambdas), caller extras, and each other per-line lambda
-    whose fiber a line given it divides.  line_fibers is _line_fibers(A,
-    pencil), computed here when not given.
+    The candidates are the two base members [0:1], [1:0], the parameters
+    of the fibers through the zeros of the pencil's Jacobian form on a
+    probe line (_discriminant_lambdas), caller extras, and each other
+    per-line lambda whose fiber a line given it divides (_line_fibers).
+    lines are the fixed lines and the lines given lam, the only lines that
+    can lie in its fiber.
     """
     if is_proportional(pencil.g1, pencil.g2):
         raise DegeneratePencil("g1 and g2 are proportional")
-    if line_fibers is None:
-        line_fibers = _line_fibers(A, pencil)
-    found = {}
-
-    def add(lam):
-        lam = normalize_lambda(lam)
-        found.setdefault(lambda_key(lam), lam)
-
-    add((ZERO, ONE))
-    add((ONE, ZERO))
-    for lam in _discriminant_lambdas(pencil):
-        add(lam)
-    for lam in extra:
-        add(lam)
-    for key, (lam, lines) in line_fibers[0].items():
-        if key not in found:
+    on_line, fixed = _line_fibers(A, pencil)
+    found = {normalize_lambda(lam) for lam in chain(
+        ((ZERO, ONE), (ONE, ZERO)), _discriminant_lambdas(pencil), extra)}
+    for lam, lines in on_line.items():
+        if lam not in found:
             fiber = fiber_polynomial(pencil, lam)
             if any(divide_out(fiber, A.lines[i].linear_form())[0]
                    for i in lines):
-                found[key] = lam
-    return [found[k] for k in sorted(found)]
+                found.add(lam)
+    return [(lam, fixed + on_line.get(lam, []))
+            for lam in sorted(found, key=lambda_key)]
 
 
 # -- per-fiber analysis -----------------------------------------------------
 
 def analyze_fiber(A: Arrangement, pencil: Pencil, lam,
-                  lines=None) -> FiberAnalysis:
+                  lines) -> FiberAnalysis:
     """Peel arrangement lines off the fiber over lam and find its mu.
 
-    lines are the indices of the lines to try, every line by default; a
-    line outside them must not divide the fiber, and a line among them that
-    does not divide it peels with exponent 0 and is not reported.
+    lines are the indices of the lines to try, as lambda_candidates gives
+    them or range(A.n); a line outside them must not divide the fiber, and
+    a line among them that does not divide it peels with exponent 0 and is
+    not reported.
     """
     lam = normalize_lambda(lam)
-    fiber = fiber_polynomial(pencil, lam)
-    if fiber.is_zero:
+    residual = fiber_polynomial(pencil, lam)
+    if residual.is_zero:
         raise DegeneratePencil("fiber polynomial vanished identically")
     parts = []
-    residual = fiber
-    for i in sorted(range(A.n) if lines is None else lines):
+    for i in sorted(lines):
         e, residual = divide_out(residual, A.lines[i].linear_form())
         if e:
             parts.append((i, e))
@@ -374,33 +385,13 @@ def analyze_fiber(A: Arrangement, pencil: Pencil, lam,
             break
         except NotAPower:
             pass
-    return FiberAnalysis(lam, fiber, tuple(parts), residual, mu, root)
+    return FiberAnalysis(lam, tuple(parts), residual, mu, root)
 
 
 def analyze(A: Arrangement, pencil: Pencil, extra_lambdas=()) -> FibrationReport:
-    line_fibers = _line_fibers(A, pencil)
-    candidates = lambda_candidates(A, pencil, extra_lambdas, line_fibers)
-    on_line, fixed = line_fibers
-    # a line can lie in the fiber over lam only if its own lambda is lam
-    fibers = [analyze_fiber(A, pencil, lam,
-                            fixed + on_line.get(lambda_key(lam), (lam, []))[1])
-              for lam in candidates]
-    removed = tuple(f.lam for f in fibers if f.removed)
-    multiple = tuple(f for f in fibers if not f.removed and f.mu >= 2)
-    k = len(removed)
-    if k == 2 and multiple:
-        cls = "small"
-    elif k >= 3:
-        cls = "large"
-    else:
-        cls = "neither"
     return FibrationReport(
-        k=k,
-        removed=removed,
-        fibers=tuple(fibers),
-        multiple_fibers=multiple,
-        classification=cls,
-        mu_vector=tuple(f.mu for f in multiple),
+        fibers=tuple(analyze_fiber(A, pencil, lam, lines) for lam, lines
+                     in lambda_candidates(A, pencil, extra_lambdas)),
         hypotheses={
             "surjective": "assumed, not verified",
             "connected_generic_fiber": "assumed, not verified",
@@ -426,17 +417,16 @@ def orbifold_v1_shape(k: int, mu_vector) -> dict:
     return {"kind": kind, "dimension": k - 1, "torsion": list(mu_vector)}
 
 
-def _fiber_exponents(report: FibrationReport, lam_key, n: int):
+def _fiber_exponents(report: FibrationReport, lam, n: int):
+    out = [0] * n
     for f in report.fibers:
-        if lambda_key(f.lam) == lam_key:
-            out = [0] * n
+        if f.lam == lam:
             for i, e in f.arrangement_part:
                 out[i] = e
-            return out
-    return [0] * n
+    return out
 
 
-def translated_component(A: Arrangement, pencil: Pencil,
+def translated_component(A: Arrangement,
                          report: FibrationReport) -> V1Component:
     """The translated subtorus produced by a small fibration.
 
@@ -452,9 +442,8 @@ def translated_component(A: Arrangement, pencil: Pencil,
             f"{len(report.multiple_fibers)} multiple fibers; "
             "expand one component per torsion character")
     mu = report.multiple_fibers[0].mu
-    n = A.n
-    e1 = _fiber_exponents(report, lambda_key(normalize_lambda((ZERO, ONE))), n)
-    e2 = _fiber_exponents(report, lambda_key(normalize_lambda((ONE, ZERO))), n)
+    e1 = _fiber_exponents(report, (ZERO, ONE), A.n)
+    e2 = _fiber_exponents(report, (ONE, ZERO), A.n)
     t_exp = tuple(a - b for a, b in zip(e1, e2))
     rho = tuple(b % mu for b in e2)
     return V1Component(rho_exponents=rho, t_exponents=t_exp,

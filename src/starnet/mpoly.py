@@ -485,6 +485,10 @@ def hessian(p: MultiPoly) -> MultiPoly:
 # -- homogenization ---------------------------------------------------------
 
 def homogenize(p: MultiPoly, target_deg: int | None = None) -> MultiPoly:
+    """The form of degree target_deg, p's degree by default, that is p at
+    z = 1, for p in x and y."""
+    if any(exp[2] for exp in p.terms):
+        raise ValueError("homogenize takes a polynomial in x and y")
     deg = max(p.degree, 0)
     if target_deg is None:
         target_deg = deg
@@ -661,11 +665,11 @@ def restrict_to_line(p: MultiPoly, point, direction) -> UniPoly:
     p = sum over k of x_h^k * p_k with each p_k free of x_h, and the
     restriction is Horner's rule in x_h over the restrictions of the p_k.
     A term of p_k is the sparse product of one row per other coordinate,
-    from the powers of that coordinate.  On a line frame or a probe line
-    every other coordinate is a constant or a multiple of t, whose rows
-    have one entry: a shift and a scaling, with no convolution.  A
-    coordinate fixed at 1 is skipped, and a factor equal to 1 is never
-    multiplied.
+    from the powers of that coordinate.  On a probe line every other
+    coordinate is a constant or a multiple of t, whose rows have one entry:
+    a shift and a scaling, with no convolution; on radical's lines from
+    (s, 1, 0) x is s + a*t, and its rows are convolutions.  A coordinate
+    fixed at 1 is skipped, and a factor equal to 1 is never multiplied.
     """
     dirs = [_coerce_coeff(v) for v in direction]
     if all(v.is_zero for v in dirs):

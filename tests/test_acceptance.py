@@ -66,7 +66,7 @@ def test_criterion_3_double_star_fibration():
     ok = ok and len(rep.multiple_fibers) == 1
     fb = rep.multiple_fibers[0]
     ok = ok and tuple(str(c) for c in fb.lam) == ("1", "1") and fb.mu == 2
-    comp = translated_component(A, pen, rep)
+    comp = translated_component(A, rep)
     affine = [A.index_of(f"l{i}") for i in range(1, 11)]
     expect = [1] * 5 + [-1] * 5
     ok = ok and [comp.t_exponents[i] for i in affine] == expect

@@ -45,17 +45,27 @@ def test_lattice_from_file(tmp_path, capsys):
     assert json.loads(out)["results"]["n_points"] == 13
 
 
-def test_malformed_file_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("data", [
+    b"{not json",
+    b"\xff\xfe{}",          # not UTF-8
+    b"[" * 100_000,          # nested past the recursion limit
+], ids=["not_json", "not_utf8", "deep_json"])
+def test_malformed_file_is_input_error(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(data)
     code, _, err = run(capsys, "lattice", "--file", str(path))
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def _doc(*covectors, labels="abc"):
     return {"lines": [{"label": lab, "covector": cov}
                       for lab, cov in zip(labels, covectors)]}
+
+
+def _nested(text, depth=3000):
+    return "(" * depth + text + ")" * depth
 
 
 @pytest.mark.parametrize("argv, doc, needle", [
@@ -82,11 +92,19 @@ def _doc(*covectors, labels="abc"):
                         ["1", "0", "0"]), "unexpected character"),
     (("lattice",), _doc([1, 0, 0], ["0", "1", "0"]),
      "line 'a': covector entry 1 is not a string"),
+    # nesting past the recursion limit
+    (("analyze", "--builtin", "b3", "--pencil", _nested("x") + ";y"), None,
+     "nested too deeply"),
+    (("analyze", "--builtin", "b3", "--pencil", "x;y",
+      "--lambda=" + _nested("1") + ",1"), None, "nested too deeply"),
+    (("lattice",), _doc([_nested("1"), "0", "1"], ["0", "1", "0"]),
+     "nested too deeply"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
         "lambda_zero", "covector_of_two", "one_line", "repeated_label",
         "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0",
         "pencil_superscript_digit", "covector_arabic_indic_digit",
-        "covector_entry_not_string"])
+        "covector_entry_not_string", "pencil_nested_deep",
+        "lambda_nested_deep", "covector_nested_deep"])
 def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"

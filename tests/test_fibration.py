@@ -64,7 +64,8 @@ def test_pencil_of_mixed_degrees_is_rejected(g1, g2):
 def test_b3_candidates_cover_special_fibers():
     A = builtin("b3")
     pen = builtin_pencil("b3")
-    keys = {tuple(str(c) for c in lam) for lam in lambda_candidates(A, pen)}
+    keys = {tuple(str(c) for c in lam)
+            for lam, _ in lambda_candidates(A, pen)}
     assert {("0", "1"), ("1", "0"), ("1", "1")} <= keys
 
 
@@ -75,7 +76,7 @@ def test_b3_large():
     assert rep.classification == "large"
     assert rep.mu_vector == ()
     with pytest.raises(NotSmall):
-        translated_component(A, builtin_pencil("b3"), rep)
+        translated_component(A, rep)
 
 
 def test_b3_del_z_small_and_explained():
@@ -189,7 +190,7 @@ def test_translated_component_values():
     A = builtin("double_star")
     pen = builtin_pencil("double_star")
     rep = analyze(A, pen)
-    comp = translated_component(A, pen, rep)
+    comp = translated_component(A, rep)
     assert comp.dimension == 1
     assert comp.torsion_order == 2
     affine = [A.index_of(f"l{i}") for i in range(1, 11)]
@@ -210,7 +211,7 @@ def test_orbifold_v1_shape():
 def test_analyze_fiber_peels_lines():
     A = builtin("b3")
     pen = builtin_pencil("b3")
-    f = analyze_fiber(A, pen, (ZERO, ONE))   # fiber x^2 (y^2 - z^2)
+    f = analyze_fiber(A, pen, (ZERO, ONE), range(A.n))  # x^2 (y^2 - z^2)
     got = {(A.lines[i].label, e) for i, e in f.arrangement_part}
     assert got == {("x", 2), ("y-z", 1), ("y+z", 1)}
     assert f.removed
@@ -223,7 +224,7 @@ def test_fixed_line_is_peeled_from_every_fiber():
     rep = analyze(A, pen)
     assert rep.k == 4 and len(rep.fibers) == 5
     assert all((0, 1) in f.arrangement_part for f in rep.fibers)
-    assert list(rep.fibers) == [analyze_fiber(A, pen, f.lam)
+    assert list(rep.fibers) == [analyze_fiber(A, pen, f.lam, range(A.n))
                                 for f in rep.fibers]
 
 
@@ -288,6 +289,10 @@ def _keys(lams):
     return {lambda_key(normalize_lambda(lam)) for lam in lams}
 
 
+def _candidate_keys(A, pencil):
+    return {lambda_key(lam) for lam, _ in lambda_candidates(A, pencil)}
+
+
 def _check_within_reference(pencil):
     """The lambda of the Jacobian zero search are a subset of the roots in K
     of the 2*d1-node probe discriminant, which also lists every member that
@@ -346,7 +351,7 @@ def _check_planted_fiber(lam0, c, m, b, g2):
     pencil = Pencil(g2.scale(lam0) + c ** m * b, g2, ())
     want = lambda_key(normalize_lambda((lam0, ONE)))
     assert want in _keys(_discriminant_lambdas(pencil))
-    assert want in _keys(lambda_candidates(builtin("b3"), pencil))
+    assert want in _candidate_keys(builtin("b3"), pencil)
 
 
 small_fractions = st.fractions(min_value=-50, max_value=50,
@@ -410,7 +415,7 @@ def test_composite_double_star_pencil_finds_both_multiple_fibers(capsys):
     g1, g2 = (parse_poly(p) for p in COMPOSITE.split(";"))
     pencil = Pencil(g1, g2, ())
     assert lambda_key(normalize_lambda((FieldElement(9, 4), ONE))) \
-        in _keys(lambda_candidates(A, pencil))
+        in _candidate_keys(A, pencil)
     assert len(analyze(A, pencil).multiple_fibers) == 2
     code = main(["analyze", "--builtin", "double_star", "--pencil",
                  COMPOSITE])
@@ -476,12 +481,12 @@ def line_lambdas(A, pencil):
     fixed line."""
     fibers, fixed = _line_fibers(A, pencil)
     out = [None] * A.n
-    for key, (lam, lines) in fibers.items():
+    for lam, lines in fibers.items():
         fiber = fiber_polynomial(pencil, lam)
         for i in lines:
             if fiber.is_zero \
                     or divide_out(fiber, A.lines[i].linear_form())[0] >= 1:
-                out[i] = key
+                out[i] = lambda_key(lam)
     for i in fixed:
         out[i] = "fixed"
     return out
@@ -500,7 +505,8 @@ def product_of_lines(covs):
 
 def check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed):
     """Random pencils g1 = (lines), g2 = c*g1 + L*M, times a fixed line:
-    _line_fibers and ref_restrict_to_line give the same lambdas."""
+    _line_fibers and ref_restrict_to_line give the same lambdas, and each
+    candidate's lines peel its fiber as every line does."""
     lines = {}
     for cov in SPECIAL_LINES + covs:
         ln = Line(f"h{len(lines)}", cov)
@@ -520,6 +526,15 @@ def check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed):
     assume(not g2.is_zero)
     pen = Pencil(g1, g2, ())
     assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
+    try:
+        candidates = lambda_candidates(A, pen)
+    except DegeneratePencil:
+        return
+    fibers = tuple(analyze_fiber(A, pen, lam, lines)
+                   for lam, lines in candidates)
+    assert fibers == tuple(analyze_fiber(A, pen, lam, range(n))
+                           for lam, _ in candidates)
+    assert analyze(A, pen).fibers == fibers
 
 
 @settings(max_examples=60, deadline=None)
@@ -563,7 +578,7 @@ def test_line_fibers_on_lines_with_zero_entries():
     # divide the fiber -y^2 over [1 : 1]: it lies in no fiber
     pen = Pencil(X * X, X * X + Y * Y, ())
     z = A.index_of("z")
-    assert z in _line_fibers(A, pen)[0][("1", "1")][1]
+    assert z in _line_fibers(A, pen)[0][(ONE, ONE)]
     lams = line_lambdas(A, pen)
     assert lams == ref_line_lambdas(A, pen)
     assert lams[z] is None
@@ -594,7 +609,7 @@ def test_line_fibers_keep_a_fixed_line_fixed():
     pen = Pencil(X * Z, Y * Z, ())
     fibers, fixed = _line_fibers(A, pen)
     assert fixed == [A.index_of("z")]
-    assert A.index_of("x") in fibers[("0", "1")][1]
+    assert A.index_of("x") in fibers[(ZERO, ONE)]
     assert line_lambdas(A, pen) == ref_line_lambdas(A, pen)
 
 
@@ -613,7 +628,7 @@ def test_line_fibers_restrict_nothing(name, monkeypatch):
     for pen in (builtin_pencil(name), Pencil(X * Z, Y * Z, ()),
                 Pencil(X * Y, X * Y + Z * Z, ())):
         fibers, fixed = _line_fibers(A, pen)
-        assert sum(len(lines) for _, lines in fibers.values()) \
+        assert sum(len(lines) for lines in fibers.values()) \
             + len(fixed) == A.n
     assert not calls
     analyze(A, builtin_pencil(name))

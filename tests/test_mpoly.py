@@ -226,6 +226,13 @@ def test_homogenize_round_trip(p):
     assert dehomogenize(h) == affine
 
 
+def test_homogenize_rejects_z():
+    # x + x*z and x*z - x would each collapse onto one term x*z
+    for p in (X + X * Z, X * Z - X):
+        with pytest.raises(ValueError, match="in x and y"):
+            homogenize(p)
+
+
 homogeneous_polys = st.integers(min_value=0, max_value=4).flatmap(
     lambda d: st.dictionaries(
         st.integers(0, d).flatmap(lambda i: st.integers(0, d - i).map(
