@@ -4,165 +4,185 @@ Grammar: integer literals of the ASCII digits 0-9, the symbols r and s
 (field generators) and the variables x, y, z, with + - * / ^ and
 parentheses.  Adjacent factors are multiplied, so "2x^2 y" works.  Division
 is only allowed by (expressions evaluating to) nonzero constants.
+
+An exponent is an integer literal or a parenthesized exponent, either one
+optionally negated: ^k, ^-k, ^(k), ^-(k) and ^(-k).  A negative exponent
+needs a nonzero constant base.
+
+One pass of recursive descent computes the value as it reads.  A value
+stays a FieldElement while it is constant and becomes a term dict
+{exponent (x, y, z): nonzero coefficient}, on which mpoly's term kernels
+compute, once it meets x, y or z; parse_poly builds one MultiPoly at the
+end.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
-from .field import ONE, ZERO, FieldElement
+from .field import ONE, R, S, ZERO, FieldElement
 from .mpoly import (MultiPoly, add_terms, mul_terms, neg_terms, pow_terms,
                     sub_terms)
 
-# A parsed value is a term dict {exponent (x, y, z): nonzero coefficient},
-# on which mpoly's term kernels compute, so an atom or a product costs no
-# polynomial object; parse_poly builds one.
+# a number, an operator or symbol, or any other character but whitespace
+# (\s matches exactly what str.isspace does); [0-9], unlike str.isdigit,
+# takes neither "²" nor "٣"
+_TOKEN = re.compile(r"([0-9]+)|([rsxyz+*/^()-])|(\S)")
 _CONST = (0, 0, 0)
 _SYMBOLS = {
-    "r": {_CONST: FieldElement(0, 1)},
-    "s": {_CONST: FieldElement(0, 0, 1)},
+    "r": R,
+    "s": S,
     "x": {(1, 0, 0): ONE},
     "y": {(0, 1, 0): ONE},
     "z": {(0, 0, 1): ONE},
 }
+# after a factor, a number or one of these starts the next factor of an
+# implicit product
+_FACTOR_START = frozenset("rsxyz(")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """Ints for numbers, characters for the rest, then a None sentinel."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif "0" <= ch <= "9":  # not isdigit, which takes "²" and "٣"
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("num", int(text[i:j])))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append(("sym", ch))
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastindex, m[0]
+        if kind == 2:
+            tokens.append(tok)
+        elif kind == 1:
+            try:
+                tokens.append(int(tok))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal at position {m.start()} "
+                                 f"is too long ({len(tok)} digits)") from None
         else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
+            raise ParseError(f"unexpected character {tok!r} at position "
+                             f"{m.start()}")
+    tokens.append(None)
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+# Each function reads from token i on and returns (value, next i).
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+def _expr(toks, i):
+    value, i = _term(toks, i)
+    op = toks[i]
+    while op == "+" or op == "-":
+        rhs, i = _term(toks, i + 1)
+        if type(value) is type(rhs) is FieldElement:
+            value = value + rhs if op == "+" else value - rhs
+        else:
+            value = (add_terms if op == "+" else sub_terms)(_terms(value),
+                                                            _terms(rhs))
+        op = toks[i]
+    return value, i
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, kind):
-        if self.peek() != kind:
-            raise ParseError(f"expected {kind!r} at token {self.pos}")
-        return self.next()
+def _term(toks, i):
+    value, i = _factor(toks, i)
+    while True:
+        op = toks[i]
+        if op == "*" or op == "/":
+            rhs, i = _factor(toks, i + 1)
+            if op == "/":
+                rhs = _inverse(rhs)
+        elif type(op) is int or op in _FACTOR_START:
+            rhs, i = _factor(toks, i)
+        else:
+            return value, i
+        if type(value) is type(rhs) is FieldElement:
+            value = value * rhs
+        else:
+            value = mul_terms(_terms(value), _terms(rhs))
 
-    def parse_expr(self) -> dict:
-        value = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.parse_term()
-            value = (add_terms if op == "+" else sub_terms)(value, rhs)
+
+def _factor(toks, i):
+    op = toks[i]
+    if op == "-":
+        value, i = _factor(toks, i + 1)
+        if type(value) is FieldElement:
+            return -value, i
+        return neg_terms(value), i
+    if op == "+":
+        return _factor(toks, i + 1)
+    value, i = _atom(toks, i)
+    if toks[i] != "^":
+        return value, i
+    n, i = _exponent(toks, i + 1)
+    if n < 0:
+        value, n = _inverse(value), -n
+    if type(value) is FieldElement:
+        return value ** n, i
+    return pow_terms(value, n), i
+
+
+def _exponent(toks, i):
+    sign = 1
+    if toks[i] == "-":
+        sign, i = -1, i + 1
+    tok = toks[i]
+    if type(tok) is int:
+        return sign * tok, i + 1
+    if tok == "(":
+        n, i = _exponent(toks, i + 1)
+        if toks[i] != ")":
+            raise ParseError(f"expected ')' at token {i}")
+        return sign * n, i + 1
+    raise ParseError("expected an integer exponent")
+
+
+def _atom(toks, i):
+    tok = toks[i]
+    if type(tok) is int:
+        return FieldElement(tok), i + 1
+    value = _SYMBOLS.get(tok)
+    if value is not None:
+        return value, i + 1
+    if tok == "(":
+        value, i = _expr(toks, i + 1)
+        if toks[i] != ")":
+            raise ParseError(f"expected ')' at token {i}")
+        return value, i + 1
+    raise ParseError(f"unexpected token at position {i}")
+
+
+def _terms(value) -> dict:
+    if type(value) is dict:
         return value
-
-    def parse_term(self) -> dict:
-        value = self.parse_factor()
-        while True:
-            nxt = self.peek()
-            if nxt in ("*", "/"):
-                op = self.next()[0]
-                rhs = self.parse_factor()
-                value = mul_terms(value, rhs if op == "*" else _invert(rhs))
-            elif nxt in ("num", "sym", "("):
-                value = mul_terms(value, self.parse_factor())
-            else:
-                return value
-
-    def parse_factor(self) -> dict:
-        if self.peek() in ("+", "-"):
-            op = self.next()[0]
-            val = self.parse_factor()
-            return val if op == "+" else neg_terms(val)
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.next()
-            exp = self.parse_exponent()
-            if exp < 0:
-                return pow_terms(_invert(base), -exp)
-            return pow_terms(base, exp)
-        return base
-
-    def parse_exponent(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.next()
-            sign = -1
-        if self.peek() == "num":
-            return sign * self.next()[1]
-        if self.peek() == "(":
-            self.next()
-            val = self.parse_exponent()
-            self.expect(")")
-            return val
-        raise ParseError("expected an integer exponent")
-
-    def parse_atom(self) -> dict:
-        kind = self.peek()
-        if kind == "num":
-            n = self.next()[1]
-            return {_CONST: FieldElement(n)} if n else {}
-        if kind == "sym":
-            return _SYMBOLS[self.next()[1]]
-        if kind == "(":
-            self.next()
-            val = self.parse_expr()
-            self.expect(")")
-            return val
-        raise ParseError(f"unexpected token at position {self.pos}")
+    return {_CONST: value} if value else {}
 
 
-def _constant_of(p: dict) -> FieldElement:
-    if any(e != _CONST for e in p):
+def _constant_of(value) -> FieldElement:
+    if type(value) is FieldElement:
+        return value
+    if any(e != _CONST for e in value):
         raise ParseError("expected a constant expression")
-    return p.get(_CONST, ZERO)
+    return value.get(_CONST, ZERO)
 
 
-def _invert(p: dict) -> dict:
-    c = _constant_of(p)
-    if c.is_zero:
+def _inverse(value) -> FieldElement:
+    c = _constant_of(value)
+    if not c:
         raise ParseError("division by zero in expression")
-    return {_CONST: c.inverse()}
+    return c.inverse()
 
 
-def _parse(text: str) -> dict:
-    tokens = _tokenize(text)
-    if not tokens:
+def _parse(text: str):
+    toks = _tokenize(text)
+    if toks[0] is None:
         raise ParseError("empty expression")
-    parser = _Parser(tokens)
     try:
-        value = parser.parse_expr()
+        value, i = _expr(toks, 0)
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-    if parser.pos != len(tokens):
-        raise ParseError(f"trailing input at token {parser.pos}")
+    if toks[i] is not None:
+        raise ParseError(f"trailing input at token {i}")
     return value
 
 
 def parse_poly(text: str) -> MultiPoly:
-    return MultiPoly(_parse(text))
+    value = _parse(text)
+    return MultiPoly(value if type(value) is dict else {_CONST: value})
 
 
 def parse_field_element(text: str) -> FieldElement:

@@ -232,12 +232,13 @@ class FieldElement:
 
 
 _set = FieldElement._v.__set__
+_new = object.__new__
 _ZERO_V = (0, 0, 0, 0, 1)
 
 
 def _wrap(v) -> FieldElement:
     """A FieldElement over an already canonical 5-tuple."""
-    x = object.__new__(FieldElement)
+    x = _new(FieldElement)
     _set(x, v)
     return x
 
@@ -247,9 +248,12 @@ def _make(a, b, c, d, den) -> FieldElement:
     g = gcd(a, b, c, d, den)
     if den < 0:
         g = -g
+    x = _new(FieldElement)
     if g != 1:
-        return _wrap((a // g, b // g, c // g, d // g, den // g))
-    return _wrap((a, b, c, d, den))
+        _set(x, (a // g, b // g, c // g, d // g, den // g))
+    else:
+        _set(x, (a, b, c, d, den))
+    return x
 
 
 def _coerce(other):

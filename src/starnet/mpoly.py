@@ -60,13 +60,21 @@ def neg_terms(a: dict) -> dict:
 
 
 def mul_terms(a: dict, b: dict) -> dict:
+    if len(a) == 1 and len(b) != 1:
+        a, b = b, a
+    if len(b) == 1:
+        # a product by one nonzero term cancels nothing: it shifts the
+        # exponents of a and scales its coefficients, not at all by ONE
+        ((l, m, n), d), = b.items()
+        if d is ONE:
+            return {(i + l, j + m, k + n): c for (i, j, k), c in a.items()}
+        return {(i + l, j + m, k + n): c * d
+                for (i, j, k), c in a.items()}
     out = {}
     for (i, j, k), c in a.items():
         for (l, m, n), d in b.items():
             e = (i + l, j + m, k + n)
             out[e] = out[e] + c * d if e in out else c * d
-    if len(a) == 1 or len(b) == 1:
-        return out  # a product by one nonzero term cancels nothing
     return {e: c for e, c in out.items() if c}
 
 
@@ -78,7 +86,7 @@ def pow_terms(a: dict, n: int) -> dict:
         return {(0, 0, 0): ONE}
     if len(a) == 1:
         ((i, j, k), c), = a.items()
-        return {(i * n, j * n, k * n): c ** n}
+        return {(i * n, j * n, k * n): c if c is ONE else c ** n}
     out = None
     while n:
         if n & 1:

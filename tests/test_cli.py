@@ -99,12 +99,18 @@ def _nested(text, depth=3000):
       "--lambda=" + _nested("1") + ",1"), None, "nested too deeply"),
     (("lattice",), _doc([_nested("1"), "0", "1"], ["0", "1", "0"]),
      "nested too deeply"),
+    # past Python's limit on converting a digit string to an int
+    (("lattice",), _doc(["1" * 5000, "0", "1"], ["0", "1", "0"],
+                        ["1", "0", "0"]), "too long"),
+    (("analyze", "--builtin", "b3", "--pencil", "1" * 5000 + "x;y"), None,
+     "too long"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
         "lambda_zero", "covector_of_two", "one_line", "repeated_label",
         "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0",
         "pencil_superscript_digit", "covector_arabic_indic_digit",
         "covector_entry_not_string", "pencil_nested_deep",
-        "lambda_nested_deep", "covector_nested_deep"])
+        "lambda_nested_deep", "covector_nested_deep", "covector_long_literal",
+        "pencil_long_literal"])
 def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"
