@@ -380,17 +380,26 @@ def arrangement_from_json(doc: dict) -> Arrangement:
             if not isinstance(cov, list) or len(cov) != 3:
                 raise ParseError(
                     f"line {label!r} wants a covector list of 3 entries")
-            for e in cov:
+            for k, e in enumerate(cov, 1):
                 if not isinstance(e, str):
-                    raise ParseError(f"line {label!r}: covector entry {e!r} "
+                    raise ParseError(f"line {label!r}: covector entry {k} "
                                      "is not a string")
-        lines = [(label, tuple(parse_field_element(e) for e in cov))
+        lines = [(label, tuple(_covector_entry(label, k, e)
+                               for k, e in enumerate(cov, 1)))
                  for label, cov in items]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed arrangement document: {exc}") from exc
     if len(lines) < 2:
         raise ParseError("an arrangement needs at least 2 lines")
     return build(lines, name=name)
+
+
+def _covector_entry(label, k, text) -> FieldElement:
+    try:
+        return parse_field_element(text)
+    except ParseError as exc:
+        raise ParseError(f"line {label!r}: covector entry {k}: {exc}") \
+            from None
 
 
 def load_arrangement(path: str) -> Arrangement:

@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 mathematical check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from math import inf
 
 from .arrangement import (BUILTIN_NAMES, arrangement_to_json, builtin, delete,
@@ -44,9 +44,65 @@ def _arrangement_flags(sub):
 
 def _emit(args, report):
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_text(report))
     else:
         _print_human(report)
+
+
+def _json_text(doc) -> str:
+    """The text json.dumps(doc, sort_keys=True, indent=2) returns.
+
+    With indent set, json.dumps runs CPython's pure-Python encoder; this
+    writer gives the same text in one recursive pass.  It takes str keys,
+    and str, int, bool and None values in dicts, lists and tuples; any other
+    key or value is a TypeError."""
+    chunks = []
+    _write_json(doc, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(doc, pad, write):
+    """Pass doc's text to write, chunk by chunk; pad is a newline and the
+    indent of doc's line."""
+    t = type(doc)
+    if t is str:
+        write(encode_basestring_ascii(doc))
+    elif t is dict:
+        if not doc:
+            write("{}")
+            return
+        inner = pad + "  "
+        lead, sep = "{" + inner, "," + inner
+        for key in sorted(doc):
+            if type(key) is not str:
+                raise TypeError(f"JSON key {key!r} is not a str")
+            write(lead)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_json(doc[key], inner, write)
+            lead = sep
+        write(pad + "}")
+    elif t is list or t is tuple:
+        if not doc:
+            write("[]")
+            return
+        inner = pad + "  "
+        lead, sep = "[" + inner, "," + inner
+        for val in doc:
+            write(lead)
+            _write_json(val, inner, write)
+            lead = sep
+        write(pad + "]")
+    elif doc is None:
+        write("null")
+    elif doc is True:
+        write("true")
+    elif doc is False:
+        write("false")
+    elif t is int:
+        write(int.__repr__(doc))
+    else:
+        raise TypeError(f"cannot write {type(doc).__name__} as JSON")
 
 
 def _print_human(doc, indent=0):

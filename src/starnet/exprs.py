@@ -22,8 +22,8 @@ import re
 
 from .errors import ParseError
 from .field import ONE, R, S, ZERO, FieldElement
-from .mpoly import (MultiPoly, add_terms, mul_terms, neg_terms, pow_terms,
-                    sub_terms)
+from .mpoly import (MultiPoly, add_into, mul_terms, neg_terms, pow_terms,
+                    sub_into)
 
 # a number, an operator or symbol, or any other character but whitespace
 # (\s matches exactly what str.isspace does); [0-9], unlike str.isdigit,
@@ -67,13 +67,16 @@ def _tokenize(text: str) -> list:
 def _expr(toks, i):
     value, i = _term(toks, i)
     op = toks[i]
+    owned = False  # value is a term dict of this sum's own, updated in place
     while op == "+" or op == "-":
         rhs, i = _term(toks, i + 1)
         if type(value) is type(rhs) is FieldElement:
             value = value + rhs if op == "+" else value - rhs
         else:
-            value = (add_terms if op == "+" else sub_terms)(_terms(value),
-                                                            _terms(rhs))
+            if not owned:
+                # copied once: a term may be a shared dict of _SYMBOLS
+                value, owned = dict(_terms(value)), True
+            (add_into if op == "+" else sub_into)(value, _terms(rhs))
         op = toks[i]
     return value, i
 

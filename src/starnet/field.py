@@ -347,14 +347,20 @@ _BASIS_SYMBOLS = ("", "r", "s", "r*s")
 
 
 def serialize_element(x: FieldElement) -> str:
-    """Canonical text form on the basis {1, r, s, r*s}."""
-    *nums, den = x._v
+    """Canonical text form on the basis {1, r, s, r*s}.
+
+    A rational element is a/den in lowest terms, as str(Fraction) prints it:
+    "a" when den = 1, else "a/den"."""
+    a, b, c, d, den = x._v
+    if not (b or c or d):
+        # canonical, so gcd(a, den) = 1
+        return str(a) if den == 1 else f"{a}/{den}"
     parts = []
-    for a, sym in zip(nums, _BASIS_SYMBOLS):
-        if not a:
+    for n, sym in zip((a, b, c, d), _BASIS_SYMBOLS):
+        if not n:
             continue
-        g = gcd(a, den)
-        p, q = abs(a) // g, den // g
+        g = gcd(n, den)
+        p, q = abs(n) // g, den // g
         mag = str(p) if q == 1 else f"{p}/{q}"
         if not sym:
             body = mag
@@ -362,9 +368,7 @@ def serialize_element(x: FieldElement) -> str:
             body = sym
         else:
             body = f"{mag}*{sym}"
-        parts.append(("-" if a < 0 else "+", body))
-    if not parts:
-        return "0"
+        parts.append(("-" if n < 0 else "+", body))
     first_sign, first_body = parts[0]
     out = ("-" if first_sign == "-" else "") + first_body
     for sign, body in parts[1:]:

@@ -28,11 +28,12 @@ def _grlex_key(exp):
 
 # -- term arithmetic --------------------------------------------------------
 # a + b, a - b, -a, a * b and a^n on term dicts {exponent (x, y, z):
-# nonzero coefficient}, and a result holds no zero: the one sparse
-# arithmetic of MultiPoly's operators, exact_divide, kth_root and the parser.
+# nonzero coefficient}, and a += b and a -= b in place; a result holds no
+# zero: the one sparse arithmetic of MultiPoly's operators, exact_divide,
+# kth_root and the parser.
 
-def add_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
+def add_into(out: dict, b: dict) -> dict:
+    """out += b, in place; returns out."""
     for e, c in b.items():
         if e not in out:
             out[e] = c
@@ -43,8 +44,8 @@ def add_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def sub_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
+def sub_into(out: dict, b: dict) -> dict:
+    """out -= b, in place; returns out."""
     for e, c in b.items():
         if e not in out:
             out[e] = -c
@@ -53,6 +54,14 @@ def sub_terms(a: dict, b: dict) -> dict:
         else:
             del out[e]
     return out
+
+
+def add_terms(a: dict, b: dict) -> dict:
+    return add_into(dict(a), b)
+
+
+def sub_terms(a: dict, b: dict) -> dict:
+    return sub_into(dict(a), b)
 
 
 def neg_terms(a: dict) -> dict:

@@ -8,9 +8,11 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from starnet.arrangement import arrangement_to_json, builtin
-from starnet.cli import main
+from starnet.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -34,6 +36,33 @@ def test_json_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+# keys and strings with non-ASCII, quote, backslash and control characters
+_texts = st.text(st.one_of(st.characters(),
+                           st.sampled_from('"\\\x00\x1f\n\t\x7f\u00e9\u2028'
+                                           "\U0001f600")))
+_json_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(-10 ** 40, 10 ** 40), _texts),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_texts, inner)),
+    max_leaves=30)
+
+
+@given(_json_docs)
+@example({"": [], "a": {}, "b": (), "\"\\": [True, False, None, 0]})
+@example([{"\x00": -10 ** 40}, {}, [[]], "\u00e9"])
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, {"a": [0, 2.0]}, {1: "a"}, {True: "a"}, {"a": {1, 2}}, frozenset(),
+    {"a": b"bytes"}])
+def test_json_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
 
 
 def test_lattice_from_file(tmp_path, capsys):
@@ -101,16 +130,20 @@ def _nested(text, depth=3000):
      "nested too deeply"),
     # past Python's limit on converting a digit string to an int
     (("lattice",), _doc(["1" * 5000, "0", "1"], ["0", "1", "0"],
-                        ["1", "0", "0"]), "too long"),
+                        ["1", "0", "0"]),
+     "line 'a': covector entry 1: integer literal at position 0 is too long"),
     (("analyze", "--builtin", "b3", "--pencil", "1" * 5000 + "x;y"), None,
      "too long"),
+    (("lattice",), _doc(["1", "0", "1"], ["0", "2 ? 3", "0"],
+                        ["1", "0", "0"]),
+     "line 'b': covector entry 2: unexpected character '?' at position 2"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
         "lambda_zero", "covector_of_two", "one_line", "repeated_label",
         "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0",
         "pencil_superscript_digit", "covector_arabic_indic_digit",
         "covector_entry_not_string", "pencil_nested_deep",
         "lambda_nested_deep", "covector_nested_deep", "covector_long_literal",
-        "pencil_long_literal"])
+        "pencil_long_literal", "covector_bad_character"])
 def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"

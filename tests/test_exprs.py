@@ -60,6 +60,25 @@ def test_bad_text_raises_parse_error(text):
         parse_poly(text)
 
 
+def test_long_sums_round_trip():
+    p = (X + 2 * Y + 3 * Z + 1) ** 20
+    assert len(p.terms) == 1771
+    assert parse_poly(p.serialize()) == p
+    # p minus each of its terms, one at a time: every coefficient cancels
+    text = p.serialize() + "".join(
+        f" - ({MultiPoly({e: c}).serialize()})" for e, c in p.terms.items())
+    assert parse_poly(text).terms == {}
+    assert parse_poly(text + " + x") == X
+
+
+def test_sums_leave_the_variables_alone():
+    assert parse_poly("x + y") == X + Y
+    assert parse_poly("y - x + x") == Y
+    assert parse_poly("x") == X
+    assert parse_poly("x - x + x") == X
+    assert parse_poly("y") == Y
+
+
 def test_element_text_must_be_constant():
     with pytest.raises(ParseError):
         parse_field_element("x")

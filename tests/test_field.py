@@ -158,6 +158,16 @@ def test_serialize_matches_fraction_reference(x):
     assert serialize_element(x) == ref_serialize_element(x)
 
 
+@given(high_rationals)
+@example(Fraction(0))
+@example(Fraction(-7, 3))
+@example(Fraction(-10 ** 30, 10 ** 30 - 1))
+def test_rational_text_is_the_fraction_text(q):
+    x = FieldElement(q)
+    assert serialize_element(x) == str(q)
+    assert parse_element(str(q)) == x
+
+
 def test_parse_expressions():
     assert parse_element("1/2 + 3*r") == FieldElement(Fraction(1, 2), 3)
     assert parse_element("-s") == FieldElement(0, 0, -1)

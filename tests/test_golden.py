@@ -8,6 +8,7 @@ Regenerate them only for an intended output change, by running
 `python tests/test_golden.py` from the repository root.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -54,7 +55,12 @@ CASES = {
 def test_json_matches_golden(name, capsys):
     assert main([*CASES[name], "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == text
+    # the files keep the stdlib's format, so regenerating them cannot hide a
+    # drift of the CLI's own JSON writer
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=2) + "\n"
 
 
 def test_analyze_uses_no_floating_point(monkeypatch, capsys):
