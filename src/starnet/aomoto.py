@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
-
 from .arrangement import Arrangement
 
 
@@ -83,17 +81,28 @@ class AomotoComplex:
 
 
 def aomoto_complex(A: Arrangement, a) -> AomotoComplex:
+    """The complex of the weights a, with d2 in closed form.
+
+    Row k of d2 is omega * e_k = sum over i of a_i * e_i * e_k.  By the
+    three-term relation (_product_terms), at an affine point P with
+    smallest line m and w_P the sum of a over P's lines, its entry in the
+    column (P, l), l != m, is -a_l, plus w_P when k = l; a line not
+    through P has 0 there."""
     a = tuple(int(v) for v in a)
     if len(a) != A.n:
         raise ValueError(f"weight vector must have length {A.n}")
     basis = os2_basis(A)
-    # e_i * e_j vanishes unless i and j meet at an affine point
+    index = basis.index
     rows = [[0] * basis.b2 for _ in range(A.n)]
     for pos, pt in basis.points.items():
-        for i, j in permutations(pt.incident, 2):
-            if a[i]:
-                for t, c in _product_terms(i, j, pos, basis):
-                    rows[j][t] += a[i] * c
+        cols = [(index[(pos, l)], a[l]) for l in pt.incident[1:]]
+        for k in pt.incident:
+            row = rows[k]
+            for t, w in cols:
+                row[t] = -w
+        w_P = sum(a[i] for i in pt.incident)
+        for l, (t, _) in zip(pt.incident[1:], cols):
+            rows[l][t] += w_P
     return AomotoComplex(a, tuple(map(tuple, rows)), basis)
 
 
@@ -254,9 +263,18 @@ def snf(M) -> SNFResult:
                         cols = nonzero_cols(t)
                         dirty = True
                 rows = nonzero_rows(t)
-                for j in [j for j in range(t + 1, n) if A[t][j]]:
-                    add_col(t, j, -(A[t][j] // A[t][t]), rows)
-                    if A[t][j]:
+                row = A[t]
+                for j in [j for j in range(t + 1, n) if row[j]]:
+                    f = -(row[j] // row[t])
+                    if len(rows) == 1:
+                        # column t is zero off the pivot row: the column
+                        # operation changes row t alone
+                        if f:
+                            row[j] += f * row[t]
+                            col_ops.append((t, j, f))
+                    else:
+                        add_col(t, j, f, rows)
+                    if row[j]:
                         swap_cols(t, j)
                         rows = nonzero_rows(t)
                         dirty = True

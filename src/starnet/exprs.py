@@ -10,33 +10,27 @@ optionally negated: ^k, ^-k, ^(k), ^-(k) and ^(-k).  A negative exponent
 needs a nonzero constant base.
 
 One pass of recursive descent computes the value as it reads.  A value
-stays a FieldElement while it is constant and becomes a term dict
-{exponent (x, y, z): nonzero coefficient}, on which mpoly's term kernels
-compute, once it meets x, y or z; parse_poly builds one MultiPoly at the
-end.
+stays a FieldElement while it is constant and becomes a MultiPoly once it
+meets x, y or z, computed on by mpoly's kernels: the factors of a product
+are multiplied, and scaled by its constant factors, at once
+(mpoly.poly_product), and the terms of a sum are added in one pass
+(mpoly.poly_sum).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import ParseError
 from .field import ONE, R, S, ZERO, FieldElement
-from .mpoly import (MultiPoly, add_into, mul_terms, neg_terms, pow_terms,
-                    sub_into)
+from .mpoly import MultiPoly, X, Y, Z, poly_product, poly_sum
 
 # a number, an operator or symbol, or any other character but whitespace
 # (\s matches exactly what str.isspace does); [0-9], unlike str.isdigit,
 # takes neither "²" nor "٣"
 _TOKEN = re.compile(r"([0-9]+)|([rsxyz+*/^()-])|(\S)")
-_CONST = (0, 0, 0)
-_SYMBOLS = {
-    "r": R,
-    "s": S,
-    "x": {(1, 0, 0): ONE},
-    "y": {(0, 1, 0): ONE},
-    "z": {(0, 0, 1): ONE},
-}
+_SYMBOLS = {"r": R, "s": S, "x": X, "y": Y, "z": Z}
 # after a factor, a number or one of these starts the next factor of an
 # implicit product
 _FACTOR_START = frozenset("rsxyz(")
@@ -45,21 +39,27 @@ _FACTOR_START = frozenset("rsxyz(")
 def _tokenize(text: str) -> list:
     """Ints for numbers, characters for the rest, then a None sentinel."""
     tokens = []
-    for m in _TOKEN.finditer(text):
-        kind, tok = m.lastindex, m[0]
-        if kind == 2:
-            tokens.append(tok)
-        elif kind == 1:
-            try:
-                tokens.append(int(tok))
-            except ValueError:  # past sys.get_int_max_str_digits()
-                raise ParseError(f"integer literal at position {m.start()} "
-                                 f"is too long ({len(tok)} digits)") from None
+    append = tokens.append
+    for number, op, other in _TOKEN.findall(text):
+        if op:
+            append(op)
+        elif other:
+            raise ParseError(f"unexpected character {other!r} at position "
+                             f"{_start(text, len(tokens))}")
         else:
-            raise ParseError(f"unexpected character {tok!r} at position "
-                             f"{m.start()}")
-    tokens.append(None)
+            try:
+                append(int(number))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError(
+                    f"integer literal at position {_start(text, len(tokens))}"
+                    f" is too long ({len(number)} digits)") from None
+    append(None)
     return tokens
+
+
+def _start(text: str, k: int) -> int:
+    """The position of token k in text."""
+    return next(islice(_TOKEN.finditer(text), k, None)).start()
 
 
 # Each function reads from token i on and returns (value, next i).
@@ -67,22 +67,31 @@ def _tokenize(text: str) -> list:
 def _expr(toks, i):
     value, i = _term(toks, i)
     op = toks[i]
-    owned = False  # value is a term dict of this sum's own, updated in place
+    polys = []  # the summands with x, y or z, added once at the end
     while op == "+" or op == "-":
         rhs, i = _term(toks, i + 1)
-        if type(value) is type(rhs) is FieldElement:
-            value = value + rhs if op == "+" else value - rhs
+        if op == "-":
+            rhs = -rhs
+        if type(rhs) is FieldElement:
+            if type(value) is FieldElement:
+                value = value + rhs
+            else:
+                polys.append(MultiPoly.constant(rhs))
         else:
-            if not owned:
-                # copied once: a term may be a shared dict of _SYMBOLS
-                value, owned = dict(_terms(value)), True
-            (add_into if op == "+" else sub_into)(value, _terms(rhs))
+            polys.append(rhs)
         op = toks[i]
+    if polys:
+        polys.append(_poly(value))
+        value = poly_sum(polys)
     return value, i
 
 
 def _term(toks, i):
+    # the constant factors are multiplied as they come, the others at the
+    # end, by one product kernel
     value, i = _factor(toks, i)
+    coef, polys = (value, []) if type(value) is FieldElement \
+        else (ONE, [value])
     while True:
         op = toks[i]
         if op == "*" or op == "/":
@@ -92,20 +101,18 @@ def _term(toks, i):
         elif type(op) is int or op in _FACTOR_START:
             rhs, i = _factor(toks, i)
         else:
-            return value, i
-        if type(value) is type(rhs) is FieldElement:
-            value = value * rhs
+            return (poly_product(polys, coef) if polys else coef), i
+        if type(rhs) is FieldElement:
+            coef = coef * rhs
         else:
-            value = mul_terms(_terms(value), _terms(rhs))
+            polys.append(rhs)
 
 
 def _factor(toks, i):
     op = toks[i]
     if op == "-":
         value, i = _factor(toks, i + 1)
-        if type(value) is FieldElement:
-            return -value, i
-        return neg_terms(value), i
+        return -value, i
     if op == "+":
         return _factor(toks, i + 1)
     value, i = _atom(toks, i)
@@ -114,9 +121,7 @@ def _factor(toks, i):
     n, i = _exponent(toks, i + 1)
     if n < 0:
         value, n = _inverse(value), -n
-    if type(value) is FieldElement:
-        return value ** n, i
-    return pow_terms(value, n), i
+    return value ** n, i
 
 
 def _exponent(toks, i):
@@ -149,18 +154,18 @@ def _atom(toks, i):
     raise ParseError(f"unexpected token at position {i}")
 
 
-def _terms(value) -> dict:
-    if type(value) is dict:
-        return value
-    return {_CONST: value} if value else {}
+def _poly(value) -> MultiPoly:
+    if type(value) is FieldElement:
+        return MultiPoly.constant(value)
+    return value
 
 
 def _constant_of(value) -> FieldElement:
     if type(value) is FieldElement:
         return value
-    if any(e != _CONST for e in value):
+    if value.degree > 0:
         raise ParseError("expected a constant expression")
-    return value.get(_CONST, ZERO)
+    return value.terms.get((0, 0, 0), ZERO)
 
 
 def _inverse(value) -> FieldElement:
@@ -184,8 +189,7 @@ def _parse(text: str):
 
 
 def parse_poly(text: str) -> MultiPoly:
-    value = _parse(text)
-    return MultiPoly(value if type(value) is dict else {_CONST: value})
+    return _poly(_parse(text))
 
 
 def parse_field_element(text: str) -> FieldElement:

@@ -18,13 +18,14 @@ line: there the Jacobian form g1*dg2 - g2*dg1, divisible by C^(m - 1),
 vanishes.  The zeros on the line are those of one univariate gcd of two of
 its coefficients, and the parameters of the fibers through them are the
 roots of a resultant of degree at most the number of zeros, interpolated
-at that many integer nodes plus one.  Its roots in K, those of its
-squarefree part, are found through an inert prime (field.roots,
-starnet.modp).  A line lies in a fiber only if synthetic division of the
-fiber by it (mpoly.divide_out) is exact, so a per-line lambda that no
-other search found is a candidate only if one of its lines divides its
-fiber.  Each candidate carries its lines, the fixed lines and those given
-its lambda, and its fiber is divided by those alone; the report's removed
+at that many integer nodes plus one (mpoly.resultant, mpoly.interpolate).
+Its roots in K, those of its squarefree part, are found through an inert
+prime (mpoly.uni_roots, starnet.modp).  A line lies in a fiber only if
+synthetic division of the fiber by it (mpoly.divide_out) is exact, so a
+per-line lambda that no other search found is a candidate only if one of
+its lines divides its fiber, and that first quotient travels with it.
+Each candidate carries its lines, the fixed lines and those given its
+lambda, and its fiber is divided by those alone; the report's removed
 fibers, multiple fibers and class are read off the analyzed fibers.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
@@ -43,11 +44,11 @@ from .arrangement import Arrangement
 from .errors import (DegeneratePencil, InvalidOrbifoldData,
                      MultipleMultipleFibers, NotAPower, NotDivisible, NotSmall,
                      RadicalNotCertified)
-from .field import (ONE, ZERO, FieldElement, normalize, roots,
-                    serialize_element)
+from .field import ONE, ZERO, normalize, serialize_element
 from .mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
-                    exact_divide, hessian, is_proportional, kth_root, partial,
-                    restrict_to_line, squarefree_part, uni_gcd)
+                    exact_divide, hessian, interpolate, is_proportional,
+                    kth_root, partial, restrict_to_line, resultant,
+                    squarefree_part, uni_gcd, uni_roots)
 from .multinet import Pencil
 
 
@@ -165,48 +166,6 @@ class V1Component:
 
 # -- candidate parameters ---------------------------------------------------
 
-def _resultant(f: UniPoly, g: UniPoly) -> FieldElement:
-    """res(f, g) by the Euclidean remainder sequence.
-
-    With r = f mod g: res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f -
-    deg r) * res(g, r); res(f, c) = c^deg f for a constant c; and
-    res(g, 0) = 0 for a nonconstant g.
-    """
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        return ZERO
-    res = ONE
-    while n > 0:
-        _, r = f.divmod(g)
-        k = r.degree
-        if k < 0:
-            return ZERO
-        if m * n % 2:
-            res = -res
-        res = res * g.coeffs[-1] ** (m - k)
-        f, g, m, n = g, r, n, k
-    return res * g.coeffs[0] ** m
-
-
-def _newton_interpolate(nodes, values) -> UniPoly:
-    """The polynomial of degree < len(nodes) through the rational nodes and
-    field values, by Newton divided differences."""
-    n = len(nodes)
-    dd = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * FieldElement(
-                Fraction(1, nodes[i] - nodes[i - j]))
-    # expand the Newton form from the innermost factor outwards
-    coeffs = [dd[-1]]
-    for i in range(n - 2, -1, -1):
-        xi = FieldElement(nodes[i])
-        coeffs = [dd[i] - coeffs[0] * xi] + [
-            coeffs[k - 1] - coeffs[k] * xi for k in range(1, len(coeffs))
-        ] + [coeffs[-1]]
-    return UniPoly(coeffs)
-
-
 _PROBES = (
     (((0, Fraction(1, 3), 1)), ((1, Fraction(1, 7), 0))),
     (((Fraction(1, 2), 0, 1)), ((1, Fraction(2, 5), 0))),
@@ -216,9 +175,9 @@ _PROBES = (
 
 def _rational_roots(poly: UniPoly):
     """The roots in K of the nonzero polynomial, those of its squarefree
-    part (field.roots); the name is kept for perfbench's
+    part (mpoly.uni_roots); the name is kept for perfbench's
     fibration.rational_roots span, from a search for rational roots only."""
-    return roots(squarefree_part(poly).monic().coeffs)
+    return uni_roots(squarefree_part(poly))
 
 
 def _discriminant_lambdas(pencil: Pencil):
@@ -283,9 +242,9 @@ def _discriminant_lambdas(pencil: Pencil):
                 r1, r2 = r1.divmod(f)[0], r2.divmod(f)[0]
             a, b = r1.divmod(g)[1], r2.divmod(g)[1]
             nodes = range(g.degree + 1)
-            values = [_resultant(g, a - b * lam) for lam in nodes]
+            values = [resultant(g, a - b * lam) for lam in nodes]
             lams += [(root, ONE) for root in
-                     _rational_roots(_newton_interpolate(nodes, values))]
+                     _rational_roots(interpolate(nodes, values))]
         return lams
     raise DegeneratePencil("no probe line gives a proper Jacobian zero "
                            "search, as when the pencil has a fixed multiple "
@@ -331,51 +290,59 @@ def _line_fibers(A: Arrangement, pencil: Pencil):
 
 
 def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
-    """Sound candidate list of special parameters, as (lam, lines) pairs
-    in lambda_key order.
+    """Sound candidate list of special parameters, as (lam, lines, peeled)
+    triples in lambda_key order.
 
     The candidates are the two base members [0:1], [1:0], the parameters
     of the fibers through the zeros of the pencil's Jacobian form on a
     probe line (_discriminant_lambdas), caller extras, and each other
     per-line lambda whose fiber a line given it divides (_line_fibers).
     lines are the fixed lines and the lines given lam, the only lines that
-    can lie in its fiber.
+    can lie in its fiber.  peeled is (i, e, quotient) for a lambda found
+    by dividing its fiber by line i, e times, and None otherwise.
     """
     if is_proportional(pencil.g1, pencil.g2):
         raise DegeneratePencil("g1 and g2 are proportional")
     on_line, fixed = _line_fibers(A, pencil)
-    found = {normalize_lambda(lam) for lam in chain(
+    found = {normalize_lambda(lam): None for lam in chain(
         ((ZERO, ONE), (ONE, ZERO)), _discriminant_lambdas(pencil), extra)}
     for lam, lines in on_line.items():
         if lam not in found:
             fiber = fiber_polynomial(pencil, lam)
-            if any(divide_out(fiber, A.lines[i].linear_form())[0]
-                   for i in lines):
-                found.add(lam)
-    return [(lam, fixed + on_line.get(lam, []))
+            for i in lines:
+                e, quotient = divide_out(fiber, A.lines[i].linear_form())
+                if e:
+                    found[lam] = (i, e, quotient)
+                    break
+    return [(lam, fixed + on_line.get(lam, []), found[lam])
             for lam in sorted(found, key=lambda_key)]
 
 
 # -- per-fiber analysis -----------------------------------------------------
 
-def analyze_fiber(A: Arrangement, pencil: Pencil, lam,
-                  lines) -> FiberAnalysis:
+def analyze_fiber(A: Arrangement, pencil: Pencil, lam, lines,
+                  peeled=None) -> FiberAnalysis:
     """Peel arrangement lines off the fiber over lam and find its mu.
 
     lines are the indices of the lines to try, as lambda_candidates gives
     them or range(A.n); a line outside them must not divide the fiber, and
     a line among them that does not divide it peels with exponent 0 and is
-    not reported.
+    not reported.  peeled, as lambda_candidates gives it, is (i, e, the
+    fiber over line i to the e) for a line i already peeled.
     """
     lam = normalize_lambda(lam)
-    residual = fiber_polynomial(pencil, lam)
-    if residual.is_zero:
-        raise DegeneratePencil("fiber polynomial vanished identically")
-    parts = []
+    if peeled is None:
+        residual, parts = fiber_polynomial(pencil, lam), []
+        if residual.is_zero:
+            raise DegeneratePencil("fiber polynomial vanished identically")
+    else:
+        i, e, residual = peeled
+        lines, parts = [j for j in lines if j != i], [(i, e)]
     for i in sorted(lines):
         e, residual = divide_out(residual, A.lines[i].linear_form())
         if e:
             parts.append((i, e))
+    parts.sort()
     # mu: the largest k with residual = lc * root^k for a monic root
     _, lc = residual.leading()
     root, mu = residual / lc, 1
@@ -390,7 +357,7 @@ def analyze_fiber(A: Arrangement, pencil: Pencil, lam,
 
 def analyze(A: Arrangement, pencil: Pencil, extra_lambdas=()) -> FibrationReport:
     return FibrationReport(
-        fibers=tuple(analyze_fiber(A, pencil, lam, lines) for lam, lines
+        fibers=tuple(analyze_fiber(A, pencil, *candidate) for candidate
                      in lambda_candidates(A, pencil, extra_lambdas)),
         hypotheses={
             "surjective": "assumed, not verified",
@@ -460,7 +427,7 @@ def _form_through(nodes, parts, v):
     s, w = X - Z * v[0], Y - Z * v[1]  # with t = z, homogenized in w
     q = MultiPoly()
     for j in range(r + 1):
-        g = _newton_interpolate(nodes, [p.coeffs[j] for p in parts])
+        g = interpolate(nodes, [p.coeffs[j] for p in parts])
         if g.degree > r - j:
             return None
         for i, c in enumerate(g.coeffs):

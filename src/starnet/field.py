@@ -256,6 +256,18 @@ def _make(a, b, c, d, den) -> FieldElement:
     return x
 
 
+def to_ints(x: FieldElement) -> tuple:
+    """(a, b, c, d, den) with x = (a + b*r + c*s + d*r*s)/den, den > 0 and
+    the five integers coprime: the canonical form, as stored."""
+    return x._v
+
+
+def from_ints(a: int, b: int, c: int, d: int, den: int) -> FieldElement:
+    """The element (a + b*r + c*s + d*r*s)/den, for integers with den != 0,
+    reduced to its canonical form."""
+    return _make(a, b, c, d, den)
+
+
 def _coerce(other):
     if isinstance(other, FieldElement):
         return other

@@ -15,10 +15,10 @@ import mpmath
 
 from starnet.arrangement import Arrangement, build
 from starnet.errors import DegeneratePencil, NotAPower, NotDivisible
-from starnet.fibration import (_PROBES, _newton_interpolate, _rational_roots,
-                               _resultant)
+from starnet.fibration import _PROBES, _rational_roots
 from starnet.field import ONE, R, S, FieldElement, normalize, serialize_element
-from starnet.mpoly import MultiPoly, UniPoly, exact_divide, restrict_to_line
+from starnet.mpoly import (MultiPoly, UniPoly, exact_divide, interpolate,
+                           restrict_to_line, resultant)
 
 
 def brute_lattice(A: Arrangement):
@@ -502,8 +502,8 @@ def ref_discriminant_lambdas(pencil):
             if f.degree != d1:
                 continue  # leading coefficient vanished at this node
             nodes.append(lam)
-            values.append(_resultant(f, f.derivative()))
-        disc = _newton_interpolate(nodes, values)
+            values.append(resultant(f, f.derivative()))
+        disc = interpolate(nodes, values)
         if disc.is_zero:
             continue
         return [(root, ONE) for root in _rational_roots(disc)]
@@ -662,3 +662,83 @@ def tau(x):
     image of s squares to (5 - r)/8, as s^2 = (5 + r)/8 requires."""
     a, b, c, d = x.coords()
     return FieldElement(a, -b) + FieldElement(c, -d) * S * (R - 1) / 2
+
+
+# -- plain field-element references for mpoly's row kernels -----------------
+# Polynomials as {exponent: FieldElement} dicts and lists of FieldElements,
+# one field operation per coefficient operation, with no shared denominator.
+
+def ref_terms_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, FieldElement(0)) + c * sign
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def ref_terms_mul(a, b):
+    out = {}
+    for (i, j, k), c in a.items():
+        for (l, m, n), d in b.items():
+            e = (i + l, j + m, k + n)
+            out[e] = out.get(e, FieldElement(0)) + c * d
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def ref_terms_evaluate(a, point):
+    point = [v if isinstance(v, FieldElement) else FieldElement(v)
+             for v in point]
+    total = FieldElement(0)
+    for exp, c in a.items():
+        for v, e in zip(point, exp):
+            c = c * v ** e
+        total = total + c
+    return total
+
+
+def ref_terms_partial(a, i):
+    return {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
+            for exp, c in a.items() if exp[i]}
+
+
+def ref_uni_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return cs
+
+
+def ref_uni_mul(f, g):
+    if not f or not g:
+        return []
+    out = [FieldElement(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return ref_uni_trim(out)
+
+
+def ref_uni_add(f, g, sign=1):
+    n = max(len(f), len(g))
+    zero = FieldElement(0)
+    return ref_uni_trim([(f[i] if i < len(f) else zero)
+                         + (g[i] if i < len(g) else zero) * sign
+                         for i in range(n)])
+
+
+def ref_uni_evaluate(f, v):
+    acc = FieldElement(0)
+    for c in reversed(f):
+        acc = acc * v + c
+    return acc
+
+
+def ref_uni_divmod(f, d):
+    """Schoolbook division on lists of FieldElements, low to high."""
+    rem, quot = list(f), [FieldElement(0)] * max(len(f) - len(d) + 1, 0)
+    inv = d[-1].inverse()
+    for i in range(len(rem) - 1, len(d) - 2, -1):
+        q = rem[i] * inv
+        quot[i - len(d) + 1] = q
+        for j, c in enumerate(d):
+            rem[i - len(d) + 1 + j] = rem[i - len(d) + 1 + j] - q * c
+    return ref_uni_trim(quot), ref_uni_trim(rem[:len(d) - 1])

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starnet.errors import ParseError
+from starnet.errors import NotAPower, NotDivisible, ParseError
 from starnet.exprs import parse_field_element, parse_poly
 from starnet.field import R, S, FieldElement, serialize_element
-from starnet.mpoly import MultiPoly, X, Y, Z
+from starnet.mpoly import MultiPoly, X, Y, Z, exact_divide, kth_root
 
 big = st.integers(-10 ** 30, 10 ** 30)
 elements = st.one_of(
@@ -69,6 +69,18 @@ def test_long_sums_round_trip():
         f" - ({MultiPoly({e: c}).serialize()})" for e, c in p.terms.items())
     assert parse_poly(text).terms == {}
     assert parse_poly(text + " + x") == X
+    # exact division and square roots keep their remainder in grlex order,
+    # so at this size they take milliseconds, not the seconds of a scan of
+    # the whole remainder per step
+    base = X + 2 * Y + 3 * Z + 1
+    assert exact_divide(p, base) == base ** 19
+    with pytest.raises(NotDivisible):
+        exact_divide(p + X, base)
+    h = (base - Z / 2) ** 10
+    assert len((h * h).terms) == 1771
+    assert kth_root(h * h, 2) == h
+    with pytest.raises(NotAPower):
+        kth_root(h * h + Z ** 19 * Y, 2)
 
 
 def test_sums_leave_the_variables_alone():

@@ -15,9 +15,8 @@ from starnet.errors import (DegeneratePencil, InvalidOrbifoldData,
 from starnet.exprs import parse_poly
 from starnet.field import ONE, ZERO, FieldElement, R, S, normalize
 from starnet.fibration import (_PROBES, _discriminant_lambdas,
-                               _line_fibers, _line_frame,
-                               _newton_interpolate, _rational_roots,
-                               _resultant, analyze,
+                               _line_fibers, _line_frame, _rational_roots,
+                               analyze,
                                analyze_fiber, fiber_polynomial,
                                lambda_candidates, lambda_key,
                                normalize_lambda,
@@ -27,7 +26,8 @@ from starnet.fibration import (_PROBES, _discriminant_lambdas,
 from starnet.multinet import (Pencil, builtin_pencil, enumerate_multinets,
                               multinet_pencil)
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out,
-                           is_proportional, kth_root, restrict_to_line)
+                           interpolate, is_proportional, kth_root,
+                           restrict_to_line, resultant)
 
 from oracles import (lagrange_interpolate, ref_discriminant_lambdas,
                      ref_line_lambdas, sylvester_resultant, tau)
@@ -65,7 +65,7 @@ def test_b3_candidates_cover_special_fibers():
     A = builtin("b3")
     pen = builtin_pencil("b3")
     keys = {tuple(str(c) for c in lam)
-            for lam, _ in lambda_candidates(A, pen)}
+            for lam, _, _ in lambda_candidates(A, pen)}
     assert {("0", "1"), ("1", "0"), ("1", "1")} <= keys
 
 
@@ -251,7 +251,7 @@ def test_euclidean_resultant_matches_sylvester(f, g, h, common):
         # a common factor of positive degree makes the resultant zero
         h = h * t_minus(FieldElement(3, 1))
         f, g = f * h, g * h
-    res = _resultant(f, g)
+    res = resultant(f, g)
     assert res == sylvester_resultant(f, g)
     if common and not (f.is_zero or g.is_zero):
         assert res.is_zero
@@ -259,17 +259,17 @@ def test_euclidean_resultant_matches_sylvester(f, g, h, common):
 
 def test_euclidean_resultant_small_cases():
     a, b = FieldElement(3), FieldElement(0, 2)
-    assert _resultant(UniPoly([a]), UniPoly([b])) == FieldElement(1)
-    assert _resultant(UniPoly([a]), T2_PLUS_1) == a ** 2
-    assert _resultant(T2_MINUS_3, UniPoly([b])) == b ** 2
-    assert _resultant(UniPoly(), T2_PLUS_1) == ZERO
+    assert resultant(UniPoly([a]), UniPoly([b])) == FieldElement(1)
+    assert resultant(UniPoly([a]), T2_PLUS_1) == a ** 2
+    assert resultant(T2_MINUS_3, UniPoly([b])) == b ** 2
+    assert resultant(UniPoly(), T2_PLUS_1) == ZERO
     # res(t^2 - 3, t - R) = R^2 - 3 = 2, res(t - R, t^2 - 3) the same
-    assert _resultant(T2_MINUS_3, t_minus(R)) == FieldElement(2)
-    assert _resultant(t_minus(R), T2_MINUS_3) == FieldElement(2)
+    assert resultant(T2_MINUS_3, t_minus(R)) == FieldElement(2)
+    assert resultant(t_minus(R), T2_MINUS_3) == FieldElement(2)
     # odd degrees: res(f, g) = (-1)^(deg f * deg g) * res(g, f)
     one, two = FieldElement(1), FieldElement(2)
-    assert _resultant(t_minus(one), t_minus(two)) == -ONE
-    assert _resultant(t_minus(two), t_minus(one)) == ONE
+    assert resultant(t_minus(one), t_minus(two)) == -ONE
+    assert resultant(t_minus(two), t_minus(one)) == ONE
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +280,7 @@ def test_euclidean_resultant_small_cases():
 def test_newton_interpolation_matches_lagrange(nodes, data):
     values = data.draw(st.lists(field_elements, min_size=len(nodes),
                                 max_size=len(nodes)))
-    poly = _newton_interpolate(nodes, values)
+    poly = interpolate(nodes, values)
     assert poly == lagrange_interpolate(nodes, values)
     assert [poly.evaluate(FieldElement(x)) for x in nodes] == values
 
@@ -290,7 +290,7 @@ def _keys(lams):
 
 
 def _candidate_keys(A, pencil):
-    return {lambda_key(lam) for lam, _ in lambda_candidates(A, pencil)}
+    return {lambda_key(lam) for lam, _, _ in lambda_candidates(A, pencil)}
 
 
 def _check_within_reference(pencil):
@@ -531,9 +531,9 @@ def check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed):
     except DegeneratePencil:
         return
     fibers = tuple(analyze_fiber(A, pen, lam, lines)
-                   for lam, lines in candidates)
+                   for lam, lines, _ in candidates)
     assert fibers == tuple(analyze_fiber(A, pen, lam, range(n))
-                           for lam, _ in candidates)
+                           for lam, _, _ in candidates)
     assert analyze(A, pen).fibers == fibers
 
 

@@ -3,7 +3,10 @@
 The files under tests/golden/ hold the expected stdout of each invocation:
 the builtins, and the 24-line grid arrangement of tests/data/grid24.json,
 an integer affine image (determinant -3) of lines through a 5 x 5 grid,
-whose points have fractional and negative coordinates.
+whose points have fractional and negative coordinates, and
+tests/data/double_star_h8.json, an integer affine image (entries up to 8) of
+the double star, with its pencil, two expanded quintics, as the text of
+tests/data/double_star_h8_pencil.txt.
 Regenerate them only for an intended output change, by running
 `python tests/test_golden.py` from the repository root.
 """
@@ -20,6 +23,9 @@ from starnet.mpoly import X, Y, Z, kth_root
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID24 = str(Path(__file__).parent / "data" / "grid24.json")
+STAR_H8 = str(Path(__file__).parent / "data" / "double_star_h8.json")
+STAR_H8_PENCIL = (Path(__file__).parent / "data" /
+                  "double_star_h8_pencil.txt").read_text(encoding="utf-8")
 
 CASES = {
     "lattice_b3": ("lattice", "--builtin", "b3"),
@@ -28,6 +34,10 @@ CASES = {
                                    "double_star_affine"),
     "analyze_double_star": ("analyze", "--builtin", "double_star",
                             "--pencil", "builtin:double_star"),
+    # the seeded copies' form: coefficients of height up to 10^6 read from
+    # expanded text, which the builtin case never reads
+    "analyze_double_star_h8": ("analyze", "--file", STAR_H8,
+                               "--pencil", STAR_H8_PENCIL),
     "analyze_b3": ("analyze", "--builtin", "b3", "--pencil", "builtin:b3"),
     "analyze_b3_del_z": ("analyze", "--builtin", "b3_del_z",
                          "--pencil", "builtin:b3_del_z"),

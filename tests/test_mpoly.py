@@ -12,11 +12,16 @@ from starnet.errors import NotAPower, NotDivisible
 from starnet.exprs import parse_poly
 from starnet.field import FieldElement
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
-                           divide_out, divides, exact_divide, homogenize,
-                           is_proportional, kth_root, restrict_to_line,
-                           squarefree_part, uni_gcd)
+                           divide_out, divides, exact_divide, hessian,
+                           homogenize, interpolate, is_proportional, kth_root,
+                           partial, poly_product, poly_sum, restrict_to_line,
+                           resultant, squarefree_part, uni_gcd, uni_roots)
 
-from oracles import ref_divide_out, ref_kth_root, ref_restrict_to_line
+from oracles import (lagrange_interpolate, ref_divide_out, ref_kth_root,
+                     ref_restrict_to_line, ref_terms_add, ref_terms_evaluate,
+                     ref_terms_mul, ref_terms_partial, ref_uni_add,
+                     ref_uni_divmod, ref_uni_evaluate, ref_uni_mul,
+                     ref_uni_trim, sylvester_resultant)
 
 coeffs = st.builds(FieldElement,
                    st.integers(min_value=-9, max_value=9),
@@ -370,3 +375,172 @@ def test_serialize_stable():
     p = X * Y - Z ** 2 * Fraction(1, 2)
     assert p.serialize() == p.serialize()
     assert "x" in p.serialize()
+
+
+# -- the row kernels against plain field-element references -----------------
+# Coefficients are drawn at heights 3, 10^3 and 10^30, each with its own
+# denominator up to the height, so a polynomial's one denominator is an lcm
+# of unrelated ones; "shared" polynomials hold one coefficient with a
+# 30-digit denominator among small ones, the worst case for a shared
+# denominator, as every other row is scaled up to it.
+
+def _element_at(height):
+    ints = st.integers(-height, height)
+    return st.builds(lambda a, b, c, d, den: FieldElement(
+        *(Fraction(v, den) for v in (a, b, c, d))),
+        ints, ints, ints, ints, st.integers(1, height))
+
+
+elements = st.sampled_from((3, 10 ** 3, 10 ** 30)).flatmap(_element_at)
+nonzero_elements = elements.filter(bool)
+row_exps = st.tuples(*(st.integers(0, 2),) * 3)
+
+
+def _with_shared_worst_case(terms, exp, den, a):
+    terms = dict(terms)
+    terms[exp] = FieldElement(Fraction(a, den), 1, Fraction(-a, den))
+    return terms
+
+
+small_terms = st.dictionaries(row_exps, _element_at(3).filter(bool),
+                              max_size=4)
+shared_terms = st.builds(_with_shared_worst_case, small_terms, row_exps,
+                         st.integers(10 ** 29, 10 ** 30),
+                         st.integers(1, 10 ** 6))
+row_terms = st.dictionaries(row_exps, nonzero_elements, max_size=4) \
+    | shared_terms
+row_polys = row_terms.map(MultiPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_polys, row_polys, nonzero_elements)
+def test_row_arithmetic_matches_field_reference(p, q, c):
+    a, b = p.terms, q.terms
+    assert (p + q).terms == ref_terms_add(a, b)
+    assert (p - q).terms == ref_terms_add(a, b, -1)
+    assert (-p).terms == {e: -v for e, v in a.items()}
+    assert (p * q).terms == ref_terms_mul(a, b)
+    assert (p ** 2).terms == ref_terms_mul(a, a)
+    assert p.scale(c).terms == {e: v * c for e, v in a.items()}
+    assert (p / c).terms == {e: v / c for e, v in a.items()}
+    assert poly_sum([p, q, -p]) == q
+    assert poly_product([X, p, Y ** 2, q], c).terms == {
+        (i + 1, j + 2, k): v * c for (i, j, k), v in
+        ref_terms_mul(a, b).items()}
+    assert poly_product([X, Y], c).terms == {(1, 1, 0): c}
+    for i in range(3):
+        assert partial(p, i).terms == ref_terms_partial(a, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_polys, st.tuples(*(elements,) * 3))
+def test_row_evaluate_matches_field_reference(p, point):
+    assert p.evaluate(point) == ref_terms_evaluate(p.terms, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_polys.filter(bool), row_polys.filter(bool))
+def test_row_division_matches_field_reference(p, q):
+    prod = MultiPoly(ref_terms_mul(p.terms, q.terms))
+    assert exact_divide(prod, q) == p
+    assert kth_root(MultiPoly(ref_terms_mul(p.terms, p.terms)), 2) in (p, -p)
+    if p.degree > 0:
+        with pytest.raises(NotDivisible):
+            exact_divide(prod + 1, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*(elements,) * 3).filter(any), row_polys.filter(bool),
+       st.integers(0, 3))
+def test_row_divide_out_matches_field_reference(cov, q, k):
+    f = MultiPoly.linear(*cov)
+    p = q.terms
+    for _ in range(k):
+        p = ref_terms_mul(p, f.terms)
+    e, cofactor = divide_out(MultiPoly(p), f)
+    assert e >= k
+    back = cofactor.terms
+    for _ in range(e):
+        back = ref_terms_mul(back, f.terms)
+    assert back == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_polys, st.tuples(*(elements,) * 3),
+       st.tuples(*(elements,) * 3).filter(any))
+def test_row_restriction_matches_field_reference(p, point, direction):
+    lin = [[a, b] for a, b in zip(point, direction)]
+    total = []
+    for exp, c in p.terms.items():
+        term = [c]
+        for i in range(3):
+            for _ in range(exp[i]):
+                term = ref_uni_mul(term, lin[i])
+        total = ref_uni_add(total, term)
+    assert list(restrict_to_line(p, point, direction).coeffs) == total
+
+
+uni_lists = st.lists(elements, max_size=5) | st.builds(
+    lambda cs, a, den: cs + [FieldElement(Fraction(a, den), 0, 1)],
+    st.lists(_element_at(3), max_size=4), st.integers(1, 10 ** 6),
+    st.integers(10 ** 29, 10 ** 30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(uni_lists, uni_lists, nonzero_elements, elements)
+def test_unipoly_rows_match_field_reference(fs, gs, c, v):
+    f, g = UniPoly(fs), UniPoly(gs)
+    fs, gs = ref_uni_trim(fs), ref_uni_trim(gs)
+    assert list(f.coeffs) == fs
+    assert list((f + g).coeffs) == ref_uni_add(fs, gs)
+    assert list((f - g).coeffs) == ref_uni_add(fs, gs, -1)
+    assert list((-f).coeffs) == [-x for x in fs]
+    assert list((f * g).coeffs) == ref_uni_mul(fs, gs)
+    assert list((f * c).coeffs) == [x * c for x in fs]
+    assert list(f.derivative().coeffs) == [x * i for i, x in enumerate(fs)
+                                           if i]
+    assert f.evaluate(v) == ref_uni_evaluate(fs, v)
+    if fs:
+        assert list(f.monic().coeffs) == [x / fs[-1] for x in fs]
+    if gs:
+        q, r = f.divmod(g)
+        assert (list(q.coeffs), list(r.coeffs)) == ref_uni_divmod(fs, gs)
+    assert resultant(f, g) == sylvester_resultant(f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(elements, min_size=1, max_size=4, unique=True),
+       nonzero_elements)
+def test_unipoly_roots_gcd_and_interpolation_on_rows(rts, lc):
+    f = UniPoly([lc])
+    for x in rts:
+        f = f * UniPoly([-x, 1])
+    assert sorted(uni_roots(f), key=str) == sorted(rts, key=str)
+    assert uni_gcd(f * f, f.derivative() * f) == f.monic()
+    assert squarefree_part(f * f).monic() == f.monic()
+    nodes = [Fraction(i, 3) + i for i in range(len(rts))]
+    poly = interpolate(nodes, rts)
+    assert poly == lagrange_interpolate(nodes, rts)
+    assert [ref_uni_evaluate(list(poly.coeffs), FieldElement(x))
+            for x in nodes] == rts
+
+
+@given(row_terms, row_exps)
+def test_views_equality_and_hash(terms, e):
+    p = MultiPoly(terms)
+    assert p.terms == {e: c for e, c in terms.items() if c}
+    assert all(type(c) is FieldElement and c for c in p.terms.values())
+    assert p == MultiPoly(dict(p.terms)) and p == MultiPoly(p.terms)
+    assert hash(p) == hash(MultiPoly(dict(p.terms)))
+    assert hash(p) == hash(tuple(p.sorted_terms()))
+    q = p * MultiPoly({e: FieldElement(3, 1)})
+    assert exact_divide(q, MultiPoly({e: FieldElement(3, 1)})) == p
+    assert hash(p + q - q) == hash(p) and p + q - q == p
+    if p:
+        lead = max(p.terms, key=lambda x: (sum(x),) + x)
+        assert p.leading() == (lead, p.terms[lead])
+        assert p.sorted_terms()[0] == p.leading()
+    u = UniPoly(list(terms.values()))
+    assert u.coeffs == tuple(ref_uni_trim(terms.values()))
+    assert u == UniPoly(u.coeffs) and hash(u) == hash(u.coeffs)
+    assert hessian(p).terms == hessian(MultiPoly(dict(p.terms))).terms
