@@ -16,17 +16,17 @@ which after the row sweep is the pivot row alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from .arrangement import Arrangement
 
 
-@dataclass(frozen=True)
-class OS2Basis:
-    points: dict        # lattice position -> IntersectionPoint, affine only
-    elements: tuple     # ((lattice position, line index), ...)
-    index: dict         # (lattice position, line index) -> basis position
-    pair_point: dict    # A.point_of_pair(): (i, j), i < j -> lattice position
+class OS2Basis(namedtuple("OS2Basis", "points elements index arrangement")):
+    """points: lattice position -> IntersectionPoint, affine only;
+    elements: ((lattice position, line index), ...); index: (lattice
+    position, line index) -> basis position; arrangement: the arrangement,
+    whose cached point_of_pair() reduce_product reads."""
+    __slots__ = ()
 
     @property
     def b2(self) -> int:
@@ -41,7 +41,7 @@ def os2_basis(A: Arrangement) -> OS2Basis:
     elements = tuple((pos, j) for pos, pt in points.items()
                      for j in pt.incident[1:])
     index = {e: t for t, e in enumerate(elements)}
-    return OS2Basis(points, elements, index, A.point_of_pair())
+    return OS2Basis(points, elements, index, A)
 
 
 def _product_terms(i: int, j: int, pos: int, basis: OS2Basis):
@@ -58,18 +58,17 @@ def reduce_product(i: int, j: int, basis: OS2Basis):
     if i == j:
         raise ValueError("product of a generator with itself is zero")
     vec = [0] * basis.b2
-    pos = basis.pair_point.get((min(i, j), max(i, j)))
+    pos = basis.arrangement.point_of_pair().get((min(i, j), max(i, j)))
     if pos in basis.points:
         for t, c in _product_terms(i, j, pos, basis):
             vec[t] += c
     return vec
 
 
-@dataclass(frozen=True)
-class AomotoComplex:
-    omega: tuple   # integer weight per affine line; also the d1 matrix
-    d2: tuple      # n rows of length b2: row j is omega wedge e_j
-    basis: OS2Basis
+class AomotoComplex(namedtuple("AomotoComplex", "omega d2 basis")):
+    """omega: integer weight per affine line, also the d1 matrix; d2: n rows
+    of length b2, row j is omega wedge e_j; basis: the OS2Basis."""
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -108,23 +107,46 @@ def aomoto_complex(A: Arrangement, a) -> AomotoComplex:
 
 # -- Smith normal form ------------------------------------------------------
 
-@dataclass(frozen=True)
 class SNFResult:
     """U*M*V = diagonal, with U and V unimodular.  The elimination logs its
     operations instead of applying them to U and V: an entry (i, j) swaps
     lines i and j, (src, dst, f) adds f times line src to line dst and (i,)
-    negates row i.  U and V replay the log the first time they are read."""
-    divisors: tuple    # nonzero diagonal, divisibility chain
-    rank: int
-    shape: tuple       # (rows, cols) of the input
-    diagonal: tuple    # full diagonal of U*M*V, including zeros
-    row_ops: tuple = field(compare=False, repr=False)
-    col_ops: tuple = field(compare=False, repr=False)
+    negates row i.  U and V replay the log the first time they are read.
+    Equality and hash cover divisors, rank, shape and diagonal, not the
+    logs."""
+
+    def __init__(self, divisors, rank, shape, diagonal, row_ops, col_ops):
+        put = object.__setattr__
+        put(self, "divisors", divisors)  # nonzero diagonal, a divisor chain
+        put(self, "rank", rank)
+        put(self, "shape", shape)        # (rows, cols) of the input
+        put(self, "diagonal", diagonal)  # of U*M*V, including zeros
+        put(self, "row_ops", row_ops)
+        put(self, "col_ops", col_ops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SNFResult is immutable")
+
+    def _key(self):
+        return self.divisors, self.rank, self.shape, self.diagonal
+
+    def __eq__(self, other):
+        if type(other) is not SNFResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SNFResult(divisors={self.divisors!r}, rank={self.rank!r}, "
+                f"shape={self.shape!r}, diagonal={self.diagonal!r})")
 
     @property
     def torsion(self):
         return tuple(d for d in self.divisors if d > 1)
 
+    # cached_property stores into the instance dict, past __setattr__
     @cached_property
     def U(self) -> tuple:
         m = self.shape[0]
@@ -303,13 +325,11 @@ def snf(M) -> SNFResult:
                      col_ops=tuple(col_ops))
 
 
-@dataclass(frozen=True)
-class H2Report:
-    snf: SNFResult
-    b2: int
-    h2_free_rank: int
-    h2_torsion: tuple
-    h1_rank: int
+class H2Report(namedtuple("H2Report",
+                           "snf b2 h2_free_rank h2_torsion h1_rank")):
+    """The SNFResult of d2, b2, the free rank and torsion of H^2, and the
+    rank of H^1."""
+    __slots__ = ()
 
     def describe(self) -> dict:
         return {

@@ -15,7 +15,8 @@ from math import gcd, lcm, prod
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
 from .field import (ONE, ZERO, FieldElement, integer_vector, normalize,
-                    order_keys, serialize_element, trig_constants)
+                    order_keys, rational_text, serialize_element,
+                    trig_constants)
 from .mpoly import MultiPoly, dehomogenize
 from .exprs import parse_field_element
 
@@ -51,9 +52,9 @@ class IntersectionPoint:
 
     The point is given either by its normalized coordinates, a tuple of
     field elements, or, in a rational arrangement, by a tuple of ints, its
-    primitive integer vector.  From ints, `coords` is made only when it is
-    first read.  `is_at_infinity` reads the given tuple, so it needs no
-    field element."""
+    primitive integer vector with a positive first nonzero entry.  From
+    ints, `coords` is made only when it is first read.  `is_at_infinity`
+    reads the given tuple, so it needs no field element."""
     __slots__ = ("_vector", "_coords", "incident")
 
     def __init__(self, vector, incident):
@@ -72,6 +73,20 @@ class IntersectionPoint:
             object.__setattr__(self, "_coords", normalize(self._vector))
         return self._coords
 
+    def coords_text(self) -> list:
+        """[str(c) for c in self.coords]; from ints, each x/lead is printed
+        from the primitive vector, lead its positive first nonzero entry,
+        with no field element made."""
+        vector = self._vector
+        if type(vector[0]) is not int:
+            return [serialize_element(c) for c in vector]
+        lead = next(v for v in vector if v)
+        texts = []
+        for x in vector:
+            g = gcd(x, lead)
+            texts.append(rational_text(x // g, lead // g))
+        return texts
+
     @property
     def multiplicity(self) -> int:
         return len(self.incident)
@@ -81,7 +96,7 @@ class IntersectionPoint:
         return not self._vector[2]
 
     def __repr__(self):
-        cs = ":".join(str(c) for c in self.coords)
+        cs = ":".join(self.coords_text())
         return f"Point[{cs}]{list(self.incident)}"
 
 

@@ -137,7 +137,7 @@ def cmd_lattice(args) -> int:
             "n_points": len(pts),
             "census": {str(m): census[m] for m in sorted(census)},
             "points": [{
-                "coords": [str(c) for c in p.coords],
+                "coords": p.coords_text(),
                 "lines": [A.lines[i].label for i in p.incident],
                 "at_infinity": p.is_at_infinity,
             } for p in pts],

@@ -36,7 +36,7 @@ Curves; Brieskorn-Knoerrer, Plane Algebraic Curves): no roots are found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, count, islice
 
@@ -69,13 +69,11 @@ def fiber_polynomial(pencil: Pencil, lam) -> MultiPoly:
     return pencil.g1.scale(l1) - pencil.g2.scale(l0)
 
 
-@dataclass(frozen=True)
-class FiberAnalysis:
-    lam: tuple
-    arrangement_part: tuple  # ((line index, exponent), ...)
-    residual: MultiPoly
-    mu: int
-    root: MultiPoly  # monic, with residual = lc * root^mu
+class FiberAnalysis(namedtuple("FiberAnalysis",
+                               "lam arrangement_part residual mu root")):
+    """The fiber at lam: its lines as ((line index, exponent), ...), the
+    residual MultiPoly and mu, with root monic and residual = lc * root^mu."""
+    __slots__ = ()
 
     @property
     def removed(self) -> bool:
@@ -93,10 +91,10 @@ class FiberAnalysis:
         }
 
 
-@dataclass(frozen=True)
-class FibrationReport:
-    fibers: tuple      # every analyzed FiberAnalysis, in lambda_key order
-    hypotheses: dict
+class FibrationReport(namedtuple("FibrationReport", "fibers hypotheses")):
+    """Every analyzed FiberAnalysis, in lambda_key order, and the dict of
+    hypotheses."""
+    __slots__ = ()
 
     @property
     def removed(self) -> tuple:
@@ -135,12 +133,11 @@ class FibrationReport:
         }
 
 
-@dataclass(frozen=True)
-class V1Component:
-    rho_exponents: tuple
-    t_exponents: tuple
-    torsion_order: int
-    dimension: int
+class V1Component(namedtuple("V1Component", "rho_exponents t_exponents "
+                                           "torsion_order dimension")):
+    """The exponents of rho and t, one per line, the torsion order and the
+    dimension of the component."""
+    __slots__ = ()
 
     @property
     def rho_values(self):

@@ -10,10 +10,10 @@ and serialization canonical, and each ring operation costs one gcd.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import ceil, gcd, lcm, log10
-from typing import NamedTuple
 
 from . import modp
 
@@ -308,6 +308,12 @@ def normalize(vec):
     lead = next((v for v in vec if v), None)
     if lead is None:
         return None
+    a, b, c, d, den = lead._v
+    if not (b or c or d):
+        # v / (a/den) is v*den/a: one gcd per entry, no inverse, no product;
+        # _make moves the sign of a into the numerators
+        return tuple(_make(p * den, q * den, r * den, t * den, e * a)
+                     for p, q, r, t, e in (v._v for v in vec))
     inv = lead.inverse()
     return tuple(v * inv for v in vec)
 
@@ -337,15 +343,11 @@ def roots(coeffs):
 
 # -- the trigonometric constants of the double star equations -------------
 
-class TrigConstants(NamedTuple):
+class TrigConstants(namedtuple("TrigConstants",
+                               "sin_t cos_t sin_2t cos_2t ratio")):
     """Exact values of sin, cos at theta = 2*pi/5 and 2*theta, and
     ratio = cos(theta)/cos(2*theta)."""
-
-    sin_t: FieldElement
-    cos_t: FieldElement
-    sin_2t: FieldElement
-    cos_2t: FieldElement
-    ratio: FieldElement
+    __slots__ = ()
 
 
 def trig_constants() -> TrigConstants:
@@ -358,21 +360,27 @@ def trig_constants() -> TrigConstants:
 _BASIS_SYMBOLS = ("", "r", "s", "r*s")
 
 
+def rational_text(a: int, den: int) -> str:
+    """The text of the fraction a/den, given in lowest terms with den > 0,
+    as str(Fraction) prints it: "a" when den = 1, else "a/den"."""
+    return str(a) if den == 1 else f"{a}/{den}"
+
+
 def serialize_element(x: FieldElement) -> str:
     """Canonical text form on the basis {1, r, s, r*s}.
 
-    A rational element is a/den in lowest terms, as str(Fraction) prints it:
-    "a" when den = 1, else "a/den"."""
+    A rational element is a/den in lowest terms (rational_text)."""
     a, b, c, d, den = x._v
     if not (b or c or d):
         # canonical, so gcd(a, den) = 1
-        return str(a) if den == 1 else f"{a}/{den}"
+        return rational_text(a, den)
     parts = []
     for n, sym in zip((a, b, c, d), _BASIS_SYMBOLS):
         if not n:
             continue
         g = gcd(n, den)
         p, q = abs(n) // g, den // g
+        # rational_text(p, q), written out: this runs for every term
         mag = str(p) if q == 1 else f"{p}/{q}"
         if not sym:
             body = mag

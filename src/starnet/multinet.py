@@ -13,7 +13,7 @@ partitions of these forced blocks of lines, not of single lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
@@ -50,14 +50,11 @@ def _resolve_mult(A: Arrangement, mult):
     return vals
 
 
-@dataclass(frozen=True)
-class Multinet:
-    arrangement: Arrangement
-    classes: tuple
-    mult: tuple
-    kappa: int
-    base_locus: tuple       # indices into arrangement.lattice()
-    n_x: dict               # point index -> n_x
+class Multinet(namedtuple("Multinet", "arrangement classes mult kappa "
+                                     "base_locus n_x")):
+    """base_locus: indices into arrangement.lattice(); n_x: point index ->
+    n_x."""
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -385,17 +382,17 @@ def find_pointed(A: Arrangement, net: Multinet):
 
 # -- the associated pencil --------------------------------------------------
 
-@dataclass(frozen=True)
-class Pencil:
-    g1: MultiPoly
-    g2: MultiPoly
-    combos: tuple  # (alpha, beta) for each class polynomial g_i, i >= 3
+class Pencil(namedtuple("Pencil", "g1 g2 combos")):
+    """Two homogeneous MultiPolys of one degree; combos holds (alpha, beta)
+    for each class polynomial g_i, i >= 3."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.g1.is_homogeneous and self.g2.is_homogeneous) or \
-                self.g1.degree != self.g2.degree:
+    def __new__(cls, g1, g2, combos):
+        if not (g1.is_homogeneous and g2.is_homogeneous) or \
+                g1.degree != g2.degree:
             raise InvalidPencil(
                 "a pencil wants two homogeneous polynomials of one degree")
+        return super().__new__(cls, g1, g2, combos)
 
     @property
     def degree(self) -> int:

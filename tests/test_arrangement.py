@@ -3,6 +3,7 @@
 from fractions import Fraction
 import json
 import math
+from pathlib import Path
 import random
 
 import pytest
@@ -13,7 +14,8 @@ from starnet.arrangement import (BUILTIN_NAMES, _primitive_point,
                                  arrangement_from_json,
                                  arrangement_to_json, build, builtin, delete,
                                  double_star_affine_covectors,
-                                 double_star_data, is_essential, render_svg)
+                                 double_star_data, is_essential,
+                                 load_arrangement, render_svg)
 from starnet.errors import DuplicateLine, ParseError, UnknownBuiltin
 from starnet.field import ONE, ZERO, FieldElement, normalize
 
@@ -51,6 +53,23 @@ def test_random_lattices_match_brute_force():
     rng = random.Random(7)
     for _ in range(10):
         _check_lattice_against_oracle(random_rational_arrangement(rng))
+
+
+GRID24 = Path(__file__).parent / "data" / "grid24.json"
+
+
+def test_point_text_is_the_coordinate_text():
+    """A point's text, read from its integer vector on a rational
+    arrangement, is str() of each normalized coordinate."""
+    rng = random.Random(29)
+    arrangements = ([builtin(name) for name in BUILTIN_NAMES]
+                    + [load_arrangement(GRID24)]
+                    + [random_rational_arrangement(rng) for _ in range(10)])
+    for A in arrangements:
+        for p in A.lattice():
+            text = p.coords_text()
+            assert text == [str(c) for c in p.coords]
+            assert p.coords_text() == text
 
 
 def _distinct_lines(covectors):

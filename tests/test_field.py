@@ -321,3 +321,23 @@ def test_integer_vector_and_integer_normalize(p, k, d):
     assert ints == normalize(tuple(map(FieldElement, p)))
     for x in ints:
         _assert_canonical(x)
+
+
+nonzero_rationals = st.one_of(rationals, high_rationals).filter(bool)
+
+
+@given(st.integers(0, 2), nonzero_rationals,
+       st.lists(st.one_of(any_elements, rationals, st.integers(-3, 3)),
+                max_size=4))
+@example(0, Fraction(-3, 7), [R, FieldElement(10 ** 30, 0, -1, 3) / 7])
+@example(1, Fraction(-10 ** 30, 10 ** 30 - 1),
+         [FieldElement(Fraction(10 ** 30 + 1, 3), -1), Fraction(-2, 9), 0])
+def test_rational_lead_normalize_equals_the_inverse_path(zeros, lead, rest):
+    """A rational lead a/den divides every entry as v*den/a, with no
+    inverse; the result is the inverse path's, entry by entry."""
+    vec = (0,) * zeros + (FieldElement(lead),) + tuple(rest)
+    inv = FieldElement(lead).inverse()
+    got = normalize(vec)
+    assert got == tuple(v * inv for v in vec)
+    for x in got:
+        _assert_canonical(x)
