@@ -308,12 +308,6 @@ def normalize(vec):
     lead = next((v for v in vec if v), None)
     if lead is None:
         return None
-    a, b, c, d, den = lead._v
-    if not (b or c or d):
-        # v / (a/den) is v*den/a: one gcd per entry, no inverse, no product;
-        # _make moves the sign of a into the numerators
-        return tuple(_make(p * den, q * den, r * den, t * den, e * a)
-                     for p, q, r, t, e in (v._v for v in vec))
     inv = lead.inverse()
     return tuple(v * inv for v in vec)
 
@@ -380,8 +374,7 @@ def serialize_element(x: FieldElement) -> str:
             continue
         g = gcd(n, den)
         p, q = abs(n) // g, den // g
-        # rational_text(p, q), written out: this runs for every term
-        mag = str(p) if q == 1 else f"{p}/{q}"
+        mag = rational_text(p, q)
         if not sym:
             body = mag
         elif p == q == 1:
