@@ -11,13 +11,16 @@ unimodular transforms U and V are built from the log the first time they
 are read, and nothing in the package reads them.  The sweeps are sparse:
 a row operation touches only the columns where the pivot row is nonzero,
 and a column operation only the rows where the pivot column is nonzero,
-which after the row sweep is the pivot row alone.
+which after the row sweep is the pivot row alone.  When that pivot is a
+unit, every column operation of the sweep clears its entry, and the
+whole sweep is logged as one batch entry.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from operator import index
 from .arrangement import Arrangement
 
 
@@ -110,10 +113,11 @@ def aomoto_complex(A: Arrangement, a) -> AomotoComplex:
 class SNFResult:
     """U*M*V = diagonal, with U and V unimodular.  The elimination logs its
     operations instead of applying them to U and V: an entry (i, j) swaps
-    lines i and j, (src, dst, f) adds f times line src to line dst and (i,)
-    negates row i.  U and V replay the log the first time they are read.
-    Equality and hash cover divisors, rank, shape and diagonal, not the
-    logs."""
+    lines i and j, (src, dst, f) adds f times line src to line dst, (src,
+    (dst, ...), (f, ...)) adds each f times line src to its dst, in order,
+    and (i,) negates row i.  U and V replay the log the first time they
+    are read.  Equality and hash cover divisors, rank, shape and diagonal,
+    not the logs."""
 
     def __init__(self, divisors, rank, shape, diagonal, row_ops, col_ops):
         put = object.__setattr__
@@ -169,16 +173,23 @@ def _replay(ops, size):
     operation touches only the nonzeros of its source line; V is as wide
     as the input."""
     lines = [{k: 1} for k in range(size)]
+
+    def add(src, dst, f):
+        line = lines[dst]
+        for k, v in lines[src].items():
+            w = line.get(k, 0) + f * v
+            if w:
+                line[k] = w
+            else:
+                del line[k]
+
     for op in ops:
         match op:
+            case (src, tuple(dsts), fs):
+                for dst, f in zip(dsts, fs):
+                    add(src, dst, f)
             case (src, dst, f):
-                line = lines[dst]
-                for k, v in lines[src].items():
-                    w = line.get(k, 0) + f * v
-                    if w:
-                        line[k] = w
-                    else:
-                        del line[k]
+                add(src, dst, f)
             case (i, j):
                 lines[i], lines[j] = lines[j], lines[i]
             case (i,):
@@ -187,7 +198,8 @@ def _replay(ops, size):
 
 
 def snf(M) -> SNFResult:
-    """Smith normal form, arbitrary precision.
+    """Smith normal form, arbitrary precision, of a matrix of integers; an
+    entry that is not an integer (a float, a Fraction) raises TypeError.
 
     The elimination runs on the matrix alone and logs each row and column
     operation; the result builds U and V from the log when they are read,
@@ -195,10 +207,14 @@ def snf(M) -> SNFResult:
     matrix only at the nonzero columns of the pivot row, and a column
     operation only at the nonzero rows of the pivot column; both index
     lists are made again after each swap, the only step that changes the
-    pivot row or column.  The operations are those of the dense sweeps, in
-    the same order, less the swaps of a line with itself and the additions
-    of 0 times a line, so U, V and the diagonal are the same."""
-    A = [list(map(int, row)) for row in M]
+    pivot row or column.  When the pivot is a unit and its column is zero
+    off the pivot row, each column operation of the sweep zeroes its entry
+    of the pivot row and changes nothing else, so the sweep zeroes the row
+    past the pivot in one pass and logs one batch entry.  The operations
+    are those of the dense sweeps, in the same order, less the swaps of a
+    line with itself and the additions of 0 times a line, so U, V and the
+    diagonal are the same."""
+    A = [list(map(index, row)) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     row_ops = []
@@ -233,8 +249,10 @@ def snf(M) -> SNFResult:
                 row[dst] += f * row[src]
             col_ops.append((src, dst, f))
 
-    def nonzero_cols(i):
-        return [j for j, v in enumerate(A[i]) if v]
+    def nonzero_cols(t):
+        """The nonzero columns of row t; those left of t are zero."""
+        row = A[t]
+        return [j for j in range(t, n) if row[j]]
 
     def nonzero_rows(j):
         return [i for i in range(m) if A[i][j]]
@@ -284,22 +302,38 @@ def snf(M) -> SNFResult:
                         swap_rows(t, i)
                         cols = nonzero_cols(t)
                         dirty = True
-                rows = nonzero_rows(t)
+                # cols is still row t's list: the row sweep changed only
+                # later rows, or swapped rows and listed row t again
                 row = A[t]
-                for j in [j for j in range(t + 1, n) if row[j]]:
-                    f = -(row[j] // row[t])
-                    if len(rows) == 1:
-                        # column t is zero off the pivot row: the column
-                        # operation changes row t alone
-                        if f:
-                            row[j] += f * row[t]
-                            col_ops.append((t, j, f))
-                    else:
-                        add_col(t, j, f, rows)
-                    if row[j]:
-                        swap_cols(t, j)
-                        rows = nonzero_rows(t)
-                        dirty = True
+                p = row[t]
+                if not dirty and (p == 1 or p == -1):
+                    # no row operation left a remainder, so column t is
+                    # zero off the pivot row, and the pivot is a unit:
+                    # column j += -row[j]*p * column t leaves 0 in row t
+                    # and changes nothing else
+                    js = cols[1:]
+                    if js:
+                        col_ops.append((t, tuple(js),
+                                        tuple([-row[j] * p for j in js])))
+                        for j in js:
+                            row[j] = 0
+                else:
+                    rows = nonzero_rows(t)
+                    for j in cols[1:]:
+                        f = -(row[j] // p)
+                        if len(rows) == 1:
+                            # column t is zero off the pivot row: the
+                            # column operation changes row t alone
+                            if f:
+                                row[j] += f * p
+                                col_ops.append((t, j, f))
+                        else:
+                            add_col(t, j, f, rows)
+                        if row[j]:
+                            swap_cols(t, j)
+                            rows = nonzero_rows(t)
+                            p = row[t]
+                            dirty = True
             if A[t][t] < 0:
                 negate_row(t)
             t += 1

@@ -59,10 +59,9 @@ class IntersectionPoint:
 
     def __init__(self, vector, incident):
         vector = tuple(vector)
-        object.__setattr__(self, "_vector", vector)
-        object.__setattr__(self, "_coords",
-                           None if type(vector[0]) is int else vector)
-        object.__setattr__(self, "incident", tuple(sorted(incident)))
+        _set_vector(self, vector)
+        _set_coords(self, None if type(vector[0]) is int else vector)
+        _set_incident(self, tuple(sorted(incident)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionPoint is immutable")
@@ -70,7 +69,7 @@ class IntersectionPoint:
     @property
     def coords(self):
         if self._coords is None:
-            object.__setattr__(self, "_coords", normalize(self._vector))
+            _set_coords(self, normalize(self._vector))
         return self._coords
 
     def coords_text(self) -> list:
@@ -98,6 +97,12 @@ class IntersectionPoint:
     def __repr__(self):
         cs = ":".join(self.coords_text())
         return f"Point[{cs}]{list(self.incident)}"
+
+
+# the slots' own setters, past __setattr__, as field._set is
+_set_vector = IntersectionPoint._vector.__set__
+_set_coords = IntersectionPoint._coords.__set__
+_set_incident = IntersectionPoint.incident.__set__
 
 
 class Arrangement:
@@ -211,24 +216,44 @@ def _primitive_point(p):
 
 
 def _compute_lattice(A: Arrangement):
-    # every line through a point pairs with every other line through it, so
-    # the lines of the pairs meeting at a point are exactly its incident set.
-    # A rational arrangement is computed on integers: each covector becomes
-    # its primitive integer vector once, each pair's point is keyed by its
-    # primitive integer cross product, and that vector is what the point
-    # keeps; its field coordinates are made only if they are read.  An
-    # irrational arrangement normalizes each point in the tower.
+    # two lines meet at one point, so each point is found once, from its
+    # smallest line i: the later lines not yet known to meet i are grouped
+    # by the point where they meet it, and each group plus i is a point
+    # and its incident set.  The pairs inside a group of two or more later
+    # lines are marked as met, so that the point is not found again from
+    # its other lines.  A rational arrangement is computed on integers:
+    # each covector becomes its primitive integer vector once, each point
+    # is keyed by the primitive integer cross product, and that vector is
+    # what the point keeps; its field coordinates are made only if they
+    # are read.  An irrational arrangement normalizes each point in the
+    # tower.
     ints = [integer_vector(ln.covector) for ln in A.lines]
     rational = None not in ints
     covectors = ints if rational else [ln.covector for ln in A.lines]
     point = _primitive_point if rational else normalize
+    n = len(covectors)
+    met = [set() for _ in range(n)]
     incident = {}
-    for (i, u), (j, v) in combinations(enumerate(covectors), 2):
-        pt = point(_cross(u, v))
-        if pt is None:
-            # cannot happen for projectively distinct lines
-            raise ZeroCovector("coincident lines in lattice computation")
-        incident.setdefault(pt, set()).update((i, j))
+    for i, u in enumerate(covectors):
+        groups = {}
+        met_i = met[i]
+        for j in range(i + 1, n):
+            if j in met_i:
+                continue
+            pt = point(_cross(u, covectors[j]))
+            if pt is None:
+                # cannot happen for projectively distinct lines
+                raise ZeroCovector("coincident lines in lattice computation")
+            group = groups.get(pt)
+            if group is None:
+                groups[pt] = [i, j]
+            else:
+                group.append(j)
+        for group in groups.values():
+            if len(group) > 2:
+                for j in group[1:]:
+                    met[j].update(group)
+        incident.update(groups)
     # points in the lexicographic order of their normalized coordinates, by
     # integer keys over one common denominator (no Fractions)
     keys = (_integer_order_keys if rational else order_keys)(incident)
@@ -240,9 +265,12 @@ def _integer_order_keys(points):
     """One integer tuple per primitive integer vector, ordered as the
     vectors' normalized coordinates v/l are, l the (positive) leading
     entry: each entry times L/l, L the lcm of every l."""
-    leads = [next(v for v in pt if v) for pt in points]
-    L = lcm(*leads)
-    return [tuple(v * (L // l) for v in pt) for pt, l in zip(points, leads)]
+    L = lcm(*[x or y or z for x, y, z in points])
+    keys = []
+    for x, y, z in points:
+        f = L // (x or y or z)
+        keys.append((x * f, y * f, z * f))
+    return keys
 
 
 def is_essential(A: Arrangement) -> bool:

@@ -122,13 +122,18 @@ class FibrationReport(namedtuple("FibrationReport", "fibers hypotheses")):
         return "small" if self.k == 2 and self.multiple_fibers else "neither"
 
     def describe(self, A: Arrangement) -> dict:
+        # each fiber is described once: a multiple fiber's dict is the one
+        # listed under "fibers"
+        fibers = [f.describe(A) for f in self.fibers]
+        multiple = {id(f) for f in self.multiple_fibers}
         return {
             "k": self.k,
             "removed": [list(lambda_key(l)) for l in self.removed],
             "class": self.classification,
             "mu_vector": list(self.mu_vector),
-            "multiple_fibers": [f.describe(A) for f in self.multiple_fibers],
-            "fibers": [f.describe(A) for f in self.fibers],
+            "multiple_fibers": [doc for f, doc in zip(self.fibers, fibers)
+                                if id(f) in multiple],
+            "fibers": fibers,
             "hypotheses": dict(self.hypotheses),
         }
 
@@ -340,10 +345,14 @@ def analyze_fiber(A: Arrangement, pencil: Pencil, lam, lines,
         if e:
             parts.append((i, e))
     parts.sort()
-    # mu: the largest k with residual = lc * root^k for a monic root
+    # mu: the largest k with residual = lc * root^k for a monic root; as
+    # lc * root^k has degree k * deg(root), only the k dividing the degree
     _, lc = residual.leading()
     root, mu = residual / lc, 1
-    for k in range(residual.degree, 1, -1):
+    d = residual.degree
+    for k in range(d, 1, -1):
+        if d % k:
+            continue
         try:
             root, mu = kth_root(root, k), k
             break

@@ -1,5 +1,6 @@
 """Aomoto complex and Smith normal form."""
 
+from fractions import Fraction
 import random
 from pathlib import Path
 
@@ -224,8 +225,25 @@ def snf_matrices(draw):
 @example([[2, 3, 3], [0, 5, 0], [4, 0, 7]])
 # divisors (1, 6): the divisibility-chain repair logs a column operation
 @example([[2, 0], [0, 3]])
+# a unit pivot with its column clear logs its column sweep as one batch: a
+# -1 pivot, swapped in from row 1
+@example([[0, 0, 0, 0], [-1, 2, 0, -3], [0, 4, 5, 0]])
+# a unit pivot whose column is not clear: row 1 leaves the remainder 1,
+# the rows swap and the old pivot row keeps 2 in column 0
+@example([[2, 4, 6], [3, 5, 7]])
+# a unit pivot reached by a column swap: the column operation on column 1
+# leaves the remainder 1, which the swap makes the pivot
+@example([[2, 3, 5], [4, 0, 6]])
 def test_snf_matches_dense_reference(M):
     _assert_matches_ref(M)
+
+
+@pytest.mark.parametrize("M", [[[2.5, 0], [0, 3]], [[Fraction(5, 2)]],
+                               [[0.0, 1]], [[1, 2], [Fraction(4, 2), 3]]])
+def test_snf_rejects_non_integer_entries(M):
+    # int() would truncate 2.5 to 2 and give divisors (1, 6)
+    with pytest.raises(TypeError):
+        snf(M)
 
 
 def test_snf_matches_dense_reference_on_d2():

@@ -1,6 +1,7 @@
 """Arrangements: lattice, builtins, file format, SVG output."""
 
 from fractions import Fraction
+from itertools import combinations
 import json
 import math
 from pathlib import Path
@@ -138,6 +139,61 @@ def test_double_star_images_are_in_fraction_order(entries, with_infinity):
     if with_infinity:
         covs.append((ZERO, ZERO, ONE))
     A = build(_distinct_lines(covs))
+    _check_lattice_against_oracle(A)
+    _assert_oracle_order(A)
+
+
+def _join(p, q):
+    """The covector of the line through the points p and q."""
+    return (p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
+
+
+coordinate = st.integers(-4, 4)
+
+
+@st.composite
+def lines_through_points(draw):
+    """The lines joining two or three chosen points, and four or five more
+    lines through each of them; the points' entries are integers, or of
+    the form a + b*r, outside Q when b != 0."""
+    irrational = draw(st.booleans())
+    centers = [tuple(FieldElement(draw(coordinate),
+                                  draw(coordinate) if irrational else 0)
+                     for _ in range(3))
+               for _ in range(draw(st.integers(2, 3)))]
+    covs = [_join(p, q) for p, q in combinations(centers, 2)]
+    for p in centers:
+        for _ in range(draw(st.integers(4, 5))):
+            covs.append(_join(p, tuple(FieldElement(draw(coordinate))
+                                       for _ in range(3))))
+    return covs
+
+
+@st.composite
+def double_star_images(draw):
+    """The double star with its line at infinity, five points of
+    multiplicity 4, under an invertible integer projective map."""
+    M = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                      min_size=3, max_size=3))
+    det = sum(M[0][k] * (M[1][(k + 1) % 3] * M[2][(k + 2) % 3]
+                         - M[1][(k + 2) % 3] * M[2][(k + 1) % 3])
+              for k in range(3))
+    assume(det)
+    lines = list(double_star_affine_covectors()) + [(ZERO, ZERO, ONE)]
+    return [tuple(sum((u[k] * M[k][j] for k in range(3)), ZERO)
+                  for j in range(3)) for u in lines]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines_through_points() | double_star_images())
+def test_lattice_with_quadruple_points_matches_brute_force(covs):
+    A = build(_distinct_lines(covs))
+    # the lattice finds a point once, from its smallest line, and skips
+    # the pairs of lines already known to meet: several points of four or
+    # more lines exercise that bookkeeping
+    assume(sum(len(inc) >= 4 for inc in brute_lattice(A).values()) >= 2)
     _check_lattice_against_oracle(A)
     _assert_oracle_order(A)
 

@@ -8,11 +8,14 @@ Modules import only from lower layers, in the order
 (__init__ re-exports from all of them).  No module imports a private name
 of another, and every import sits at module level, not in a function.
 Nothing is dead: every module-level import is used in its module, and
-every private module-level def or class is used in the package.
+every private module-level def or class is used in the package.  Every
+absolute import is of the standard library: the package has no runtime
+dependency.
 """
 
 import ast
 from pathlib import Path
+import sys
 
 import pytest
 
@@ -49,6 +52,21 @@ def test_imports_follow_the_layers(path):
         for alias in node.names:
             assert not alias.name.startswith("_"), \
                 f"{where}: imports the private name {alias.name}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_absolute_imports_are_of_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, \
+                f"{path.name}:{node.lineno}: {name} is not of the stdlib"
 
 
 def _trees():
