@@ -9,7 +9,7 @@ from .mpoly import (MultiPoly, UniPoly, dehomogenize, exact_divide,
                     homogenize, kth_root, restrict_to_line)
 from .exprs import parse_field_element as parse_element
 from .arrangement import (Arrangement, IntersectionPoint, Line, build,
-                          builtin, delete, is_essential, render_svg)
+                          builtin, delete, render_svg)
 from .multinet import (Multinet, MultinetReport, Pencil, builtin_pencil,
                        check_multinet, enumerate_multinets, find_pointed,
                        multinet_pencil)
@@ -18,7 +18,6 @@ from .fibration import (FiberAnalysis, FibrationReport, V1Component, analyze,
                         orbifold_v1_shape, pointed_vs_fiber,
                         translated_component)
 from .aomoto import (AomotoComplex, H2Report, OS2Basis, SNFResult,
-                     aomoto_complex, h2_torsion, os2_basis, reduce_product,
-                     snf)
+                     aomoto_complex, h2_torsion, os2_basis, snf)
 
 __version__ = "0.1.0"

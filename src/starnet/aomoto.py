@@ -24,11 +24,10 @@ from operator import index
 from .arrangement import Arrangement
 
 
-class OS2Basis(namedtuple("OS2Basis", "points elements index arrangement")):
+class OS2Basis(namedtuple("OS2Basis", "points elements index")):
     """points: lattice position -> IntersectionPoint, affine only;
     elements: ((lattice position, line index), ...); index: (lattice
-    position, line index) -> basis position; arrangement: the arrangement,
-    whose cached point_of_pair() reduce_product reads."""
+    position, line index) -> basis position."""
     __slots__ = ()
 
     @property
@@ -44,28 +43,7 @@ def os2_basis(A: Arrangement) -> OS2Basis:
     elements = tuple((pos, j) for pos, pt in points.items()
                      for j in pt.incident[1:])
     index = {e: t for t, e in enumerate(elements)}
-    return OS2Basis(points, elements, index, A)
-
-
-def _product_terms(i: int, j: int, pos: int, basis: OS2Basis):
-    """(basis position, coefficient) terms of e_i * e_j at the affine point
-    pos, by the three-term relation e_i e_j = e_m e_j - e_m e_i with m the
-    point's smallest line and e_m e_m = 0; it holds for either order."""
-    m = basis.points[pos].incident[0]
-    return [(basis.index[(pos, b)], c) for b, c in ((j, 1), (i, -1))
-            if b != m]
-
-
-def reduce_product(i: int, j: int, basis: OS2Basis):
-    """Coordinates of e_i * e_j on the basis; zero for parallel lines."""
-    if i == j:
-        raise ValueError("product of a generator with itself is zero")
-    vec = [0] * basis.b2
-    pos = basis.arrangement.point_of_pair().get((min(i, j), max(i, j)))
-    if pos in basis.points:
-        for t, c in _product_terms(i, j, pos, basis):
-            vec[t] += c
-    return vec
+    return OS2Basis(points, elements, index)
 
 
 class AomotoComplex(namedtuple("AomotoComplex", "omega d2 basis")):
@@ -83,21 +61,23 @@ class AomotoComplex(namedtuple("AomotoComplex", "omega d2 basis")):
 
 
 def aomoto_complex(A: Arrangement, a) -> AomotoComplex:
-    """The complex of the weights a, with d2 in closed form.
+    """The complex of the integer weights a, with d2 in closed form; a
+    weight that is not an integer raises TypeError.
 
-    Row k of d2 is omega * e_k = sum over i of a_i * e_i * e_k.  By the
-    three-term relation (_product_terms), at an affine point P with
-    smallest line m and w_P the sum of a over P's lines, its entry in the
-    column (P, l), l != m, is -a_l, plus w_P when k = l; a line not
+    Row k of d2 is omega * e_k = sum over i of a_i * e_i * e_k.  At an
+    affine point P with smallest line m, the three-term relation
+    e_i e_j = e_m e_j - e_m e_i (with e_m e_m = 0) puts e_i e_j on the
+    basis.  So with w_P the sum of a over P's lines, the entry of row k in
+    the column (P, l), l != m, is -a_l, plus w_P when k = l; a line not
     through P has 0 there."""
-    a = tuple(int(v) for v in a)
+    a = tuple(map(index, a))
     if len(a) != A.n:
         raise ValueError(f"weight vector must have length {A.n}")
     basis = os2_basis(A)
-    index = basis.index
+    column = basis.index
     rows = [[0] * basis.b2 for _ in range(A.n)]
     for pos, pt in basis.points.items():
-        cols = [(index[(pos, l)], a[l]) for l in pt.incident[1:]]
+        cols = [(column[(pos, l)], a[l]) for l in pt.incident[1:]]
         for k in pt.incident:
             row = rows[k]
             for t, w in cols:

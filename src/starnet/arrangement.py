@@ -48,7 +48,7 @@ class Line:
 
 
 class IntersectionPoint:
-    """A multiple point and its incident lines, in increasing order.
+    """A multiple point and its incident lines, given in increasing order.
 
     The point is given either by its normalized coordinates, a tuple of
     field elements, or, in a rational arrangement, by a tuple of ints, its
@@ -61,7 +61,7 @@ class IntersectionPoint:
         vector = tuple(vector)
         _set_vector(self, vector)
         _set_coords(self, None if type(vector[0]) is int else vector)
-        _set_incident(self, tuple(sorted(incident)))
+        _set_incident(self, tuple(incident))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionPoint is immutable")
@@ -271,10 +271,6 @@ def _integer_order_keys(points):
         f = L // (x or y or z)
         keys.append((x * f, y * f, z * f))
     return keys
-
-
-def is_essential(A: Arrangement) -> bool:
-    return all(p.multiplicity < A.n for p in A.lattice())
 
 
 def delete(A: Arrangement, label: str) -> Arrangement:

@@ -2,10 +2,18 @@
 
 Here r is a square root of 5 and s satisfies s^2 = (5 + r)/8, so under the
 real embedding r -> +sqrt(5) the generator s maps to sin(2*pi/5).  Every
-element is stored on the fixed basis {1, r, s, r*s} as four integer
-numerators over one positive common denominator, reduced so that the five
-integers are coprime.  That form is unique, which makes equality, hashing
-and serialization canonical, and each ring operation costs one gcd.
+element is stored as an integer row (a, b, c, d) over one positive
+denominator den: the element (a + b*r + c*t + d*r*t)/den on the basis
+{1, r, t, r*t}, t = 4s, reduced so that the five integers are coprime.
+That form is unique, which makes equality, hashing and serialization
+canonical, and each sum or product costs one gcd.  As t^2 = 10 + 2r, two
+rows multiply with integer structure constants: row_mul is the one
+product of K over Z and row_inverse its one inverse, and mpoly's
+polynomials keep their coefficients on the same rows.
+
+The s-basis {1, r, s, r*s} remains only where users see an element: the
+FieldElement(a, b, c, d) constructor, coords() and the text form, which
+read the row (a, b, c, d) over den as (a, b, 4c, 4d)/den.
 """
 
 from __future__ import annotations
@@ -18,6 +26,56 @@ from math import ceil, gcd, lcm, log10
 from . import modp
 
 
+# -- rows: the integer form of K ---------------------------------------------
+
+def row_mul(x, y):
+    """The product of two rows, with t^2 = 10 + 2r and r^2 = 5."""
+    e, f, g, h = y
+    if not (f or g or h):
+        a, b, c, d = x
+        return (a * e, b * e, c * e, d * e)
+    a, b, c, d = x
+    if not (b or c or d):
+        return (a * e, a * f, a * g, a * h)
+    p = c * g + 5 * d * h
+    q = c * h + d * g
+    return (a * e + 5 * b * f + 10 * (p + q), a * f + b * e + 2 * (p + 5 * q),
+            a * g + c * e + 5 * (b * h + d * f), a * h + b * g + c * f + d * e)
+
+
+def _t_norm(a, b, c, d):
+    """(u, v) with (A + B*t)(A - B*t) = A^2 - B^2*(10 + 2r) = u + v*r, for
+    A = a + b*r and B = c + d*r: the norm of a row down to Q(r)."""
+    e, f = c * c + 5 * d * d, 2 * c * d  # B^2 = e + f*r
+    return a * a + 5 * b * b - 10 * (e + f), 2 * (a * b - e - 5 * f)
+
+
+def row_inverse(x):
+    """(y, n) with x*y = n, an integer > 0, for a nonzero row x, the five
+    integers coprime.
+
+    With x = A + B*t over Z[r] and u + v*r its norm (A + B*t)(A - B*t),
+    (u + v*r)(u - v*r) = u^2 - 5v^2 = n up to sign."""
+    a, b, c, d = x
+    if not (c or d):
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return ((1, 0, 0, 0), a) if a > 0 else ((-1, 0, 0, 0), -a)
+        y, n = (a, -b, 0, 0), a * a - 5 * b * b
+    else:
+        u, v = _t_norm(a, b, c, d)
+        y = (a * u - 5 * b * v, b * u - a * v, 5 * d * v - c * u,
+             c * v - d * u)
+        n = u * u - 5 * v * v
+    g = gcd(n, *y)
+    if n < 0:
+        g = -g
+    return (y[0] // g, y[1] // g, y[2] // g, y[3] // g), n // g
+
+
+# -- field elements ----------------------------------------------------------
+
 def _ratio(v):
     if isinstance(v, int):
         return v, 1
@@ -27,10 +85,11 @@ def _ratio(v):
 
 
 class FieldElement:
-    """An element a + b*r + c*s + d*r*s of the tower Q(r)(s)."""
+    """An element a + b*r + c*s + d*r*s of the tower Q(r)(s), for ints or
+    Fractions a, b, c, d."""
 
-    # _v = (a, b, c, d, den): the element (a + b*r + c*s + d*r*s) / den,
-    # with den > 0 and gcd(a, b, c, d, den) = 1
+    # _v = (a, b, c, d, den): the element (a + b*r + c*t + d*r*t) / den,
+    # t = 4s, with den > 0 and gcd(a, b, c, d, den) = 1
     __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
@@ -39,18 +98,22 @@ class FieldElement:
             # an integer (not a bool) is already canonical over den = 1
             _set(self, (a, 0, 0, 0, 1))
             return
-        ratios = [_ratio(v) for v in (a, b, c, d)]
+        # s = t/4: the row's c and d are the s-coordinates over 4
+        ratios = [_ratio(a), _ratio(b)] + [(p, 4 * q) for p, q in
+                                           (_ratio(c), _ratio(d))]
         den = lcm(*(q for _, q in ratios))
-        # over the lcm of reduced denominators the five ints are coprime
-        _set(self, tuple(p * (den // q) for p, q in ratios) + (den,))
+        nums = [p * (den // q) for p, q in ratios]
+        g = gcd(*nums, den)
+        _set(self, tuple(v // g for v in nums) + (den // g,))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     def coords(self):
+        """(a, b, c, d) with self = a + b*r + c*s + d*r*s, as Fractions."""
         a, b, c, d, den = self._v
-        return (Fraction(a, den), Fraction(b, den), Fraction(c, den),
-                Fraction(d, den))
+        return (Fraction(a, den), Fraction(b, den), Fraction(4 * c, den),
+                Fraction(4 * d, den))
 
     # -- predicates ----------------------------------------------------
 
@@ -84,9 +147,9 @@ class FieldElement:
             return sa
         if not sa:
             return sb
-        # A + B*s with A, B of opposite signs: the larger of |A| and |B|*s
-        # wins, and A^2 - B^2*s^2 = (u + v*r)/8 says which
-        return sa if _sign_qr(*modp.s_norm8(a, b, c, d)) > 0 else sb
+        # A + B*t with A, B of opposite signs and t > 0: the larger of |A|
+        # and |B|*t wins, and the norm A^2 - B^2*t^2 = u + v*r says which
+        return sa if _sign_qr(*_t_norm(a, b, c, d)) > 0 else sb
 
     # -- ring operations -----------------------------------------------
 
@@ -131,15 +194,8 @@ class FieldElement:
             return _make(a * e, a * f, a * g, a * h, D * E)
         if not (f or g or h):
             return _make(a * e, b * e, c * e, d * e, D * E)
-        # (A + B*s)(C + G*s) = A*C + B*G*s^2 + (A*G + B*C)*s over Q(r),
-        # with B*G = p + q*r and s^2 = (5 + r)/8
-        p = c * g + 5 * d * h
-        q = c * h + d * g
-        return _make(8 * (a * e + 5 * b * f) + 5 * (p + q),
-                     8 * (a * f + b * e) + p + 5 * q,
-                     8 * (a * g + 5 * b * h + c * e + 5 * d * f),
-                     8 * (a * h + b * g + c * f + d * e),
-                     8 * D * E)
+        a, b, c, d = row_mul((a, b, c, d), (e, f, g, h))
+        return _make(a, b, c, d, D * E)
 
     __rmul__ = __mul__
 
@@ -149,13 +205,13 @@ class FieldElement:
             if not a:
                 raise ZeroDivisionError("inverse of zero field element")
             return _make(den, 0, 0, 0, a)
-        # (A + B*s)^-1 = (A - B*s) / (A^2 - B^2*s^2), the norm down to Q(r)
-        # being (u + v*r)/8, whose inverse is 8*(u - v*r)/(u^2 - 5*v^2)
-        u, v = modp.s_norm8(a, b, c, d)
-        k = 8 * den
-        return _make(k * (a * u - 5 * b * v), k * (b * u - a * v),
-                     k * (5 * d * v - c * u), k * (c * v - d * u),
-                     u * u - 5 * v * v)
+        (e, f, g, h), n = row_inverse((a, b, c, d))
+        # e, f, g, h and n > 0 are coprime, so den*(e, f, g, h) and n have
+        # gcd(den, n) in common
+        k = gcd(den, n)
+        if k != 1:
+            den, n = den // k, n // k
+        return _wrap((den * e, den * f, den * g, den * h, n))
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -188,14 +244,15 @@ class FieldElement:
     # -- real embedding ------------------------------------------------
 
     def embed(self, precision: int = 64) -> Decimal:
-        """Value under r -> +sqrt(5), s -> +sqrt((5 + r)/8) = sin(2*pi/5)
-        at `precision` bits; the package's only path to a real value."""
+        """Value under r -> +sqrt(5), s -> +sqrt((5 + r)/8) = sin(2*pi/5),
+        so t = 4s -> +sqrt(10 + 2r), at `precision` bits; the package's only
+        path to a real value."""
         if precision < 64:
             raise ValueError("precision must be at least 64 bits")
         a, b, c, d, den = self._v
         with localcontext(Context(prec=ceil(precision * log10(2)))):
             sqrt5 = Decimal(5).sqrt()
-            u, v = a + b * sqrt5, (c + d * sqrt5) * ((5 + sqrt5) / 8).sqrt()
+            u, v = a + b * sqrt5, (c + d * sqrt5) * (10 + 2 * sqrt5).sqrt()
             return (u + v) / den
 
     def __float__(self):
@@ -244,7 +301,7 @@ def _wrap(v) -> FieldElement:
 
 
 def _make(a, b, c, d, den) -> FieldElement:
-    """The element (a + b*r + c*s + d*r*s) / den, den != 0, reduced."""
+    """The element (a + b*r + c*t + d*r*t) / den, den != 0, reduced."""
     g = gcd(a, b, c, d, den)
     if den < 0:
         g = -g
@@ -257,14 +314,14 @@ def _make(a, b, c, d, den) -> FieldElement:
 
 
 def to_ints(x: FieldElement) -> tuple:
-    """(a, b, c, d, den) with x = (a + b*r + c*s + d*r*s)/den, den > 0 and
-    the five integers coprime: the canonical form, as stored."""
+    """(a, b, c, d, den) with x = (a + b*r + c*t + d*r*t)/den, t = 4s,
+    den > 0 and the five integers coprime: the canonical row, as stored."""
     return x._v
 
 
 def from_ints(a: int, b: int, c: int, d: int, den: int) -> FieldElement:
-    """The element (a + b*r + c*s + d*r*s)/den, for integers with den != 0,
-    reduced to its canonical form."""
+    """The element (a + b*r + c*t + d*r*t)/den, t = 4s, for integers with
+    den != 0, reduced to its canonical form."""
     return _make(a, b, c, d, den)
 
 
@@ -327,7 +384,8 @@ def integer_vector(vec):
 def roots(coeffs):
     """The roots in the field of the monic polynomial with coefficients
     coeffs, low to high, and no repeated root: the candidates of modp.roots,
-    over their common denominator, at which the polynomial vanishes."""
+    given the rows over their common denominator, at which the polynomial
+    vanishes."""
     L = lcm(*(c._v[4] for c in coeffs))
     ys = (_make(*v) for v in modp.roots(
         [tuple(a * (L // c._v[4]) for a in c._v[:4]) for c in coeffs]))
@@ -361,7 +419,8 @@ def rational_text(a: int, den: int) -> str:
 
 
 def serialize_element(x: FieldElement) -> str:
-    """Canonical text form on the basis {1, r, s, r*s}.
+    """Canonical text form on the basis {1, r, s, r*s}: the row (a, b, c, d)
+    over den is printed as (a, b, 4c, 4d)/den, each in lowest terms.
 
     A rational element is a/den in lowest terms (rational_text)."""
     a, b, c, d, den = x._v
@@ -369,7 +428,7 @@ def serialize_element(x: FieldElement) -> str:
         # canonical, so gcd(a, den) = 1
         return rational_text(a, den)
     parts = []
-    for n, sym in zip((a, b, c, d), _BASIS_SYMBOLS):
+    for n, sym in zip((a, b, 4 * c, 4 * d), _BASIS_SYMBOLS):
         if not n:
             continue
         g = gcd(n, den)
@@ -393,8 +452,9 @@ def order_keys(vectors):
     """One integer tuple per vector of elements, ordered as the vectors'
     coordinates on {1, r, s, r*s} are, lexicographically.
 
-    Over one common denominator L of every coordinate, each coordinate
-    a/den becomes the integer a*(L/den); L/den > 0 keeps the order."""
+    Over one common denominator L of every row, each row entry a/den
+    becomes the integer a*(L/den); L/den > 0 keeps the order, and so does
+    reading the s-coordinates 4c, 4d as c, d."""
     L = lcm(*(x._v[4] for vec in vectors for x in vec))
     keys = []
     for vec in vectors:

@@ -1,11 +1,15 @@
 """Roots in K = Q(zeta_20)^+ = Q(r)(s), r^2 = 5, s^2 = (5 + r)/8, of a
-polynomial over K, with a + b*r + c*s + d*r*s the int 4-tuple (a, b, c, d).
+polynomial over K given on field's integer rows: (a, b, c, d) is
+a + b*r + c*t + d*r*t, t = 4s.
 
 An odd prime p = +-2 (mod 5) is inert in K: 5 is not a square mod p, so
 r^2 = 5 is irreducible over F_p, and (5 + r)/8 has norm 5/16, not a square
 either, so s^2 = (5 + r)/8 is irreducible over F_(p^2).  So O_K/p is
-F_(p^4), with the basis {1, r, s, r*s} and the product formula of
-FieldElement.__mul__ taken mod p.
+F_(p^4).  Its ring (_Ring) works on the s-basis {1, r, s, r*s}, on which
+the root bound of roots() is proved: an int 4-tuple (a, b, c, d) there is
+a + b*r + c*s + d*r*s.  roots() converts rows to it when called and its
+roots back to rows when it returns; no other module sees the s-basis
+tuples.
 """
 
 from itertools import count, zip_longest
@@ -15,13 +19,6 @@ from random import Random
 from .errors import NotSquarefree
 
 _ZERO, _ONE = (0, 0, 0, 0), (1, 0, 0, 0)
-
-
-def s_norm8(a, b, c, d):
-    """(u, v) with 8*(A^2 - B^2*s^2) = u + v*r, for A = a + b*r, B = c + d*r."""
-    p = c * c + 5 * d * d
-    q = 2 * c * d
-    return 8 * (a * a + 5 * b * b) - 5 * (p + q), 16 * a * b - p - 5 * q
 
 
 def _trim(f):
@@ -56,9 +53,11 @@ class _Ring:
                 (x[2] + k * y[2]) % m, (x[3] + k * y[3]) % m)
 
     def inverse(self, x):
-        """1/x, by the norm to Q(r) as in FieldElement.inverse."""
+        """1/x, by the norm to Q(r): 8*(A^2 - B^2*s^2) = u + v*r for
+        x = A + B*s, then (u + v*r)(u - v*r) = u^2 - 5v^2."""
         a, b, c, d = x
-        u, v = s_norm8(a, b, c, d)
+        p, q = c * c + 5 * d * d, 2 * c * d  # B^2 = p + q*r
+        u, v = 8 * (a * a + 5 * b * b) - 5 * (p + q), 16 * a * b - p - 5 * q
         k, m = 8 * pow(u * u - 5 * v * v, -1, self.m), self.m
         return ((a * u - 5 * b * v) * k % m, (b * u - a * v) * k % m,
                 (5 * d * v - c * u) * k % m, (c * v - d * u) * k % m)
@@ -117,9 +116,10 @@ class _Ring:
 
 
 def roots(f):
-    """Candidates for the roots in K of f = sum f[i]*y^i, for int 4-tuples
+    """Candidates for the roots in K of f = sum f[i]*y^i, for integer rows
     f[i], f[-1] = (L, 0, 0, 0) with L > 0, and no repeated root: 5-tuples
-    (a, b, c, d, den) for (a + b*r + c*s + d*r*s)/den, every root among them.
+    (a, b, c, d, den) for the rows (a + b*r + c*t + d*r*t)/den, every root
+    among them.  Below, f and the roots are on the s-basis.
 
     O_K = Z[2s] has the basis 1, 2s, (5 + r)/2, 5s + r*s, so for a root y in
     K, mu = 2*L*y is in O_K and nu = 2*mu has integer coordinates, below
@@ -134,6 +134,7 @@ def roots(f):
     H^2 = (sum T_i^2)^(n - 1)*(sum (i*T_i)^2)^n, so the product P of such
     primes has P^2 <= 4^(2n - 1)*H^2; past that, NotSquarefree is raised.
     """
+    f = [(a, b, 4 * c, 4 * d) for a, b, c, d in f]  # c*t = 4c*s
     n, L = len(f) - 1, f[-1][0]
     T = [abs(a) + 3 * abs(b) + abs(c) + 3 * abs(d) for a, b, c, d in f]
     df = [tuple(i * v for v in c) for i, c in enumerate(f)][1:]
@@ -162,6 +163,6 @@ def roots(f):
             lift = _Ring(m)
             x = lift.add(x, lift.mul(lift.value(f, x),
                                      lift.inverse(lift.value(df, x))), -1)
-        out.append(tuple((4 * L * t + m // 2) % m - m // 2 for t in x)
-                   + (4 * L,))
+        a, b, c, d = ((4 * L * t + m // 2) % m - m // 2 for t in x)
+        out.append((4 * a, 4 * b, c, d, 16 * L))  # c*s = c*t/4
     return out

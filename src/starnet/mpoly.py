@@ -4,23 +4,23 @@ MultiPoly is a trivariate polynomial in x, y, z; UniPoly is univariate in t.
 The monomial order is graded lexicographic with x > y > z, fixed globally, so
 division, root extraction and serialization are deterministic.
 
-Coefficients are stored as integer rows over one denominator per polynomial
-(Cohen, A Course in Computational Algebraic Number Theory, 4.2): a row
-(a, b, c, d) over the polynomial's den > 0 is the coefficient
-(a + b*r + c*t + d*r*t)/den on the basis {1, r, t, r*t}, t = 4s.  As
-t^2 = 10 + 2r, the product of two rows is a row with integer structure
-constants (_rmul), so a sum or product of polynomials is integer arithmetic
-on rows.  A polynomial is canonical: no zero row, den > 0, and the integers
-of all its rows and den coprime, which one gcd per result polynomial
-ensures; equality is equality of rows and den.  A kernel that divides by a
-coefficient does so through the monic form M/u of the divisor (_monic),
-whose leading row is (u, 0, 0, 0) for an integer u, so that division only
-carries powers of u, cleared by the one gcd at the end.
+Coefficients are stored as field's integer rows over one denominator per
+polynomial (Cohen, A Course in Computational Algebraic Number Theory, 4.2):
+a row (a, b, c, d) over the polynomial's den > 0 is the coefficient
+(a + b*r + c*t + d*r*t)/den on the basis {1, r, t, r*t}, t = 4s, as
+field.to_ints gives an element.  Rows multiply by field.row_mul and invert
+by field.row_inverse, so a sum or product of polynomials is integer
+arithmetic on rows.  A polynomial is canonical: no zero row, den > 0, and
+the integers of all its rows and den coprime, which one gcd per result
+polynomial ensures; equality is equality of rows and den.  A kernel that
+divides by a coefficient does so through the monic form M/u of the divisor
+(_monic), whose leading row is (u, 0, 0, 0) for an integer u, so that
+division only carries powers of u, cleared by the one gcd at the end.
 
 FieldElement is the scalar type at the API: .terms, .coeffs, leading(),
-sorted_terms() and evaluate() give field elements, the row (a, b, c, d)
-over den being (a, b, 4c, 4d)/den in FieldElement's s-basis coordinates.
-No other module reads the rows.
+sorted_terms() and evaluate() give field elements, from_ints(*row, den).
+The s-basis appears only where field prints or builds an element.  No
+other module reads the rows.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from math import comb, gcd, lcm
 
 from . import modp
 from .errors import NotAPower, NotDivisible
-from .field import (ONE, ZERO, FieldElement, from_ints, serialize_element,
-                    to_ints)
+from .field import (ONE, ZERO, FieldElement, from_ints, row_inverse, row_mul,
+                    serialize_element, to_ints)
 
 _ONE_ROW = (1, 0, 0, 0)
 _ZERO_ROW = (0, 0, 0, 0)
@@ -43,42 +43,15 @@ _ZERO_ROW = (0, 0, 0, 0)
 
 def _scalar(v):
     """(row, den) of an int, a Fraction or a FieldElement, canonical: den > 0
-    and the five integers coprime.  A FieldElement's s-coordinates
-    (a, b, c, d)/den, coprime, are (a, b, c/4, d/4)/den on the t-basis; over
-    4*den, the only common factor of (4a, 4b, c, d, 4*den) is gcd(c, d, 4),
-    as one of a, b, den is odd when c and d are even."""
+    and the five integers coprime."""
     if isinstance(v, FieldElement):
         a, b, c, d, den = to_ints(v)
-        if not (c & 3 or d & 3):
-            return (a, b, c >> 2, d >> 2), den
-        if c & 1 or d & 1:
-            return (4 * a, 4 * b, c, d), 4 * den
-        return (2 * a, 2 * b, c >> 1, d >> 1), 2 * den
+        return (a, b, c, d), den
     if isinstance(v, int):
         return (int(v), 0, 0, 0), 1  # int() maps bools to 0, 1
     if isinstance(v, Fraction):
         return (v.numerator, 0, 0, 0), v.denominator
     raise TypeError(f"cannot use {type(v).__name__} as a coefficient")
-
-
-def _element(row, den) -> FieldElement:
-    a, b, c, d = row
-    return from_ints(a, b, 4 * c, 4 * d, den)
-
-
-def _rmul(x, y):
-    """The product of two rows, with t^2 = 10 + 2r and r^2 = 5."""
-    e, f, g, h = y
-    if not (f or g or h):
-        a, b, c, d = x
-        return (a * e, b * e, c * e, d * e)
-    a, b, c, d = x
-    if not (b or c or d):
-        return (a * e, a * f, a * g, a * h)
-    p = c * g + 5 * d * h
-    q = c * h + d * g
-    return (a * e + 5 * b * f + 10 * (p + q), a * f + b * e + 2 * (p + 5 * q),
-            a * g + c * e + 5 * (b * h + d * f), a * h + b * g + c * f + d * e)
 
 
 def _rscale(x, k: int):
@@ -90,37 +63,11 @@ def _rpow(x, n: int):
     out = _ONE_ROW
     while n:
         if n & 1:
-            out = x if out is _ONE_ROW else _rmul(out, x)
+            out = x if out is _ONE_ROW else row_mul(out, x)
         n >>= 1
         if n:
-            x = _rmul(x, x)
+            x = row_mul(x, x)
     return out
-
-
-def _rinv(x):
-    """(y, n) with x*y = n, an integer > 0, for a nonzero row x, the five
-    integers coprime.
-
-    With x = A + B*t over Z[r], (A + B*t)(A - B*t) = A^2 - B^2*(10 + 2r) =
-    u + v*r, and (u + v*r)(u - v*r) = u^2 - 5v^2 = n up to sign."""
-    a, b, c, d = x
-    if not (c or d):
-        if not b:
-            if not a:
-                raise ZeroDivisionError("inverse of zero field element")
-            return ((1, 0, 0, 0), a) if a > 0 else ((-1, 0, 0, 0), -a)
-        y, n = (a, -b, 0, 0), a * a - 5 * b * b
-    else:
-        e, f = c * c + 5 * d * d, 2 * c * d  # B^2 = e + f*r
-        u = a * a + 5 * b * b - 10 * (e + f)
-        v = 2 * (a * b - e - 5 * f)
-        y = (a * u - 5 * b * v, b * u - a * v, 5 * d * v - c * u,
-             c * v - d * u)
-        n = u * u - 5 * v * v
-    g = gcd(n, *y)
-    if n < 0:
-        g = -g
-    return (y[0] // g, y[1] // g, y[2] // g, y[3] // g), n // g
 
 
 def _reduced(rows: dict, den: int):
@@ -168,31 +115,26 @@ def _mul_rows(a: dict, b: dict) -> dict:
         ((l, m, n), y), = b.items()
         if y == _ONE_ROW:
             return {(i + l, j + m, k + n): x for (i, j, k), x in a.items()}
-        return {(i + l, j + m, k + n): _rmul(x, y)
+        return {(i + l, j + m, k + n): row_mul(x, y)
                 for (i, j, k), x in a.items()}
     out = {}
     get = out.get
-    for (i, j, k), (a0, a1, a2, a3) in a.items():
-        for (l, m, n), (b0, b1, b2, b3) in b.items():
+    for (i, j, k), x in a.items():
+        for (l, m, n), y in b.items():
             e = (i + l, j + m, k + n)
-            p = a2 * b2 + 5 * a3 * b3
-            q = a2 * b3 + a3 * b2
-            w = a0 * b0 + 5 * a1 * b1 + 10 * (p + q)
-            x = a0 * b1 + a1 * b0 + 2 * (p + 5 * q)
-            y = a0 * b2 + a2 * b0 + 5 * (a1 * b3 + a3 * b1)
-            z = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+            s = row_mul(x, y)
             o = get(e)
-            out[e] = (w, x, y, z) if o is None else \
-                (o[0] + w, o[1] + x, o[2] + y, o[3] + z)
+            out[e] = s if o is None else \
+                (o[0] + s[0], o[1] + s[1], o[2] + s[2], o[3] + s[3])
     return {e: v for e, v in out.items() if v[0] or v[1] or v[2] or v[3]}
 
 
 def _monic(rows: dict, lead):
     """(M, u): rows divided by the row at lead is M/u, canonical, with
     M[lead] = (u, 0, 0, 0); the rows' own denominator cancels."""
-    y, n = _rinv(rows[lead])
+    y, n = row_inverse(rows[lead])
     if y != _ONE_ROW:
-        rows = {e: _rmul(x, y) for e, x in rows.items()}
+        rows = {e: row_mul(x, y) for e, x in rows.items()}
     return _reduced(rows, n)
 
 
@@ -282,7 +224,7 @@ class MultiPoly:
         terms = self._terms
         if terms is None:
             den = self._den
-            terms = {e: _element(row, den) for e, row in self._rows.items()}
+            terms = {e: from_ints(*row, den) for e, row in self._rows.items()}
             _set_terms(self, terms)
         return terms
 
@@ -329,7 +271,7 @@ class MultiPoly:
         if not self._rows:
             raise ValueError("zero polynomial has no leading term")
         exp = _lead(self._rows)
-        return exp, _element(self._rows[exp], self._den)
+        return exp, from_ints(*self._rows[exp], self._den)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
@@ -400,7 +342,7 @@ class MultiPoly:
 
     def __truediv__(self, other):
         row, den = _scalar(other)
-        y, n = _rinv(row)
+        y, n = row_inverse(row)
         y = _rscale(y, den)
         g = gcd(n, *y)
         return _scaled(self, (y[0] // g, y[1] // g, y[2] // g, y[3] // g),
@@ -457,7 +399,7 @@ class MultiPoly:
                 continue
             pw = [_ONE_ROW]
             for _ in range(top):
-                pw.append(_rmul(pw[-1], x))
+                pw.append(row_mul(pw[-1], x))
             if L != 1:
                 pw = [_rscale(xe, L ** (top - e)) for e, xe in enumerate(pw)]
             tables.append(pw)
@@ -469,10 +411,10 @@ class MultiPoly:
                     if f is None:
                         break
                     if f is not _ONE_ROW:
-                        row = _rmul(row, f)
+                        row = row_mul(row, f)
             else:
                 a, b, c, d = a + row[0], b + row[1], c + row[2], d + row[3]
-        return from_ints(a, b, 4 * c, 4 * d, den)
+        return from_ints(a, b, c, d, den)
 
     # -- text ------------------------------------------------------------
 
@@ -543,7 +485,7 @@ def _scaled(p: MultiPoly, row, den) -> MultiPoly:
     rows = p._rows
     if len(rows) == 1 and p._den == 1 and _ONE_ROW in rows.values():
         return _wrap({e: row for e in rows}, den)  # a monomial: canonical
-    return _poly({e: _rmul(x, row) for e, x in rows.items()}, p._den * den)
+    return _poly({e: row_mul(x, row) for e, x in rows.items()}, p._den * den)
 
 
 _ZERO_POLY = _wrap({}, 1)
@@ -587,7 +529,7 @@ def poly_product(polys, c=1) -> MultiPoly:
         acc = acc * p
     if not (l or m or n):
         return _scaled(acc, row, den)
-    return _poly({(i + l, j + m, k + n): _rmul(x, row)
+    return _poly({(i + l, j + m, k + n): row_mul(x, row)
                   for (i, j, k), x in acc._rows.items()}, acc._den * den)
 
 
@@ -629,15 +571,15 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         # rem -= t/u^k * M/u, less the leading term, which cancels
         for (i, j, l), s in others:
             e = (qexp[0] + i, qexp[1] + j, qexp[2] + l)
-            if _acc(rem, e, _rmul(t, s), k + step, u):
+            if _acc(rem, e, row_mul(t, s), k + step, u):
                 heappush(heap, _heap_key(e))
     rows, E = _over_top(quot, u)
     # p/d = (p/m)/lc(d), with p/m = rows/(den_p * u^E) and 1/lc(d) =
     # den_d/lc = den_d*y/n
-    y, n = _rinv(d._rows[dexp])
+    y, n = row_inverse(d._rows[dexp])
     if y != _ONE_ROW or d._den != 1:
         y = _rscale(y, d._den)
-        rows = {e: _rmul(x, y) for e, x in rows.items()}
+        rows = {e: row_mul(x, y) for e, x in rows.items()}
     return _poly(rows, p._den * u ** E * n)
 
 
@@ -705,11 +647,11 @@ def divide_out(p: MultiPoly, f: MultiPoly):
             exp[v], exp[u], exp[w] = i, eu, ew
             rows[tuple(exp)] = row
     # p / f^k = (p / (v + m)^k) / a^k, a = a_row/den_f
-    y, N = _rinv(f._rows[_UNITS[v]])
+    y, N = row_inverse(f._rows[_UNITS[v]])
     if y == _ONE_ROW and N == f._den:
         return k, _wrap(rows, den)  # a = 1
     yk = _rscale(_rpow(y, k), f._den ** k)
-    return k, _poly({e: _rmul(x, yk) for e, x in rows.items()}, den * N ** k)
+    return k, _poly({e: row_mul(x, yk) for e, x in rows.items()}, den * N ** k)
 
 
 def _divide_levels(levels, shifts, n):
@@ -730,7 +672,7 @@ def _divide_levels(levels, shifts, n):
             for (eu, ew), c in q.items():
                 for (du, dw), s in shifts:
                     key = (eu + du, ew + dw)
-                    t = _rmul(c, s)
+                    t = row_mul(c, s)
                     o = get(key)
                     row[key] = t if o is None else \
                         (o[0] + t[0], o[1] + t[1], o[2] + t[2], o[3] + t[3])
@@ -793,7 +735,7 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
         raise NotAPower("degree not divisible by k")
     # 1 is its own root: no root search for a monic p
     monic = p._rows[lexp] == (p._den, 0, 0, 0)
-    lroot = ONE if monic else _element(p._rows[lexp], p._den).kth_root(k)
+    lroot = ONE if monic else from_ints(*p._rows[lexp], p._den).kth_root(k)
     if lroot is None:
         raise NotAPower("leading coefficient has no k-th root in the field")
     M, u = (p._rows, p._den) if monic else _monic(p._rows, lexp)
@@ -824,7 +766,7 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
         c, cj = _lowered(_rscale(row, u), j + 1, w)
         cpow = [_ONE_ROW, c]
         for _ in range(k - 1):
-            cpow.append(_rmul(cpow[-1], c))
+            cpow.append(row_mul(cpow[-1], c))
         # from j = k down, so that every q^(j-i) read is still the old one;
         # the update of rem cancels its entry at rexp
         for jj in range(k, 0, -1):
@@ -835,7 +777,7 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
                 si, sk = (i * texp[0], i * texp[1], i * texp[2]), i * cj
                 for (a, b, e), (x, xk) in pows[jj - i].items():
                     ex = (a + si[0], b + si[1], e + si[2])
-                    if _acc(target, ex, _rmul(x, s), xk + sk, w) \
+                    if _acc(target, ex, row_mul(x, s), xk + sk, w) \
                             and target is rem:
                         heappush(heap, _heap_key(ex))
     rows, E = _over_top(pows[1], w)
@@ -915,7 +857,7 @@ class UniPoly:
         coeffs = self._coeffs
         if coeffs is None:
             den = self._den
-            coeffs = tuple(_element(row, den) for row in self._rows)
+            coeffs = tuple(from_ints(*row, den) for row in self._rows)
             _set_coeffs(self, coeffs)
         return coeffs
 
@@ -954,7 +896,7 @@ class UniPoly:
             row, den = _scalar(other)
             if row == _ONE_ROW and den == 1:
                 return self
-            return _upoly([_rmul(x, row) for x in self._rows]
+            return _upoly([row_mul(x, row) for x in self._rows]
                           if row != _ZERO_ROW else [], self._den * den)
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -964,7 +906,7 @@ class UniPoly:
         out = [_ZERO_ROW] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                o, s = out[i + j], _rmul(x, y)
+                o, s = out[i + j], row_mul(x, y)
                 out[i + j] = (o[0] + s[0], o[1] + s[1], o[2] + s[2],
                               o[3] + s[3])
         return _upoly(out, self._den * other._den)
@@ -985,11 +927,10 @@ class UniPoly:
         top = len(rows) - 1
         acc = rows[-1]
         for i in range(top - 1, -1, -1):
-            s = _rmul(acc, x)
+            s = row_mul(acc, x)
             r = rows[i] if L == 1 else _rscale(rows[i], L ** (top - i))
             acc = (s[0] + r[0], s[1] + r[1], s[2] + r[2], s[3] + r[3])
-        a, b, c, d = acc
-        return from_ints(a, b, 4 * c, 4 * d, self._den * L ** top)
+        return from_ints(*acc, self._den * L ** top)
 
     def monic(self) -> "UniPoly":
         rows = self._rows
@@ -1005,10 +946,10 @@ class UniPoly:
         M, u = _uni_monic(d._rows)
         quot, rem, W = _uni_divide(self._rows, M, u, True)
         den = self._den * W
-        y, n = _rinv(d._rows[-1])
+        y, n = row_inverse(d._rows[-1])
         if y != _ONE_ROW or d._den != 1:
             y = _rscale(y, d._den)
-            quot = [_rmul(x, y) for x in quot]
+            quot = [row_mul(x, y) for x in quot]
         return _upoly(quot, den * n), _upoly(rem, den)
 
     def __str__(self):
@@ -1068,8 +1009,8 @@ def _uni_combine(p: UniPoly, q: UniPoly, sign: int) -> UniPoly:
 def _uni_monic(rows):
     """(M, u): the rows over their top row are the tuple M over u, with
     M[-1] = (u, 0, 0, 0), canonical."""
-    y, n = _rinv(rows[-1])
-    return _uni_reduced([_rmul(x, y) for x in rows] if y != _ONE_ROW
+    y, n = row_inverse(rows[-1])
+    return _uni_reduced([row_mul(x, y) for x in rows] if y != _ONE_ROW
                         else list(rows), n)
 
 
@@ -1100,7 +1041,7 @@ def _uni_divide(rows, M, u: int, quotient: bool):
             quot[i - dd] = t if u == 1 else _rscale(t, u)
         # the top cell, rem[i], cancels to 0 and is dropped below
         for j in range(dd):
-            o, s = rem[i - dd + j], _rmul(t, M[j])
+            o, s = rem[i - dd + j], row_mul(t, M[j])
             rem[i - dd + j] = (o[0] - s[0], o[1] - s[1], o[2] - s[2],
                                o[3] - s[3])
     rem = rem[:dd]
@@ -1154,10 +1095,10 @@ def resultant(f: UniPoly, g: UniPoly) -> FieldElement:
             return ZERO
         if m * n % 2:
             res = _rscale(res, -1)
-        res = _rmul(res, _rpow(g._rows[-1], m - k))
+        res = row_mul(res, _rpow(g._rows[-1], m - k))
         den *= g._den ** (m - k)
         f, g, m, n = g, r, n, k
-    return _element(_rmul(res, _rpow(g._rows[0], m)), den * g._den ** m)
+    return from_ints(*row_mul(res, _rpow(g._rows[0], m)), den * g._den ** m)
 
 
 def interpolate(nodes, values) -> UniPoly:
@@ -1178,12 +1119,10 @@ def interpolate(nodes, values) -> UniPoly:
 def uni_roots(p: UniPoly) -> list:
     """The roots in K of the nonzero polynomial p, which has no repeated
     root: the candidates of modp.roots, given p's monic rows over their
-    integer u in the s-basis with no further denominator, at which p
-    vanishes."""
+    integer u, at which p vanishes."""
     M, u = _uni_monic(p._rows)
     monic = _uwrap(M, u)
-    ys = (from_ints(*y) for y in modp.roots(
-        [(a, b, 4 * c, 4 * d) for a, b, c, d in M]))
+    ys = (from_ints(*y) for y in modp.roots(M))
     return [y for y in ys if monic.evaluate(y).is_zero]
 
 
@@ -1193,7 +1132,7 @@ def _sparse_mul(f, g):
     """f * g for lists of terms (m, row of t^m), terms of equal degree left
     unmerged; a factor that is the row 1 is skipped."""
     return [(m + n, b if a == _ONE_ROW else a if b == _ONE_ROW
-             else _rmul(a, b)) for m, a in f for n, b in g]
+             else row_mul(a, b)) for m, a in f for n, b in g]
 
 
 def _merge(terms):

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starnet.aomoto import (aomoto_complex, h2_torsion, os2_basis,
-                            reduce_product, snf)
+from starnet.aomoto import aomoto_complex, h2_torsion, os2_basis, snf
 from starnet.arrangement import build, builtin, delete, load_arrangement
 
 from oracles import (_int_det, minor_gcd_divisors, random_rational_arrangement,
@@ -39,17 +38,6 @@ def test_triangle_basis():
 def test_infinity_line_rejected():
     with pytest.raises(ValueError):
         os2_basis(builtin("double_star"))
-
-
-def test_reduce_product_antisymmetry():
-    basis = os2_basis(affine_triangle())
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            ij = reduce_product(i, j, basis)
-            ji = reduce_product(j, i, basis)
-            assert [a + b for a, b in zip(ij, ji)] == [0] * basis.b2
 
 
 def test_d2_after_d1_is_zero():
@@ -123,6 +111,17 @@ def test_double_star_two_torsion():
 def test_omega_length_checked():
     with pytest.raises(ValueError):
         aomoto_complex(builtin("double_star_affine"), [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "omega", [[1.5, 2.5, 3.5, 0.5, 1.5, -1.5, -2.5, -3.5, -0.5, -4.9],
+              [1] * 9 + [2.0], [1] * 9 + [Fraction(1)], [1] * 9 + ["1"]],
+    ids=["floats", "integral_float", "fraction", "text"])
+def test_omega_weights_must_be_integers(omega):
+    """A weight that is not an integer raises TypeError: int() would read
+    the floats as (1, 2, 3, 0, 1, -1, -2, -3, 0, -4) and "1" as 1."""
+    with pytest.raises(TypeError):
+        aomoto_complex(builtin("double_star_affine"), omega)
 
 
 def _random_matrix(rng, rows, cols, bound=6):

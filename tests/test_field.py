@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from oracles import (ref_add, ref_inverse, ref_mul, ref_serialize_element,
                      ref_sign, ref_sub)
 from starnet import parse_element
-from starnet.field import (FieldElement, integer_vector, normalize,
-                           serialize_element, trig_constants)
+from starnet.field import (FieldElement, from_ints, integer_vector,
+                           normalize, serialize_element, to_ints,
+                           trig_constants)
+from starnet.mpoly import MultiPoly
 
 rationals = st.builds(Fraction,
                       st.integers(min_value=-50, max_value=50),
@@ -91,12 +93,12 @@ def test_embedding_is_a_homomorphism(a):
 def test_integer_constructor_matches_the_general_path(n):
     """FieldElement(n) for an int sets its tuple directly; a bool is not
     an int for that path, and both give the general path's tuple."""
-    general = FieldElement(Fraction(n))._v
+    general = to_ints(FieldElement(Fraction(n)))
     assert general == (int(n), 0, 0, 0, 1)
     for x in (FieldElement(n), FieldElement(n, 0, 0, 0),
               FieldElement(n, Fraction(0))):
-        assert x._v == general
-        assert all(type(v) is int for v in x._v)
+        assert to_ints(x) == general
+        assert all(type(v) is int for v in to_ints(x))
 
 
 def test_integer_constructor_still_checks_its_arguments():
@@ -109,7 +111,7 @@ def test_integer_constructor_still_checks_its_arguments():
         FieldElement(1, 0.0)
     with pytest.raises(TypeError):
         FieldElement(1, FieldElement(0))
-    assert FieldElement(2, 1)._v == (2, 1, 0, 0, 1)
+    assert to_ints(FieldElement(2, 1)) == (2, 1, 0, 0, 1)
 
 
 def test_trig_constants_numeric():
@@ -239,9 +241,25 @@ def test_pow_negative():
 
 
 def _assert_canonical(x):
-    *nums, den = x._v
+    *nums, den = to_ints(x)
     assert den > 0
     assert math.gcd(*nums, den) == 1
+
+
+@settings(max_examples=200)
+@given(st.one_of(high_elements, near_zero,
+                 st.builds(lambda x, y: x + y * S, near_zero, near_zero)))
+@example(S)
+@example(FieldElement(0, 0, Fraction(1, 2), Fraction(-3, 4)))
+def test_to_ints_is_the_canonical_t_row(x):
+    """to_ints(x) is the row (a, b, c, d) over den on {1, r, t, r*t},
+    t = 4s, as mpoly stores it, and both ways back give x."""
+    a, b, c, d, den = to_ints(x)
+    assert x * den == a + b * R + 4 * c * S + 4 * d * R * S
+    _assert_canonical(x)
+    assert from_ints(a, b, c, d, den) == x
+    if x:
+        assert MultiPoly.constant(x).leading()[1] == x
 
 
 @settings(max_examples=200)

@@ -46,7 +46,7 @@ RECORDS = {
     "V1Component": (lambda: translated_component(*_double_star()),
                     "rho_exponents t_exponents torsion_order dimension"),
     "OS2Basis": (lambda: os2_basis(builtin("double_star_affine")),
-                 "points elements index arrangement"),
+                 "points elements index"),
     "AomotoComplex": (lambda: _h2()[0], "omega d2 basis"),
     "SNFResult": (lambda: _h2()[1].snf, "divisors rank shape diagonal"),
     "H2Report": (lambda: _h2()[1],
