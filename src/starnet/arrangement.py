@@ -413,6 +413,8 @@ def arrangement_from_json(doc: dict) -> Arrangement:
     try:
         items = [(item["label"], item["covector"]) for item in doc["lines"]]
         name = doc.get("name", "")
+        if not isinstance(name, str):
+            raise ParseError(f"arrangement name {name!r} is not a string")
         for label, cov in items:
             if not isinstance(label, str):
                 raise ParseError(f"line label {label!r} is not a string")

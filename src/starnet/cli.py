@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 mathematical check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -235,9 +236,13 @@ def cmd_aomoto(args) -> int:
             deconed = ln.label
             A = delete(A, ln.label)
             break
+    entries = args.omega.split(",")
+    bad = [v for v in entries if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", v)]
+    if bad:
+        raise UsageError(f"--omega wants a csv of integers, not {bad[0]!r}")
     try:
-        omega = [int(v) for v in args.omega.split(",")]
-    except ValueError as exc:
+        omega = [int(v) for v in entries]
+    except ValueError as exc:  # past the limit on digits
         raise UsageError(f"--omega wants a csv of integers: {exc}") from exc
     if len(omega) != A.n:
         raise UsageError(

@@ -7,9 +7,9 @@ denominator den: the element (a + b*r + c*t + d*r*t)/den on the basis
 {1, r, t, r*t}, t = 4s, reduced so that the five integers are coprime.
 That form is unique, which makes equality, hashing and serialization
 canonical, and each sum or product costs one gcd.  As t^2 = 10 + 2r, two
-rows multiply with integer structure constants: row_mul is the one
-product of K over Z and row_inverse its one inverse, and mpoly's
-polynomials keep their coefficients on the same rows.
+rows multiply with integer structure constants.  The scalar kernels of K
+are here, on rows, for mpoly's polynomials too: scalar_row, row_mul,
+row_inverse and scalar_inverse, row_pow, row_horner and row_roots.
 
 The s-basis {1, r, s, r*s} remains only where users see an element: the
 FieldElement(a, b, c, d) constructor, coords() and the text form, which
@@ -24,6 +24,9 @@ from fractions import Fraction
 from math import ceil, gcd, lcm, log10
 
 from . import modp
+
+_ONE_ROW = (1, 0, 0, 0)
+_ZERO_ROW = (0, 0, 0, 0)
 
 
 # -- rows: the integer form of K ---------------------------------------------
@@ -72,6 +75,31 @@ def row_inverse(x):
     if n < 0:
         g = -g
     return (y[0] // g, y[1] // g, y[2] // g, y[3] // g), n // g
+
+
+def row_pow(x, n: int):
+    """The row x^n, n >= 0: square and multiply, with no product by 1 and
+    no square past the top bit of n."""
+    out = _ONE_ROW
+    while n:
+        if n & 1:
+            out = x if out is _ONE_ROW else row_mul(out, x)
+        n >>= 1
+        if n:
+            x = row_mul(x, x)
+    return out
+
+
+def row_horner(rows, x, L: int):
+    """L^deg * f(x/L) by Horner's rule, for f = sum rows[i]*y^i of degree
+    deg = len(rows) - 1 >= 0 on integer rows, low to high."""
+    acc, f = rows[-1], 1
+    for r in reversed(rows[:-1]):
+        f *= L
+        s = row_mul(acc, x)
+        acc = (s[0] + f * r[0], s[1] + f * r[1], s[2] + f * r[2],
+               s[3] + f * r[3])
+    return acc
 
 
 # -- field elements ----------------------------------------------------------
@@ -205,13 +233,8 @@ class FieldElement:
             if not a:
                 raise ZeroDivisionError("inverse of zero field element")
             return _make(den, 0, 0, 0, a)
-        (e, f, g, h), n = row_inverse((a, b, c, d))
-        # e, f, g, h and n > 0 are coprime, so den*(e, f, g, h) and n have
-        # gcd(den, n) in common
-        k = gcd(den, n)
-        if k != 1:
-            den, n = den // k, n // k
-        return _wrap((den * e, den * f, den * g, den * h, n))
+        y, n = scalar_inverse((a, b, c, d), den)
+        return _wrap(y + (n,))
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -230,16 +253,8 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        # square and multiply, with no product by 1 and no square past the
-        # top bit of n
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = base if result is ONE else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        a, b, c, d, den = self._v
+        return _make(*row_pow((a, b, c, d), n), den ** n)
 
     # -- real embedding ------------------------------------------------
 
@@ -265,14 +280,16 @@ class FieldElement:
         return self.kth_root(2)
 
     def kth_root(self, k: int):
-        """The k-th root in the field: of the roots of y^k - self (roots), y
-        and -y for even k and at most one for odd k, as the field is real,
-        the one of larger sign, or None if there is none."""
+        """The k-th root in the field: of the roots of y^k - self
+        (row_roots), y and -y for even k and at most one for odd k, as the
+        field is real, the one of larger sign, or None if there is none."""
         if k < 1:
             raise ValueError("k must be positive")
         if self.is_zero:
             return ZERO
-        return max(roots([-self] + [ZERO] * (k - 1) + [ONE]),
+        a, b, c, d, den = self._v
+        return max(row_roots([(-a, -b, -c, -d)] + [_ZERO_ROW] * (k - 1)
+                             + [(den, 0, 0, 0)]),
                    key=FieldElement.sign, default=None)
 
     # -- text ----------------------------------------------------------
@@ -313,6 +330,39 @@ def _make(a, b, c, d, den) -> FieldElement:
     return x
 
 
+def scalar_row(v):
+    """(row, den) with v = row/den, for an int, a Fraction or a
+    FieldElement v, canonical: den > 0 and the five integers coprime."""
+    if isinstance(v, FieldElement):
+        a, b, c, d, den = v._v
+        return (a, b, c, d), den
+    if isinstance(v, int):
+        return (int(v), 0, 0, 0), 1  # int() maps bools to 0, 1
+    if isinstance(v, Fraction):
+        return (v.numerator, 0, 0, 0), v.denominator
+    raise TypeError(
+        f"expected int, Fraction or FieldElement, got {type(v).__name__}")
+
+
+def scalar_inverse(row, den: int):
+    """(y, n) with y/n = den/row, the inverse of the nonzero scalar row/den,
+    canonical."""
+    y, n = row_inverse(row)
+    # y and n > 0 are coprime, so den*y and n have gcd(den, n) in common
+    k = gcd(den, n)
+    if k != 1:
+        den, n = den // k, n // k
+    return (den * y[0], den * y[1], den * y[2], den * y[3]), n
+
+
+def row_roots(rows):
+    """The roots in K, as FieldElements, of f = sum rows[i]*y^i, for
+    integer rows with rows[-1] = (L, 0, 0, 0), L > 0, and no repeated root:
+    the candidates of modp.roots at which f vanishes."""
+    ys = (_make(*v) for v in modp.roots(rows))
+    return [y for y in ys if row_horner(rows, y._v[:4], y._v[4]) == _ZERO_ROW]
+
+
 def to_ints(x: FieldElement) -> tuple:
     """(a, b, c, d, den) with x = (a + b*r + c*t + d*r*t)/den, t = 4s,
     den > 0 and the five integers coprime: the canonical row, as stored."""
@@ -326,13 +376,10 @@ def from_ints(a: int, b: int, c: int, d: int, den: int) -> FieldElement:
 
 
 def _coerce(other):
-    if isinstance(other, FieldElement):
-        return other
-    if isinstance(other, int):
-        return _wrap((int(other), 0, 0, 0, 1))  # int() maps bools to 0, 1
-    if isinstance(other, Fraction):
-        return _wrap((other.numerator, 0, 0, 0, other.denominator))
-    return None
+    if isinstance(other, (int, Fraction)):
+        row, den = scalar_row(other)
+        return _wrap(row + (den,))
+    return other if isinstance(other, FieldElement) else None
 
 
 def _sign_qr(a, b) -> int:
@@ -354,19 +401,14 @@ S = FieldElement(0, 0, 1)
 
 def normalize(vec):
     """The projective representative of vec whose first nonzero entry is 1,
-    as a tuple of FieldElements; None for the zero vector."""
-    vec = tuple(vec)
-    if all(type(v) is int for v in vec):
-        # integers (not bools): each entry is the reduced fraction v/lead
-        lead = next((v for v in vec if v), 0)
-        return tuple(_make(v, 0, 0, 0, lead) for v in vec) if lead else None
-    vec = tuple(v if isinstance(v, FieldElement) else FieldElement(v)
-                for v in vec)
-    lead = next((v for v in vec if v), None)
+    as a tuple of FieldElements; None for the zero vector.  Each entry is
+    read as a row, and the lead is inverted once."""
+    rows = [scalar_row(v) for v in vec]
+    lead = next((v for v in rows if v[0] != _ZERO_ROW), None)
     if lead is None:
         return None
-    inv = lead.inverse()
-    return tuple(v * inv for v in vec)
+    y, n = scalar_inverse(*lead)
+    return tuple(_make(*row_mul(x, y), den * n) for x, den in rows)
 
 
 def integer_vector(vec):
@@ -379,18 +421,6 @@ def integer_vector(vec):
     ints = [x._v[0] * (L // x._v[4]) for x in vec]
     g = gcd(*ints)
     return tuple(a // g for a in ints)
-
-
-def roots(coeffs):
-    """The roots in the field of the monic polynomial with coefficients
-    coeffs, low to high, and no repeated root: the candidates of modp.roots,
-    given the rows over their common denominator, at which the polynomial
-    vanishes."""
-    L = lcm(*(c._v[4] for c in coeffs))
-    ys = (_make(*v) for v in modp.roots(
-        [tuple(a * (L // c._v[4]) for a in c._v[:4]) for c in coeffs]))
-    return [y for y in ys
-            if not sum((c * y ** i for i, c in enumerate(coeffs)), ZERO)]
 
 
 # -- the trigonometric constants of the double star equations -------------

@@ -8,14 +8,15 @@ Coefficients are stored as field's integer rows over one denominator per
 polynomial (Cohen, A Course in Computational Algebraic Number Theory, 4.2):
 a row (a, b, c, d) over the polynomial's den > 0 is the coefficient
 (a + b*r + c*t + d*r*t)/den on the basis {1, r, t, r*t}, t = 4s, as
-field.to_ints gives an element.  Rows multiply by field.row_mul and invert
-by field.row_inverse, so a sum or product of polynomials is integer
-arithmetic on rows.  A polynomial is canonical: no zero row, den > 0, and
-the integers of all its rows and den coprime, which one gcd per result
-polynomial ensures; equality is equality of rows and den.  A kernel that
-divides by a coefficient does so through the monic form M/u of the divisor
-(_monic), whose leading row is (u, 0, 0, 0) for an integer u, so that
-division only carries powers of u, cleared by the one gcd at the end.
+field.to_ints gives an element.  Every scalar kernel is field's, on the
+same rows (reading, product, inverse, power, evaluation and roots), so a
+sum or product of polynomials is integer arithmetic on rows.  A
+polynomial is canonical: no zero row, den > 0, and the integers of all
+its rows and den coprime, which one gcd per result polynomial ensures;
+equality is equality of rows and den.  A kernel that divides by a
+coefficient does so through the monic form M/u of the divisor (_monic),
+whose leading row is (u, 0, 0, 0) for an integer u, so that division
+only carries powers of u, cleared by the one gcd at the end.
 
 FieldElement is the scalar type at the API: .terms, .coeffs, leading(),
 sorted_terms() and evaluate() give field elements, from_ints(*row, den).
@@ -30,10 +31,10 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, lcm
 
-from . import modp
 from .errors import NotAPower, NotDivisible
-from .field import (ONE, ZERO, FieldElement, from_ints, row_inverse, row_mul,
-                    serialize_element, to_ints)
+from .field import (ONE, ZERO, FieldElement, from_ints, row_horner,
+                    row_inverse, row_mul, row_pow, row_roots, scalar_inverse,
+                    scalar_row, serialize_element)
 
 _ONE_ROW = (1, 0, 0, 0)
 _ZERO_ROW = (0, 0, 0, 0)
@@ -41,33 +42,9 @@ _ZERO_ROW = (0, 0, 0, 0)
 
 # -- rows --------------------------------------------------------------------
 
-def _scalar(v):
-    """(row, den) of an int, a Fraction or a FieldElement, canonical: den > 0
-    and the five integers coprime."""
-    if isinstance(v, FieldElement):
-        a, b, c, d, den = to_ints(v)
-        return (a, b, c, d), den
-    if isinstance(v, int):
-        return (int(v), 0, 0, 0), 1  # int() maps bools to 0, 1
-    if isinstance(v, Fraction):
-        return (v.numerator, 0, 0, 0), v.denominator
-    raise TypeError(f"cannot use {type(v).__name__} as a coefficient")
-
-
 def _rscale(x, k: int):
     a, b, c, d = x
     return (a * k, b * k, c * k, d * k)
-
-
-def _rpow(x, n: int):
-    out = _ONE_ROW
-    while n:
-        if n & 1:
-            out = x if out is _ONE_ROW else row_mul(out, x)
-        n >>= 1
-        if n:
-            x = row_mul(x, x)
-    return out
 
 
 def _reduced(rows: dict, den: int):
@@ -207,7 +184,7 @@ class MultiPoly:
                         type(e) is int and e >= 0 for e in exp):
                     raise ValueError(f"monomial exponent {exp!r} is not "
                                      "three nonnegative integers")
-                row, den = _scalar(coef)
+                row, den = scalar_row(coef)
                 if row != _ZERO_ROW:
                     scalars[exp] = row, den
         rows, den = _reduced(*_common(scalars))
@@ -338,15 +315,10 @@ class MultiPoly:
 
     def scale(self, c) -> "MultiPoly":
         """c * self, with no product when c is 0 or 1."""
-        return _scaled(self, *_scalar(c))
+        return _scaled(self, *scalar_row(c))
 
     def __truediv__(self, other):
-        row, den = _scalar(other)
-        y, n = row_inverse(row)
-        y = _rscale(y, den)
-        g = gcd(n, *y)
-        return _scaled(self, (y[0] // g, y[1] // g, y[2] // g, y[3] // g),
-                       n // g)
+        return _scaled(self, *scalar_inverse(*scalar_row(other)))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int):
@@ -360,7 +332,7 @@ class MultiPoly:
             ((i, j, k), row), = rows.items()
             if row == _ONE_ROW and self._den == 1:
                 return _wrap({(i * n, j * n, k * n): row}, 1)
-            return _poly({(i * n, j * n, k * n): _rpow(row, n)},
+            return _poly({(i * n, j * n, k * n): row_pow(row, n)},
                          self._den ** n)
         out, base = None, self
         # square and multiply, with no product by 1 and no square past the
@@ -388,7 +360,7 @@ class MultiPoly:
         den = self._den
         tables = []
         for v, top in zip(point, (max(col) for col in zip(*rows))):
-            x, L = _scalar(v)
+            x, L = scalar_row(v)
             if not top or (L == 1 and x == _ONE_ROW):
                 tables.append(None)
                 continue
@@ -519,7 +491,7 @@ def poly_product(polys, c=1) -> MultiPoly:
             l, m, n = l + i, m + j, n + k
         else:
             rest.append(p)
-    row, den = _scalar(c)
+    row, den = scalar_row(c)
     if row == _ZERO_ROW or not all(rest):
         return _ZERO_POLY
     if not rest:
@@ -574,11 +546,9 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
             if _acc(rem, e, row_mul(t, s), k + step, u):
                 heappush(heap, _heap_key(e))
     rows, E = _over_top(quot, u)
-    # p/d = (p/m)/lc(d), with p/m = rows/(den_p * u^E) and 1/lc(d) =
-    # den_d/lc = den_d*y/n
-    y, n = row_inverse(d._rows[dexp])
-    if y != _ONE_ROW or d._den != 1:
-        y = _rscale(y, d._den)
+    # p/d = (p/m)/lc(d), with p/m = rows/(den_p * u^E) and 1/lc(d) = y/n
+    y, n = scalar_inverse(d._rows[dexp], d._den)
+    if y != _ONE_ROW:
         rows = {e: row_mul(x, y) for e, x in rows.items()}
     return _poly(rows, p._den * u ** E * n)
 
@@ -646,11 +616,11 @@ def divide_out(p: MultiPoly, f: MultiPoly):
             exp = [0, 0, 0]
             exp[v], exp[u], exp[w] = i, eu, ew
             rows[tuple(exp)] = row
-    # p / f^k = (p / (v + m)^k) / a^k, a = a_row/den_f
-    y, N = row_inverse(f._rows[_UNITS[v]])
-    if y == _ONE_ROW and N == f._den:
+    # p / f^k = (p / (v + m)^k) / a^k, 1/a = y/N
+    y, N = scalar_inverse(f._rows[_UNITS[v]], f._den)
+    if y == _ONE_ROW and N == 1:
         return k, _wrap(rows, den)  # a = 1
-    yk = _rscale(_rpow(y, k), f._den ** k)
+    yk = row_pow(y, k)
     return k, _poly({e: row_mul(x, yk) for e, x in rows.items()}, den * N ** k)
 
 
@@ -781,7 +751,7 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
                             and target is rem:
                         heappush(heap, _heap_key(ex))
     rows, E = _over_top(pows[1], w)
-    return _scaled(_poly(rows, w ** E), *_scalar(lroot))
+    return _scaled(_poly(rows, w ** E), *scalar_row(lroot))
 
 
 def partial(p: MultiPoly, i: int) -> MultiPoly:
@@ -844,7 +814,7 @@ class UniPoly:
     __slots__ = ("_rows", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        scalars = dict(enumerate(_scalar(c) for c in coeffs))
+        scalars = dict(enumerate(scalar_row(c) for c in coeffs))
         rows, den = _common(scalars)
         _uinit(self, *_uni_reduced(list(rows.values()), den))
 
@@ -893,7 +863,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            row, den = _scalar(other)
+            row, den = scalar_row(other)
             if row == _ONE_ROW and den == 1:
                 return self
             return _upoly([row_mul(x, row) for x in self._rows]
@@ -918,19 +888,14 @@ class UniPoly:
                       self._den)
 
     def evaluate(self, v) -> FieldElement:
-        """p(v) by Horner's rule over the one denominator den * L^deg, for
-        v = X/L: acc = acc*X + L^(deg - i) * row_i."""
-        x, L = _scalar(v)
+        """p(v) by Horner's rule on rows (field.row_horner), over the one
+        denominator den * L^deg for v = X/L."""
         rows = self._rows
         if not rows:
             return ZERO
-        top = len(rows) - 1
-        acc = rows[-1]
-        for i in range(top - 1, -1, -1):
-            s = row_mul(acc, x)
-            r = rows[i] if L == 1 else _rscale(rows[i], L ** (top - i))
-            acc = (s[0] + r[0], s[1] + r[1], s[2] + r[2], s[3] + r[3])
-        return from_ints(*acc, self._den * L ** top)
+        x, L = scalar_row(v)
+        return from_ints(*row_horner(rows, x, L),
+                         self._den * L ** (len(rows) - 1))
 
     def monic(self) -> "UniPoly":
         rows = self._rows
@@ -946,9 +911,8 @@ class UniPoly:
         M, u = _uni_monic(d._rows)
         quot, rem, W = _uni_divide(self._rows, M, u, True)
         den = self._den * W
-        y, n = row_inverse(d._rows[-1])
-        if y != _ONE_ROW or d._den != 1:
-            y = _rscale(y, d._den)
+        y, n = scalar_inverse(d._rows[-1], d._den)
+        if y != _ONE_ROW:
             quot = [row_mul(x, y) for x in quot]
         return _upoly(quot, den * n), _upoly(rem, den)
 
@@ -1095,10 +1059,10 @@ def resultant(f: UniPoly, g: UniPoly) -> FieldElement:
             return ZERO
         if m * n % 2:
             res = _rscale(res, -1)
-        res = row_mul(res, _rpow(g._rows[-1], m - k))
+        res = row_mul(res, row_pow(g._rows[-1], m - k))
         den *= g._den ** (m - k)
         f, g, m, n = g, r, n, k
-    return from_ints(*row_mul(res, _rpow(g._rows[0], m)), den * g._den ** m)
+    return from_ints(*row_mul(res, row_pow(g._rows[0], m)), den * g._den ** m)
 
 
 def interpolate(nodes, values) -> UniPoly:
@@ -1118,12 +1082,8 @@ def interpolate(nodes, values) -> UniPoly:
 
 def uni_roots(p: UniPoly) -> list:
     """The roots in K of the nonzero polynomial p, which has no repeated
-    root: the candidates of modp.roots, given p's monic rows over their
-    integer u, at which p vanishes."""
-    M, u = _uni_monic(p._rows)
-    monic = _uwrap(M, u)
-    ys = (from_ints(*y) for y in modp.roots(M))
-    return [y for y in ys if monic.evaluate(y).is_zero]
+    root: those of p's monic rows over their integer u (field.row_roots)."""
+    return row_roots(_uni_monic(p._rows)[0])
 
 
 # -- restriction to a line -------------------------------------------------
@@ -1161,11 +1121,11 @@ def restrict_to_line(p: MultiPoly, point, direction) -> UniPoly:
     x is s + a*t, and its rows are convolutions.  A coordinate fixed at 1
     is skipped, and a factor equal to 1 is never multiplied.
     """
-    dirs = [_scalar(v) for v in direction]
+    dirs = [scalar_row(v) for v in direction]
     if all(x == _ZERO_ROW for x, _ in dirs):
         raise ValueError("direction must be nonzero")
     lins, Ls = [], []
-    for (a, da), (b, db) in zip((_scalar(v) for v in point), dirs):
+    for (a, da), (b, db) in zip((scalar_row(v) for v in point), dirs):
         L = lcm(da, db)
         a, b = _rscale(a, L // da), _rscale(b, L // db)
         lins.append([(m, x) for m, x in ((0, a), (1, b)) if x != _ZERO_ROW])

@@ -303,6 +303,40 @@ def test_aomoto_non_integer(capsys):
     assert code == 2
 
 
+# an Arabic-Indic one, a digit separator, a double sign, a decimal point
+@pytest.mark.parametrize("weight", ["\u0661", "1_0", "+-1", "1.0", ""],
+                         ids=["arabic_indic", "underscore", "two_signs",
+                              "decimal", "empty"])
+def test_aomoto_weight_outside_the_grammar(capsys, weight):
+    code, _, err = run(capsys, "aomoto", "--builtin", "b3",
+                       f"--omega={weight},-2,3,0,1,-1,2,-4")
+    assert code == 2
+    assert err.startswith("error: --omega")
+    assert "Traceback" not in err
+
+
+def test_aomoto_weights_keep_sign_and_whitespace(capsys):
+    argv = ("aomoto", "--builtin", "b3", "--format", "json")
+    _, spaced, _ = run(capsys, *argv, "--omega= 1 ,-2,+3,0,1,\t-1,2,-4 ")
+    _, plain, _ = run(capsys, *argv, "--omega=1,-2,3,0,1,-1,2,-4")
+    assert spaced == plain
+    assert json.loads(plain)["inputs"]["omega"] == [1, -2, 3, 0, 1, -1, 2,
+                                                    -4]
+
+
+@pytest.mark.parametrize("name", [1.5, ["b3"], None],
+                         ids=["float", "list", "null"])
+def test_non_string_name_is_input_error(tmp_path, capsys, name):
+    doc = dict(arrangement_to_json(builtin("b3")), name=name)
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lattice", "--file", str(path),
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: arrangement name")
+    assert "Traceback" not in err
+
+
 def test_render(tmp_path, capsys):
     out_path = tmp_path / "fig.svg"
     code, out, _ = run(capsys, "render", "--builtin", "double_star_affine",

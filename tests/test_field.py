@@ -334,7 +334,7 @@ def test_integer_vector_and_integer_normalize(p, k, d):
     vec = tuple(FieldElement(Fraction(k * a, d)) for a in p)
     assert integer_vector(vec) == tuple(a // g for a in p)
     assert integer_vector(vec + (R,)) is None
-    # the integer path of normalize agrees with the field path
+    # a vector of ints normalizes as the same vector of field elements
     ints = normalize(p)
     assert ints == normalize(tuple(map(FieldElement, p)))
     for x in ints:
@@ -361,3 +361,49 @@ def test_normalize_by_a_rational_lead(zeros, lead, rest):
         [v if isinstance(v, FieldElement) else FieldElement(v) for v in vec]
     for x in got:
         _assert_canonical(x)
+
+
+irrational_leads = st.one_of(high_elements, near_zero).filter(
+    lambda x: not x.is_rational)
+zero_entries = st.sampled_from((0, Fraction(0), FieldElement(0)))
+mixed_entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30),
+                          high_rationals, any_elements)
+
+
+@settings(max_examples=200)
+@given(st.lists(zero_entries, max_size=2), irrational_leads,
+       st.lists(mixed_entries, max_size=4))
+@example([], NEAR_ZERO[0], [10 ** 30, Fraction(-1, 3), NEAR_ZERO[1]])
+def test_normalize_by_an_irrational_lead(zeros, lead, rest):
+    """With an irrational lead, of int, Fraction and FieldElement entries:
+    the lead becomes 1, each entry times the lead gives back the entry, and
+    every output is canonical."""
+    vec = tuple(zeros) + (lead,) + tuple(rest)
+    got = normalize(vec)
+    k = len(zeros)
+    assert got[:k + 1] == (FieldElement(0),) * k + (FieldElement(1),)
+    assert [x * lead for x in got] == \
+        [v if isinstance(v, FieldElement) else FieldElement(v) for v in vec]
+    for x in got:
+        _assert_canonical(x)
+
+
+@pytest.mark.parametrize("vec", [(1.5, 0, 1), (0, R, 0.5), (0, 0.0, 1)],
+                         ids=["lead", "after_lead", "zero"])
+def test_normalize_rejects_a_float(vec):
+    with pytest.raises(TypeError):
+        normalize(vec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(high_elements, near_zero).filter(bool))
+def test_pow_matches_repeated_products(x):
+    """x^n for n in -3..12 is the product of n copies of x, or of -n copies
+    of 1/x, and canonical."""
+    for base, sign, top in ((x, 1, 12), (x.inverse(), -1, 3)):
+        want = FieldElement(1)
+        for n in range(top + 1):
+            got = x ** (sign * n)
+            assert got == want
+            _assert_canonical(got)
+            want = want * base

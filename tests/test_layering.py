@@ -5,7 +5,8 @@ Modules import only from lower layers, in the order
     errors < modp < field < mpoly < exprs < arrangement < multinet
            < {fibration, aomoto} < cli
 
-(__init__ re-exports from all of them).  No module imports a private name
+(__init__ re-exports from all of them), and field alone imports modp, whose
+root finder it wraps in field.row_roots.  No module imports a private name
 of another, and every import sits at module level, not in a function.
 Nothing is dead: every module-level import is used in its module, and
 every private module-level def or class is used in the package.  Every
@@ -90,6 +91,15 @@ def test_every_import_is_used(module):
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used, \
                     f"{module}.py:{node.lineno}: {name} is imported, not used"
+
+
+def test_field_alone_imports_modp():
+    importers = {module for module, tree in _trees().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level
+                 and "modp" in ([node.module] if node.module
+                                else [alias.name for alias in node.names])}
+    assert importers == {"field"}
 
 
 def test_every_private_definition_is_used():

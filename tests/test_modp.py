@@ -1,5 +1,5 @@
 """The root finder for K through an inert prime (starnet.modp), as
-field.roots reads it: every root, and nothing else, at any height."""
+mpoly.uni_roots reads it: every root, and nothing else, at any height."""
 
 from fractions import Fraction
 
@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from oracles import tau
 from starnet.errors import NotSquarefree, StarnetError
-from starnet.field import ONE, ZERO, FieldElement, R, S, roots
+from starnet.field import ONE, ZERO, FieldElement, R, S
 from starnet.modp import roots as roots_mod_p
-from starnet.mpoly import UniPoly
+from starnet.mpoly import UniPoly, uni_roots
+
+
+def roots(coeffs):
+    """The roots in K of the polynomial with coefficients coeffs, low to
+    high, which has no repeated root."""
+    return uni_roots(UniPoly(coeffs))
 
 
 def _monic_product(factors):
