@@ -21,7 +21,7 @@ roots of a resultant of degree at most the number of zeros, interpolated
 at that many integer nodes plus one (mpoly.resultant, mpoly.interpolate).
 Its roots in K, those of its squarefree part, are found through an inert
 prime (mpoly.uni_roots, starnet.modp).  A line lies in a fiber only if
-synthetic division of the fiber by it (mpoly.divide_out) is exact, so a
+exact division of the fiber by it (mpoly.divide_out) succeeds, so a
 per-line lambda that no other search found is a candidate only if one of
 its lines divides its fiber, and that first quotient travels with it.
 Each candidate carries its lines, the fixed lines and those given its

@@ -233,7 +233,7 @@ class FieldElement:
             if not a:
                 raise ZeroDivisionError("inverse of zero field element")
             return _make(den, 0, 0, 0, a)
-        y, n = scalar_inverse((a, b, c, d), den)
+        y, n = scalar_inverse(row_inverse((a, b, c, d)), den)
         return _wrap(y + (n,))
 
     def __truediv__(self, other):
@@ -344,10 +344,11 @@ def scalar_row(v):
         f"expected int, Fraction or FieldElement, got {type(v).__name__}")
 
 
-def scalar_inverse(row, den: int):
+def scalar_inverse(inverse, den: int):
     """(y, n) with y/n = den/row, the inverse of the nonzero scalar row/den,
-    canonical."""
-    y, n = row_inverse(row)
+    canonical, from inverse = row_inverse(row), which a caller that
+    already inverted the row passes on."""
+    y, n = inverse
     # y and n > 0 are coprime, so den*y and n have gcd(den, n) in common
     k = gcd(den, n)
     if k != 1:
@@ -407,7 +408,7 @@ def normalize(vec):
     lead = next((v for v in rows if v[0] != _ZERO_ROW), None)
     if lead is None:
         return None
-    y, n = scalar_inverse(*lead)
+    y, n = scalar_inverse(row_inverse(lead[0]), lead[1])
     return tuple(_make(*row_mul(x, y), den * n) for x, den in rows)
 
 

@@ -107,12 +107,14 @@ def _mul_rows(a: dict, b: dict) -> dict:
 
 
 def _monic(rows: dict, lead):
-    """(M, u): rows divided by the row at lead is M/u, canonical, with
-    M[lead] = (u, 0, 0, 0); the rows' own denominator cancels."""
+    """(M, u, (y, n)): rows divided by the row at lead is M/u, canonical,
+    with M[lead] = (u, 0, 0, 0), and (y, n) = row_inverse(rows[lead]), from
+    which field.scalar_inverse gives 1/lc; the rows' own denominator
+    cancels."""
     y, n = row_inverse(rows[lead])
     if y != _ONE_ROW:
         rows = {e: row_mul(x, y) for e, x in rows.items()}
-    return _reduced(rows, n)
+    return (*_reduced(rows, n), (y, n))
 
 
 def _grlex_key(exp):
@@ -318,7 +320,8 @@ class MultiPoly:
         return _scaled(self, *scalar_row(c))
 
     def __truediv__(self, other):
-        return _scaled(self, *scalar_inverse(*scalar_row(other)))
+        row, den = scalar_row(other)
+        return _scaled(self, *scalar_inverse(row_inverse(row), den))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int):
@@ -507,26 +510,21 @@ def poly_product(polys, c=1) -> MultiPoly:
 
 # -- division and power structure ------------------------------------------
 
-def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
-    """Quotient q with p = q*d, or raise NotDivisible.
+def _divide_monic(rows: dict, M: dict, u: int, dexp):
+    """(Q, E) with rows = Q/u^E * M/u, or None if M/u does not divide
+    rows, for the monic form M/u of a divisor, M[dexp] = (u, 0, 0, 0).
 
-    Leading-term reduction in grlex order by the monic form M/u of d; for a
-    single divisor this finds the quotient whenever exact division is
-    possible.  The remainder is updated in place and its exponents are
-    kept on a heap, so each step costs one pop and one product per term of
-    d.  A remainder entry is (row, k) for row/u^k, so that dividing by the
-    leading coefficient 1 of M/u only raises k; the quotient is brought to
-    the top power of u and divided by lc(d) at the end.
+    Leading-term reduction in grlex order; for a single divisor this finds
+    the quotient whenever exact division is possible.  The remainder is
+    updated in place and its exponents are kept on a heap, so each step
+    costs one pop and one product per term of M.  A remainder entry is
+    (row, k) for row/u^k, so that dividing by the leading coefficient 1 of
+    M/u only raises k; the quotient is brought to its top power of u at
+    the end.
     """
-    if d.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero:
-        return _ZERO_POLY
-    dexp = _lead(d._rows)
-    M, u = _monic(d._rows, dexp)
     others = [(e, (-a, -b, -c, -f)) for e, (a, b, c, f) in M.items()
               if e != dexp]
-    rem = {e: (row, 0) for e, row in p._rows.items()}
+    rem = {e: (row, 0) for e, row in rows.items()}
     heap = [_heap_key(e) for e in rem]
     heapify(heap)
     quot = {}
@@ -538,16 +536,31 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
             continue  # cancelled since it was pushed
         qexp = (rexp[0] - dexp[0], rexp[1] - dexp[1], rexp[2] - dexp[2])
         if min(qexp) < 0:
-            raise NotDivisible(f"{d.serialize()} does not divide the input")
+            return None
         t, k = quot[qexp] = _lowered(*entry, u)
         # rem -= t/u^k * M/u, less the leading term, which cancels
         for (i, j, l), s in others:
             e = (qexp[0] + i, qexp[1] + j, qexp[2] + l)
             if _acc(rem, e, row_mul(t, s), k + step, u):
                 heappush(heap, _heap_key(e))
-    rows, E = _over_top(quot, u)
+    return _over_top(quot, u)
+
+
+def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
+    """Quotient q with p = q*d, or raise NotDivisible: the quotient by the
+    monic form M/u of d (_divide_monic), over lc(d)."""
+    if d.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero:
+        return _ZERO_POLY
+    dexp = _lead(d._rows)
+    M, u, inverse = _monic(d._rows, dexp)
+    quot = _divide_monic(p._rows, M, u, dexp)
+    if quot is None:
+        raise NotDivisible(f"{d.serialize()} does not divide the input")
+    rows, E = quot
     # p/d = (p/m)/lc(d), with p/m = rows/(den_p * u^E) and 1/lc(d) = y/n
-    y, n = scalar_inverse(d._rows[dexp], d._den)
+    y, n = scalar_inverse(inverse, d._den)
     if y != _ONE_ROW:
         rows = {e: row_mul(x, y) for e, x in rows.items()}
     return _poly(rows, p._den * u ** E * n)
@@ -560,116 +573,48 @@ def is_proportional(p: MultiPoly, q: MultiPoly) -> bool:
     if p._rows.keys() != q._rows.keys():
         return False
     lead = next(iter(p._rows))
-    return _monic(p._rows, lead) == _monic(q._rows, lead)
+    return _monic(p._rows, lead)[0] == _monic(q._rows, lead)[0]
 
 
 def divides(d: MultiPoly, p: MultiPoly) -> bool:
-    try:
-        exact_divide(p, d)
+    """Whether p = q*d for a polynomial q, by the quotient loop of
+    exact_divide, with no quotient made."""
+    if d.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero:
         return True
-    except NotDivisible:
-        return False
-
-
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    dexp = _lead(d._rows)
+    M, u, _ = _monic(d._rows, dexp)
+    return _divide_monic(p._rows, M, u, dexp) is not None
 
 
 def divide_out(p: MultiPoly, f: MultiPoly):
     """(k, p / f^k) for the largest k >= 0 with f^k dividing p exactly, for
     a linear form f; ValueError for any other f.
 
-    With v the first variable of nonzero coefficient a in f, f = a*(v + m)
-    and p = sum over i of v^i * p_i, with m and each p_i free of v.  The
-    quotient by v + m comes row by row from the top by synthetic division,
-    q_(i-1) = p_i - m*q_i, and the division is exact iff p_0 = m*q_0.
-    With v + m = M/n the monic form of f, n an integer, q_(i-1) carries one
-    more power of n than q_i; each quotient is brought to its top power of
-    n and made canonical, and the cofactor is divided by a^k once at the
-    end.
+    f is peeled off by the quotient loop of exact_divide (_divide_monic)
+    with the monic form M/u of f, built once, until M/u no longer divides;
+    each quotient is made canonical, and the cofactor is divided by
+    lc(f)^k once at the end.
     """
     if p.is_zero:
         raise ValueError("multiplicity undefined for the zero polynomial")
     if not f._rows or any(sum(e) != 1 for e in f._rows):
         raise ValueError("factor must be a linear form")
-    v = next(i for i in range(3) if _UNITS[i] in f._rows)
-    u, w = (i for i in range(3) if i != v)
-    M, n = _monic(f._rows, _UNITS[v])
-    # -m*n as (exponent step, row) per term of u and of w
-    shifts = [(shift, _rscale(M[_UNITS[i]], -1))
-              for i, shift in ((u, (1, 0)), (w, (0, 1))) if _UNITS[i] in M]
-    levels = {}
-    for exp, row in p._rows.items():
-        levels.setdefault(exp[v], {})[(exp[u], exp[w])] = row
-    den, k = p._den, 0
-    while True:
-        quot = _divide_levels(levels, shifts, n)
-        if quot is None:
-            break
-        levels, E = quot
-        levels, den = _reduced_levels(levels, den * n ** E)
+    lead = _lead(f._rows)
+    M, u, inverse = _monic(f._rows, lead)
+    rows, den, k = p._rows, p._den, 0
+    while (quot := _divide_monic(rows, M, u, lead)) is not None:
+        rows, den = _reduced(quot[0], den * u ** quot[1])
         k += 1
     if not k:
         return 0, p
-    rows = {}
-    for i, level in levels.items():
-        for (eu, ew), row in level.items():
-            exp = [0, 0, 0]
-            exp[v], exp[u], exp[w] = i, eu, ew
-            rows[tuple(exp)] = row
-    # p / f^k = (p / (v + m)^k) / a^k, 1/a = y/N
-    y, N = scalar_inverse(f._rows[_UNITS[v]], f._den)
-    if y == _ONE_ROW and N == 1:
+    # p / f^k = (p / (M/u)^k) / a^k, 1/a = y/n
+    y, n = scalar_inverse(inverse, f._den)
+    if y == _ONE_ROW and n == 1:
         return k, _wrap(rows, den)  # a = 1
     yk = row_pow(y, k)
-    return k, _poly({e: row_mul(x, yk) for e, x in rows.items()}, den * N ** k)
-
-
-def _divide_levels(levels, shifts, n):
-    """(levels of p / (v + m), E), the quotient over n^E, or None if v + m
-    does not divide p; shifts lists -m*n as (exponent step, row) per term
-    of u and of w."""
-    quot = {}
-    q, qk = {}, 0  # q_i = rows/n^qk, from q_top = 0 down
-    for i in range(max(levels), -1, -1):
-        p_i = levels.get(i, {})
-        if q:
-            # p_i - m*q_i, over n^(qk + 1)
-            qk += 1
-            f = n ** qk
-            row = dict(p_i) if f == 1 else \
-                {e: _rscale(x, f) for e, x in p_i.items()}
-            get = row.get
-            for (eu, ew), c in q.items():
-                for (du, dw), s in shifts:
-                    key = (eu + du, ew + dw)
-                    t = row_mul(c, s)
-                    o = get(key)
-                    row[key] = t if o is None else \
-                        (o[0] + t[0], o[1] + t[1], o[2] + t[2], o[3] + t[3])
-            q = {e: x for e, x in row.items() if x[0] or x[1] or x[2] or x[3]}
-        else:
-            q, qk = p_i, 0
-        if not i:
-            if q:
-                return None  # exact iff p_0 - m*q_0 = 0
-            E = max(k for _, k in quot.values())
-            return {j: rows if k == E else
-                    {e: _rscale(x, n ** (E - k)) for e, x in rows.items()}
-                    for j, (rows, k) in quot.items()}, E
-        if q:
-            quot[i - 1] = (q, qk)
-
-
-def _reduced_levels(levels, den):
-    """Levels {i: rows} over den, made canonical by one gcd."""
-    if den != 1:
-        g = gcd(den, *chain.from_iterable(
-            chain.from_iterable(level.values() for level in levels.values())))
-        if g != 1:
-            return {i: {e: (a // g, b // g, c // g, d // g)
-                        for e, (a, b, c, d) in level.items()}
-                    for i, level in levels.items()}, den // g
-    return levels, den
+    return k, _poly({e: row_mul(x, yk) for e, x in rows.items()}, den * n ** k)
 
 
 def kth_root(p: MultiPoly, k: int) -> MultiPoly:
@@ -708,7 +653,7 @@ def kth_root(p: MultiPoly, k: int) -> MultiPoly:
     lroot = ONE if monic else from_ints(*p._rows[lexp], p._den).kth_root(k)
     if lroot is None:
         raise NotAPower("leading coefficient has no k-th root in the field")
-    M, u = (p._rows, p._den) if monic else _monic(p._rows, lexp)
+    M, u = (p._rows, p._den) if monic else _monic(p._rows, lexp)[:2]
     w = u * k
     qlexp = tuple(e // k for e in lexp)
     # pows[j] = q^j for j < k, as {exponent: (row, j)}
@@ -901,17 +846,17 @@ class UniPoly:
         rows = self._rows
         if not rows or (rows[-1] == (self._den, 0, 0, 0)):
             return self
-        return _uwrap(*_uni_monic(rows))
+        return _uwrap(*_uni_monic(rows)[:2])
 
     def divmod(self, d: "UniPoly"):
         """(q, r) with self = q*d + r and deg r < deg d: the quotient by the
         monic form M/u of d (_uni_divide), over lc(d)."""
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        M, u = _uni_monic(d._rows)
+        M, u, inverse = _uni_monic(d._rows)
         quot, rem, W = _uni_divide(self._rows, M, u, True)
         den = self._den * W
-        y, n = scalar_inverse(d._rows[-1], d._den)
+        y, n = scalar_inverse(inverse, d._den)
         if y != _ONE_ROW:
             quot = [row_mul(x, y) for x in quot]
         return _upoly(quot, den * n), _upoly(rem, den)
@@ -971,11 +916,12 @@ def _uni_combine(p: UniPoly, q: UniPoly, sign: int) -> UniPoly:
 
 
 def _uni_monic(rows):
-    """(M, u): the rows over their top row are the tuple M over u, with
-    M[-1] = (u, 0, 0, 0), canonical."""
+    """(M, u, (y, n)): the rows over their top row are the tuple M over u,
+    with M[-1] = (u, 0, 0, 0), canonical, and (y, n) =
+    row_inverse(rows[-1]), as for _monic."""
     y, n = row_inverse(rows[-1])
-    return _uni_reduced([row_mul(x, y) for x in rows] if y != _ONE_ROW
-                        else list(rows), n)
+    return (*_uni_reduced([row_mul(x, y) for x in rows] if y != _ONE_ROW
+                          else list(rows), n), (y, n))
 
 
 def _uni_divide(rows, M, u: int, quotient: bool):
@@ -1020,7 +966,7 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     or denominator is kept, as a monic form is the same for every scalar
     multiple."""
     a = p._rows
-    b, u = _uni_monic(q._rows) if q._rows else ((), 1)
+    b, u = _uni_monic(q._rows)[:2] if q._rows else ((), 1)
     while b:
         _, r, _ = _uni_divide(a, b, u, False)
         a = b
@@ -1028,9 +974,9 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
             break
         # the remainder's integer content out first: a smaller lc to invert
         g = gcd(*chain.from_iterable(r))
-        b, u = _uni_monic([(x // g, y // g, z // g, w // g)
-                           for x, y, z, w in r] if g != 1 else r)
-    return _uwrap(*_uni_monic(a)) if a else _uwrap((), 1)
+        b, u, _ = _uni_monic([(x // g, y // g, z // g, w // g)
+                              for x, y, z, w in r] if g != 1 else r)
+    return _uwrap(*_uni_monic(a)[:2]) if a else _uwrap((), 1)
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

@@ -383,15 +383,16 @@ def find_pointed(A: Arrangement, net: Multinet):
 # -- the associated pencil --------------------------------------------------
 
 class Pencil(namedtuple("Pencil", "g1 g2 combos")):
-    """Two homogeneous MultiPolys of one degree; combos holds (alpha, beta)
-    for each class polynomial g_i, i >= 3."""
+    """Two nonzero homogeneous MultiPolys of one degree; combos holds
+    (alpha, beta) for each class polynomial g_i, i >= 3."""
     __slots__ = ()
 
     def __new__(cls, g1, g2, combos):
+        # the zero polynomial is homogeneous, of degree -1
         if not (g1.is_homogeneous and g2.is_homogeneous) or \
-                g1.degree != g2.degree:
-            raise InvalidPencil(
-                "a pencil wants two homogeneous polynomials of one degree")
+                g1.degree != g2.degree or g1.is_zero:
+            raise InvalidPencil("a pencil wants two nonzero homogeneous "
+                                "polynomials of one degree")
         return super().__new__(cls, g1, g2, combos)
 
     @property

@@ -260,6 +260,14 @@ def test_analyze_degenerate_pencil_is_math_error(capsys):
     assert "DegeneratePencil" in err
 
 
+def test_analyze_zero_pencil_is_input_error(capsys):
+    # the zero polynomial is homogeneous of degree -1, but no generator
+    code, out, err = run(capsys, "analyze", "--builtin", "b3",
+                         "--pencil", "0;0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nonzero homogeneous" in err
+
+
 @pytest.mark.parametrize("pencil", ["x^3;y^2", "x^2+z;y^2"])
 def test_analyze_pencil_of_mixed_degrees_is_input_error(capsys, pencil):
     code, _, err = run(capsys, "analyze", "--builtin", "b3",

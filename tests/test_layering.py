@@ -9,7 +9,8 @@ Modules import only from lower layers, in the order
 root finder it wraps in field.row_roots.  No module imports a private name
 of another, and every import sits at module level, not in a function.
 Nothing is dead: every module-level import is used in its module, and
-every private module-level def or class is used in the package.  Every
+every private module-level def, class or assigned name is used in the
+package.  Every
 absolute import is of the standard library: the package has no runtime
 dependency.
 """
@@ -102,14 +103,26 @@ def test_field_alone_imports_modp():
     assert importers == {"field"}
 
 
+def _defined(node):
+    """The names a module-level statement defines: a def's or class's, or
+    the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name)]
+
+
 def test_every_private_definition_is_used():
-    """A private module-level def or class is named by code outside its own
-    body, in its module or another one of the package."""
+    """A private module-level def, class or assigned name is named by code
+    outside its own statement, in its module or another one of the
+    package."""
     tops = [(module, node, _names_used(node))
             for module, tree in _trees().items() for node in tree.body]
     for module, node, _ in tops:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                and node.name.startswith("_"):
-            assert any(node.name in names
-                       for _, other, names in tops if other is not node), \
-                f"{module}.py:{node.lineno}: nothing uses {node.name}"
+        for name in _defined(node):
+            if name.startswith("_") and not name.startswith("__"):
+                assert any(name in names
+                           for _, other, names in tops if other is not node), \
+                    f"{module}.py:{node.lineno}: nothing uses {name}"

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from starnet import field, mpoly
 from starnet.errors import NotAPower, NotDivisible
 from starnet.exprs import parse_poly
-from starnet.field import FieldElement
+from starnet.field import ZERO, FieldElement
 from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
                            divide_out, divides, exact_divide, hessian,
                            homogenize, interpolate, is_proportional, kth_root,
@@ -199,14 +200,67 @@ cofactors = st.dictionaries(st.tuples(*(st.integers(0, 2),) * 3), tower,
 @settings(max_examples=60, deadline=None)
 @given(line_forms, st.integers(0, 5), cofactors)
 def test_divide_out_matches_peeling_oracle(f, k, q):
-    """On l^k * q, with q not necessarily homogeneous, synthetic division
-    finds the multiplicity and the cofactor that exact_divide peels off."""
+    """On l^k * q, with q not necessarily homogeneous, divide_out finds the
+    multiplicity and the cofactor that peeling by exact_divide finds, and
+    the multiplicity is maximal: the cofactor is not zero on the plane
+    l = 0, a check by restriction that shares no division with either."""
     assume(not q.is_zero)
     p = f ** k * q
     got = divide_out(p, f)
     assert got == ref_divide_out(p, f)
     assert got[0] >= k
     assert f ** got[0] * got[1] == p
+    assert not _vanishes_on_plane(got[1], f)
+
+
+def _vanishes_on_plane(q, f):
+    """Whether q is zero on the plane f = 0 of the linear form f.  With P
+    and D spanning the plane, q(s*P + t*D) has degree at most deg q in s,
+    so it is zero iff its restrictions to the lines s*P + t*D, for
+    s = 0, ..., deg q, all are."""
+    a, b, c = (f.terms.get(e, ZERO)
+               for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    if not a.is_zero:
+        P, D = (-b, a, 0), (-c, 0, a)
+    elif not b.is_zero:
+        P, D = (1, 0, 0), (0, -c, b)
+    else:
+        P, D = (1, 0, 0), (0, 1, 0)
+    return all(restrict_to_line(q, tuple(s * v for v in P), D).is_zero
+               for s in range(q.degree + 1))
+
+
+def test_vanishes_on_plane():
+    assert _vanishes_on_plane((X + Y) * Z, X + Y)
+    assert _vanishes_on_plane((Y - Z) * (X - 1), Y - Z)
+    # X - 1 is zero on the line through (1, 0, 0) of the plane z = 0
+    assert not _vanishes_on_plane(X - 1, Z)
+    assert not _vanishes_on_plane(MultiPoly.constant(3), X - Y)
+
+
+def test_each_division_inverts_the_lead_once(monkeypatch):
+    """exact_divide, divide_out and UniPoly.divmod each invert the divisor's
+    leading row once: 1/lc comes from the inverse its monic form took."""
+    inverse, calls = field.row_inverse, []
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(field, "row_inverse", counted)
+    monkeypatch.setattr(mpoly, "row_inverse", counted)
+    lc = FieldElement(Fraction(2, 3), 1, Fraction(1, 5), -1)
+    d = (X * lc + Y - Z * 2) * (Y + Z * FieldElement(0, 1))
+    line = X * lc + Z * 3
+    u = UniPoly([1, lc, Fraction(1, 7)])
+    divisions = [
+        lambda: exact_divide(d * (X - Y * 2), d),
+        lambda: divide_out(line ** 2 * (X + Z), line),
+        lambda: (u * UniPoly([2, 0, 1, lc])).divmod(u)]
+    for division in divisions:
+        del calls[:]
+        division()
+        assert len(calls) == 1
 
 
 def test_divide_out_takes_only_a_linear_form():
