@@ -29,6 +29,8 @@ from .multinet import (Pencil, builtin_pencil, enumerate_multinets,
 
 
 def _load(args):
+    if args.builtin and args.file:
+        raise UsageError("--builtin and --file are mutually exclusive")
     if args.builtin:
         return builtin(args.builtin)
     if args.file:

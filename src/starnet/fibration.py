@@ -20,7 +20,7 @@ its coefficients, and the parameters of the fibers through them are the
 roots of a resultant of degree at most the number of zeros, interpolated
 at that many integer nodes plus one (mpoly.resultant, mpoly.interpolate).
 Its roots in K, those of its squarefree part, are found through an inert
-prime (mpoly.uni_roots, starnet.modp).  A line lies in a fiber only if
+prime (mpoly.uni_roots, field.row_roots).  A line lies in a fiber only if
 exact division of the fiber by it (mpoly.divide_out) succeeds, so a
 per-line lambda that no other search found is a candidate only if one of
 its lines divides its fiber, and that first quotient travels with it.

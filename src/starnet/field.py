@@ -11,9 +11,16 @@ rows multiply with integer structure constants.  The scalar kernels of K
 are here, on rows, for mpoly's polynomials too: scalar_row, row_mul,
 row_inverse and scalar_inverse, row_pow, row_horner and row_roots.
 
+row_roots works modulo an inert prime p, an odd p = +-2 (mod 5): r^2 = 5
+is irreducible over F_p, as 5 is not a square mod p, and t^2 = 10 + 2r over
+F_(p^2), as 10 + 2r has norm 80 = 16*5, not a square mod p either.  So
+Z[r, t]/p is F_(p^4), and, Z[r, t] having index a power of 2 in O_K, the
+rows mod a power m of p are O_K/m (_Ring), on row_mul and row_inverse.
+
 The s-basis {1, r, s, r*s} remains only where users see an element: the
 FieldElement(a, b, c, d) constructor, coords() and the text form, which
-read the row (a, b, c, d) over den as (a, b, 4c, 4d)/den.
+read the row (a, b, c, d) over den as (a, b, 4c, 4d)/den; and in the root
+bound of row_roots, which is proved on it.
 """
 
 from __future__ import annotations
@@ -21,9 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from math import ceil, gcd, lcm, log10
+from itertools import count, zip_longest
+from math import ceil, gcd, isqrt, lcm, log10
+from random import Random
 
-from . import modp
+from .errors import NotSquarefree
 
 _ONE_ROW = (1, 0, 0, 0)
 _ZERO_ROW = (0, 0, 0, 0)
@@ -100,6 +109,148 @@ def row_horner(rows, x, L: int):
         acc = (s[0] + f * r[0], s[1] + f * r[1], s[2] + f * r[2],
                s[3] + f * r[3])
     return acc
+
+
+# -- roots in K, through an inert prime ---------------------------------------
+
+def _trim(f):
+    """The list f without its zero top elements."""
+    while f and not any(f[-1]):
+        f.pop()
+    return f
+
+
+class _Ring:
+    """O_K/m on rows reduced mod m, m a power of an inert prime; a
+    polynomial is a list of rows, low to high."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def mul(self, x, y):
+        m = self.m
+        a, b, c, d = row_mul(x, y)
+        return a % m, b % m, c % m, d % m
+
+    def add(self, x, y, k=1):
+        """x + k*y, reduced: y may be a product of rows left unreduced."""
+        m = self.m
+        return ((x[0] + k * y[0]) % m, (x[1] + k * y[1]) % m,
+                (x[2] + k * y[2]) % m, (x[3] + k * y[3]) % m)
+
+    def inverse(self, x):
+        """1/x = y/n for x*y = n (row_inverse), n prime to m for a unit x."""
+        y, n = row_inverse(x)
+        return self.mul(y, (pow(n, -1, self.m), 0, 0, 0))
+
+    def value(self, f, x):
+        """f(x) by Horner's rule."""
+        v = _ZERO_ROW
+        for c in reversed(f):
+            v = self.add(row_mul(v, x), c)
+        return v
+
+    def divmod(self, f, g):
+        """(q, r) with f = q*g + r and deg r < deg g."""
+        f, n, quot = list(f), len(g) - 1, []
+        inv = None if g[-1] == _ONE_ROW else self.inverse(g[-1])
+        for i in range(len(f) - 1, n - 1, -1):
+            quot.append(f[i] if inv is None else self.mul(f[i], inv))
+            for j in range(n):
+                f[i - n + j] = self.add(f[i - n + j],
+                                        row_mul(quot[-1], g[j]), -1)
+        return quot[::-1], _trim(f[:n])
+
+    def gcd(self, f, g):
+        """The monic gcd of f != 0 and g."""
+        while g:
+            f, g = g, self.divmod(f, g)[1]
+        return self.divmod(f, f[-1:])[0]
+
+    def pow_sub(self, f, k, g, h):
+        """f^k mod g, for k >= 2, minus h."""
+        out = f
+        for bit in bin(k)[3:]:
+            out = self.divmod(self.mul_poly(out, out), g)[1]
+            if bit == "1":
+                out = self.divmod(self.mul_poly(out, f), g)[1]
+        return _trim([self.add(a, b, -1)
+                      for a, b in zip_longest(out, h, fillvalue=_ZERO_ROW)])
+
+    def mul_poly(self, f, g):
+        out = [_ZERO_ROW] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = self.add(out[i + j], row_mul(a, b))
+        return out
+
+    def split(self, g, rng):
+        """The roots of g, a product of distinct monic linear factors."""
+        while len(g) > 2:
+            c = tuple(rng.randrange(self.m) for _ in range(4))
+            d = self.gcd(g, self.pow_sub([c, _ONE_ROW],
+                                         (self.m ** 4 - 1) // 2, g,
+                                         [_ONE_ROW]))
+            if 1 < len(d) < len(g):
+                q = self.divmod(g, d)[0]
+                return self.split(d, rng) + self.split(q, rng)
+        return [self.add(_ZERO_ROW, c, -1) for c in g[:-1]]  # -c for y + c
+
+
+def row_roots(f):
+    """The roots in K, as FieldElements, of f = sum f[i]*y^i, for integer
+    rows f[i], f[-1] = (L, 0, 0, 0) with L > 0, and no repeated root.
+
+    On the s-basis, where the row (a, b, c, d) is (a, b, 4c, 4d): O_K =
+    Z[2s] has the basis 1, 2s, (5 + r)/2, 5s + r*s, so for a root y in K,
+    mu = 2*L*y is in O_K and nu = 2*mu has integer coordinates, below 3*M
+    for Cauchy's bound M = 2*(L + max T(f_i)) on the conjugates of mu,
+    T(a, b, c, d) = |a| + 3|b| + |c| + 3|d|.  Modulo the first inert p with
+    L nonzero and f squarefree mod p, the roots of a nonlinear f are those
+    of g = gcd(f, y^(p^4) - y), split by Cantor-Zassenhaus with a seeded
+    generator (Cohen, A Course in Computational Algebraic Number Theory,
+    3.4); Newton's iteration lifts each mod p^N > 6*M, where nu is read by
+    symmetric residues, and nu/(4L) is kept if f vanishes there.  A prime
+    at which f is not squarefree divides 2^(2n - 1)*res(f, f'), of norm at
+    most (2^(2n - 1)*H)^4 for Hadamard's H^2 = (sum T_i^2)^(n - 1)*(sum
+    (i*T_i)^2)^n, so the product P of such primes has P^2 <= 4^(2n - 1)*H^2;
+    past that, NotSquarefree is raised.
+    """
+    n, L = len(f) - 1, f[-1][0]
+    T = [abs(a) + 3 * abs(b) + 4 * abs(c) + 12 * abs(d) for a, b, c, d in f]
+    df = [tuple(i * v for v in c) for i, c in enumerate(f)][1:]
+    budget = 4 ** (2 * n - 1) * sum(t * t for t in T) ** (n - 1) \
+        * sum((i * t) ** 2 for i, t in enumerate(T)) ** n
+    for p in count(3, 2):
+        if p % 5 not in (2, 3) or L % p == 0 \
+                or any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
+            continue
+        ring = _Ring(p)
+        fbar = ring.divmod(f, f[-1:])[0]  # f/L
+        if len(ring.gcd(fbar, _trim([tuple(v % p for v in c)
+                                     for c in df]))) == 1:
+            break
+        budget //= p * p  # 0 once P^2 > 4^(2n - 1)*H^2
+        if not budget:
+            raise NotSquarefree("the polynomial is not squarefree modulo more "
+                                "primes than its discriminant allows")
+    y = [_ZERO_ROW, _ONE_ROW]
+    g = fbar if n < 2 else ring.gcd(fbar, ring.pow_sub(y, p ** 4, fbar, y))
+    out, bound = [], 12 * (L + max(T[:-1], default=0))  # 6*M
+    for x in ring.split(g, Random(0)):
+        m = p
+        while m <= bound:
+            m *= m
+            lift = _Ring(m)
+            x = lift.add(x, row_mul(lift.value(f, x),
+                                    lift.inverse(lift.value(df, x))), -1)
+        # nu = 4L*x, read on its s-coordinates
+        a, b, c, d = ((4 * L * v + m // 2) % m - m // 2
+                      for v in (x[0], x[1], 4 * x[2], 4 * x[3]))
+        root = _make(4 * a, 4 * b, c, d, 16 * L)  # nu/(4L), c*s = c*t/4
+        if row_horner(f, root._v[:4], root._v[4]) == _ZERO_ROW:
+            out.append(root)
+    return out
 
 
 # -- field elements ----------------------------------------------------------
@@ -354,14 +505,6 @@ def scalar_inverse(inverse, den: int):
     if k != 1:
         den, n = den // k, n // k
     return (den * y[0], den * y[1], den * y[2], den * y[3]), n
-
-
-def row_roots(rows):
-    """The roots in K, as FieldElements, of f = sum rows[i]*y^i, for
-    integer rows with rows[-1] = (L, 0, 0, 0), L > 0, and no repeated root:
-    the candidates of modp.roots at which f vanishes."""
-    ys = (_make(*v) for v in modp.roots(rows))
-    return [y for y in ys if row_horner(rows, y._v[:4], y._v[4]) == _ZERO_ROW]
 
 
 def to_ints(x: FieldElement) -> tuple:

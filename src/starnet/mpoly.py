@@ -510,9 +510,20 @@ def poly_product(polys, c=1) -> MultiPoly:
 
 # -- division and power structure ------------------------------------------
 
-def _divide_monic(rows: dict, M: dict, u: int, dexp):
+def _divisor(rows: dict):
+    """(others, u, dexp, inverse) for a divisor's rows: its monic form M/u
+    (_monic) at its grlex-leading exponent dexp, with inverse the
+    row_inverse of the leading row, and others the negated terms of M other
+    than the leading one, which _divide_monic subtracts."""
+    dexp = _lead(rows)
+    M, u, inverse = _monic(rows, dexp)
+    return ([(e, (-a, -b, -c, -f)) for e, (a, b, c, f) in M.items()
+             if e != dexp], u, dexp, inverse)
+
+
+def _divide_monic(rows: dict, others, u: int, dexp):
     """(Q, E) with rows = Q/u^E * M/u, or None if M/u does not divide
-    rows, for the monic form M/u of a divisor, M[dexp] = (u, 0, 0, 0).
+    rows, for the monic form M/u of a divisor given by _divisor.
 
     Leading-term reduction in grlex order; for a single divisor this finds
     the quotient whenever exact division is possible.  The remainder is
@@ -522,8 +533,6 @@ def _divide_monic(rows: dict, M: dict, u: int, dexp):
     M/u only raises k; the quotient is brought to its top power of u at
     the end.
     """
-    others = [(e, (-a, -b, -c, -f)) for e, (a, b, c, f) in M.items()
-              if e != dexp]
     rem = {e: (row, 0) for e, row in rows.items()}
     heap = [_heap_key(e) for e in rem]
     heapify(heap)
@@ -553,9 +562,8 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return _ZERO_POLY
-    dexp = _lead(d._rows)
-    M, u, inverse = _monic(d._rows, dexp)
-    quot = _divide_monic(p._rows, M, u, dexp)
+    others, u, dexp, inverse = _divisor(d._rows)
+    quot = _divide_monic(p._rows, others, u, dexp)
     if quot is None:
         raise NotDivisible(f"{d.serialize()} does not divide the input")
     rows, E = quot
@@ -583,9 +591,7 @@ def divides(d: MultiPoly, p: MultiPoly) -> bool:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return True
-    dexp = _lead(d._rows)
-    M, u, _ = _monic(d._rows, dexp)
-    return _divide_monic(p._rows, M, u, dexp) is not None
+    return _divide_monic(p._rows, *_divisor(d._rows)[:3]) is not None
 
 
 def divide_out(p: MultiPoly, f: MultiPoly):
@@ -593,18 +599,17 @@ def divide_out(p: MultiPoly, f: MultiPoly):
     a linear form f; ValueError for any other f.
 
     f is peeled off by the quotient loop of exact_divide (_divide_monic)
-    with the monic form M/u of f, built once, until M/u no longer divides;
-    each quotient is made canonical, and the cofactor is divided by
-    lc(f)^k once at the end.
+    with the monic form M/u of f and its terms, built once (_divisor),
+    until M/u no longer divides; each quotient is made canonical, and the
+    cofactor is divided by lc(f)^k once at the end.
     """
     if p.is_zero:
         raise ValueError("multiplicity undefined for the zero polynomial")
     if not f._rows or any(sum(e) != 1 for e in f._rows):
         raise ValueError("factor must be a linear form")
-    lead = _lead(f._rows)
-    M, u, inverse = _monic(f._rows, lead)
+    others, u, lead, inverse = _divisor(f._rows)
     rows, den, k = p._rows, p._den, 0
-    while (quot := _divide_monic(rows, M, u, lead)) is not None:
+    while (quot := _divide_monic(rows, others, u, lead)) is not None:
         rows, den = _reduced(quot[0], den * u ** quot[1])
         k += 1
     if not k:
@@ -999,7 +1004,9 @@ def resultant(f: UniPoly, g: UniPoly) -> FieldElement:
         return ZERO
     res, den = _ONE_ROW, 1
     while n > 0:
-        _, r = f.divmod(g)
+        M, u, _ = _uni_monic(g._rows)
+        _, rows, W = _uni_divide(f._rows, M, u, False)
+        r = _upoly(rows, f._den * W)  # f mod g, with no quotient built
         k = r.degree
         if k < 0:
             return ZERO

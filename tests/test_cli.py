@@ -137,13 +137,16 @@ def _nested(text, depth=3000):
     (("lattice",), _doc(["1", "0", "1"], ["0", "2 ? 3", "0"],
                         ["1", "0", "0"]),
      "line 'b': covector entry 2: unexpected character '?' at position 2"),
+    (("lattice", "--builtin", "b3"),
+     _doc(["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]),
+     "--builtin and --file are mutually exclusive"),
 ], ids=["covector_over_zero", "pencil_over_zero", "lambda_over_zero",
         "lambda_zero", "covector_of_two", "one_line", "repeated_label",
         "lambda_of_three", "analyze_max_k_2", "analyze_max_mult_0",
         "pencil_superscript_digit", "covector_arabic_indic_digit",
         "covector_entry_not_string", "pencil_nested_deep",
         "lambda_nested_deep", "covector_nested_deep", "covector_long_literal",
-        "pencil_long_literal", "covector_bad_character"])
+        "pencil_long_literal", "covector_bad_character", "builtin_and_file"])
 def test_bad_input_is_input_error(tmp_path, capsys, argv, doc, needle):
     if doc is not None:
         path = tmp_path / "arr.json"

@@ -2,11 +2,10 @@
 
 Modules import only from lower layers, in the order
 
-    errors < modp < field < mpoly < exprs < arrangement < multinet
+    errors < field < mpoly < exprs < arrangement < multinet
            < {fibration, aomoto} < cli
 
-(__init__ re-exports from all of them), and field alone imports modp, whose
-root finder it wraps in field.row_roots.  No module imports a private name
+(__init__ re-exports from all of them).  No module imports a private name
 of another, and every import sits at module level, not in a function.
 Nothing is dead: every module-level import is used in its module, and
 every private module-level def, class or assigned name is used in the
@@ -24,9 +23,8 @@ import pytest
 import starnet
 
 SRC = Path(starnet.__file__).parent
-LAYER = {"errors": 0, "modp": 1, "field": 2, "mpoly": 3, "exprs": 4,
-         "arrangement": 5, "multinet": 6, "fibration": 7, "aomoto": 7,
-         "cli": 8}
+LAYER = {"errors": 0, "field": 1, "mpoly": 2, "exprs": 3, "arrangement": 4,
+         "multinet": 5, "fibration": 6, "aomoto": 6, "cli": 7}
 
 
 def test_every_module_has_a_layer():
@@ -92,15 +90,6 @@ def test_every_import_is_used(module):
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used, \
                     f"{module}.py:{node.lineno}: {name} is imported, not used"
-
-
-def test_field_alone_imports_modp():
-    importers = {module for module, tree in _trees().items()
-                 for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.level
-                 and "modp" in ([node.module] if node.module
-                                else [alias.name for alias in node.names])}
-    assert importers == {"field"}
 
 
 def _defined(node):

@@ -1,5 +1,6 @@
-"""The root finder for K through an inert prime (starnet.modp), as
-mpoly.uni_roots reads it: every root, and nothing else, at any height."""
+"""The root finder for K through an inert prime (field.row_roots), as
+mpoly.uni_roots reads it: every root, and nothing else, at any height; and
+its modular ring, which must agree with the exact kernels on rows."""
 
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import tau
 from starnet.errors import NotSquarefree, StarnetError
-from starnet.field import ONE, ZERO, FieldElement, R, S
-from starnet.modp import roots as roots_mod_p
+from starnet.field import (ONE, ZERO, FieldElement, R, S, _Ring, row_inverse,
+                           row_mul, row_roots)
 from starnet.mpoly import UniPoly, uni_roots
 
 
@@ -59,8 +60,8 @@ def test_roots_of_a_square_fail_loudly():
     # discriminant bound stops the prime search after 3*7*13*17*23
     assert issubclass(NotSquarefree, StarnetError)
     with pytest.raises(NotSquarefree):
-        roots_mod_p([(2, 0, 0, 0), (-3, 0, 0, 0), (0, 0, 0, 0),
-                     (1, 0, 0, 0)])
+        row_roots([(2, 0, 0, 0), (-3, 0, 0, 0), (0, 0, 0, 0),
+                   (1, 0, 0, 0)])
     found = roots([FieldElement(-2), ONE, ONE])
     assert set(found) == {FieldElement(1), FieldElement(-2)}
 
@@ -78,3 +79,19 @@ def test_roots_are_galois_equivariant(planted, b, c):
     coeffs = _monic_product([[-y, ONE] for y in planted] + [[c, b, ONE]])
     assert set(roots([tau(x) for x in coeffs])) \
         == {tau(y) for y in roots(coeffs)}
+
+
+rows = st.tuples(*[st.integers(-10 ** 12, 10 ** 12)] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows, rows, st.sampled_from([3, 7, 13, 17, 23, 10 ** 9 + 7]))
+def test_ring_agrees_with_the_exact_kernels(x, y, p):
+    # p = +-2 (mod 5) is inert: Z[r, t]/p is F_(p^4), so a row nonzero mod
+    # p has its norm prime to p and is a unit mod p^3
+    ring = _Ring(p)
+    assert ring.mul(x, y) == tuple(v % p for v in row_mul(x, y))
+    assume(any(v % p for v in x))
+    assert row_inverse(x)[1] % p
+    lift = _Ring(p ** 3)
+    assert lift.mul(x, lift.inverse(x)) == (1, 0, 0, 0)
