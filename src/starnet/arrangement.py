@@ -1,7 +1,8 @@
 """Projective line arrangements over the tower field.
 
-Lines are covectors (a, b, c) for a*x + b*y + c*z = 0, stored in canonical
-projective normalization (first nonzero coordinate scaled to 1).  The
+Lines are covectors (a, b, c) for a*x + b*y + c*z = 0, kept in a canonical
+projective form: a rational line as its primitive integer vector, an
+irrational one with its first nonzero coordinate scaled to 1.  The
 intersection lattice is the rank-2 stratum only: the set of multiple points
 with their incidences.
 """
@@ -14,37 +15,105 @@ from math import gcd, lcm, prod
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
-from .field import (ONE, ZERO, FieldElement, integer_vector, normalize,
-                    order_keys, rational_text, serialize_element,
+from .field import (ONE, ZERO, FieldElement, normalize, order_keys,
+                    rational_text, scalar_row, serialize_element,
                     trig_constants)
 from .mpoly import MultiPoly, dehomogenize
 from .exprs import parse_field_element
 
 
 class Line:
-    __slots__ = ("label", "covector")
+    """A line a*x + b*y + c*z = 0, given by a covector of three entries:
+    ints, Fractions or field elements.
+
+    As for IntersectionPoint, a line is kept by its vector: the primitive
+    integer vector with a positive first nonzero entry when the line is
+    rational, its normalized covector otherwise.  An irrational input whose
+    normalization is rational, such as (r, 2r, 3r), is kept as ints too, so
+    that the vector is a canonical key.  From ints, `covector` is made only
+    when it is first read; `linear_form` is made once."""
+    __slots__ = ("label", "_vector", "_covector", "_form")
 
     def __init__(self, label: str, covector):
-        cov = normalize(covector)
-        if cov is None:
+        covector = tuple(covector)
+        if len(covector) != 3:
+            raise ValueError(f"line {label!r} wants a covector of 3 "
+                             f"entries, not {len(covector)}")
+        coords = None
+        ints = _rational_ints(covector)
+        if ints is None:
+            # an irrational entry is nonzero, so coords is not None
+            coords = normalize(covector)
+            ints = _rational_ints(coords)
+        vector = coords if ints is None else _primitive_vector(ints)
+        if vector is None:
             raise ZeroCovector(f"line {label!r} has the zero covector")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "covector", cov)
+        _set_label(self, label)
+        _set_line_vector(self, vector)
+        _set_covector(self, coords)
+        _set_form(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
 
+    @property
+    def covector(self):
+        """The normalized covector: field elements, the first nonzero 1."""
+        if self._covector is None:
+            _set_covector(self, normalize(self._vector))
+        return self._covector
+
     def linear_form(self) -> MultiPoly:
-        a, b, c = self.covector
-        return MultiPoly.linear(a, b, c)
+        if self._form is None:
+            a, b, c = self.covector
+            _set_form(self, MultiPoly.linear(a, b, c))
+        return self._form
 
     @property
     def is_infinity(self) -> bool:
         """True for the line z = 0."""
-        return self.covector[0].is_zero and self.covector[1].is_zero
+        return not (self._vector[0] or self._vector[1])
 
     def __repr__(self):
-        return f"Line({self.label!r}, {[str(c) for c in self.covector]})"
+        return f"Line({self.label!r}, {_vector_text(self._vector)})"
+
+
+def _rational_ints(vec):
+    """vec, a vector of ints, Fractions or field elements, times the lcm
+    of its entries' denominators, as a tuple of ints; None if an entry is
+    irrational."""
+    rows = [scalar_row(v) for v in vec]
+    if any(row[1] or row[2] or row[3] for row, _ in rows):
+        return None
+    L = lcm(*[den for _, den in rows])
+    return tuple(row[0] * (L // den) for row, den in rows)
+
+
+def _primitive_vector(p):
+    """The integer vector p divided by the gcd of its entries, signed so
+    that its first nonzero entry is positive; None for the zero vector.
+    The key of a rational line, and of a point of a rational lattice."""
+    x, y, z = p
+    g = gcd(x, y, z)
+    if not g:
+        return None
+    if x < 0 or not x and (y < 0 or not y and z < 0):
+        g = -g
+    return (x // g, y // g, z // g)
+
+
+def _vector_text(vector) -> list:
+    """The text of each normalized entry of a line's or point's vector.
+    From ints, each x/lead is printed from the primitive vector, lead its
+    positive first nonzero entry, with no field element made."""
+    if type(vector[0]) is not int:
+        return [serialize_element(c) for c in vector]
+    lead = next(v for v in vector if v)
+    texts = []
+    for x in vector:
+        g = gcd(x, lead)
+        texts.append(rational_text(x // g, lead // g))
+    return texts
 
 
 class IntersectionPoint:
@@ -73,18 +142,8 @@ class IntersectionPoint:
         return self._coords
 
     def coords_text(self) -> list:
-        """[str(c) for c in self.coords]; from ints, each x/lead is printed
-        from the primitive vector, lead its positive first nonzero entry,
-        with no field element made."""
-        vector = self._vector
-        if type(vector[0]) is not int:
-            return [serialize_element(c) for c in vector]
-        lead = next(v for v in vector if v)
-        texts = []
-        for x in vector:
-            g = gcd(x, lead)
-            texts.append(rational_text(x // g, lead // g))
-        return texts
+        """[str(c) for c in self.coords], printed from the vector."""
+        return _vector_text(self._vector)
 
     @property
     def multiplicity(self) -> int:
@@ -100,6 +159,10 @@ class IntersectionPoint:
 
 
 # the slots' own setters, past __setattr__, as field._set is
+_set_label = Line.label.__set__
+_set_line_vector = Line._vector.__set__
+_set_covector = Line._covector.__set__
+_set_form = Line._form.__set__
 _set_vector = IntersectionPoint._vector.__set__
 _set_coords = IntersectionPoint._coords.__set__
 _set_incident = IntersectionPoint.incident.__set__
@@ -165,7 +228,7 @@ def build(lines, name: str = "") -> Arrangement:
         if ln.label in labels:
             raise DuplicateLine(f"label {ln.label!r} is used twice")
         labels.add(ln.label)
-        key = ln.covector
+        key = ln._vector
         if key in seen:
             raise DuplicateLine(
                 f"line {ln.label!r} duplicates {seen[key]!r} projectively")
@@ -203,18 +266,6 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _primitive_point(p):
-    """The integer vector p divided by the gcd of its entries, signed so
-    that its first nonzero entry is positive; None for the zero vector."""
-    x, y, z = p
-    g = gcd(x, y, z)
-    if not g:
-        return None
-    if x < 0 or not x and (y < 0 or not y and z < 0):
-        g = -g
-    return (x // g, y // g, z // g)
-
-
 def _compute_lattice(A: Arrangement):
     # two lines meet at one point, so each point is found once, from its
     # smallest line i: the later lines not yet known to meet i are grouped
@@ -222,15 +273,15 @@ def _compute_lattice(A: Arrangement):
     # and its incident set.  The pairs inside a group of two or more later
     # lines are marked as met, so that the point is not found again from
     # its other lines.  A rational arrangement is computed on integers:
-    # each covector becomes its primitive integer vector once, each point
-    # is keyed by the primitive integer cross product, and that vector is
+    # the lines' primitive integer vectors are crossed, each point is
+    # keyed by the primitive integer cross product, and that vector is
     # what the point keeps; its field coordinates are made only if they
     # are read.  An irrational arrangement normalizes each point in the
     # tower.
-    ints = [integer_vector(ln.covector) for ln in A.lines]
-    rational = None not in ints
-    covectors = ints if rational else [ln.covector for ln in A.lines]
-    point = _primitive_point if rational else normalize
+    vectors = [ln._vector for ln in A.lines]
+    rational = all(type(v[0]) is int for v in vectors)
+    covectors = vectors if rational else [ln.covector for ln in A.lines]
+    point = _primitive_vector if rational else normalize
     n = len(covectors)
     met = [set() for _ in range(n)]
     incident = {}
@@ -404,7 +455,7 @@ def arrangement_to_json(A: Arrangement) -> dict:
     return {
         "name": A.name,
         "lines": [{"label": ln.label,
-                   "covector": [serialize_element(c) for c in ln.covector]}
+                   "covector": _vector_text(ln._vector)}
                   for ln in A.lines],
     }
 
@@ -425,9 +476,18 @@ def arrangement_from_json(doc: dict) -> Arrangement:
                 if not isinstance(e, str):
                     raise ParseError(f"line {label!r}: covector entry {k} "
                                      "is not a string")
-        lines = [(label, tuple(_covector_entry(label, k, e)
-                               for k, e in enumerate(cov, 1)))
-                 for label, cov in items]
+        # each distinct entry text is parsed once; a bad one fails at its
+        # first occurrence
+        parsed = {}
+        lines = []
+        for label, cov in items:
+            entries = []
+            for k, e in enumerate(cov, 1):
+                x = parsed.get(e)
+                if x is None:
+                    x = parsed[e] = _covector_entry(label, k, e)
+                entries.append(x)
+            lines.append((label, entries))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed arrangement document: {exc}") from exc
     if len(lines) < 2:

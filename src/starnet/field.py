@@ -555,18 +555,6 @@ def normalize(vec):
     return tuple(_make(*row_mul(x, y), den * n) for x, den in rows)
 
 
-def integer_vector(vec):
-    """The primitive integer vector with the signs of vec, a nonzero vector
-    of rational elements, as a tuple of ints; None if an entry is
-    irrational."""
-    if not all(x.is_rational for x in vec):
-        return None
-    L = lcm(*(x._v[4] for x in vec))
-    ints = [x._v[0] * (L // x._v[4]) for x in vec]
-    g = gcd(*ints)
-    return tuple(a // g for a in ints)
-
-
 # -- the trigonometric constants of the double star equations -------------
 
 class TrigConstants(namedtuple("TrigConstants",

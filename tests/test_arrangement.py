@@ -6,19 +6,24 @@ import json
 import math
 from pathlib import Path
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starnet.arrangement import (BUILTIN_NAMES, _primitive_point,
+from starnet import exprs, field
+from starnet.arrangement import (BUILTIN_NAMES, Arrangement, Line,
+                                 _primitive_vector, _rational_ints,
                                  arrangement_from_json,
                                  arrangement_to_json, build, builtin, delete,
                                  double_star_affine_covectors,
                                  double_star_data,
                                  load_arrangement, render_svg)
+from starnet.cli import main
 from starnet.errors import DuplicateLine, ParseError, UnknownBuiltin
-from starnet.field import ONE, ZERO, FieldElement, normalize
+from starnet.field import (ONE, ZERO, FieldElement, R, S, normalize,
+                           serialize_element)
 
 from oracles import brute_lattice, random_rational_arrangement, ref_point_key
 
@@ -57,6 +62,7 @@ def test_random_lattices_match_brute_force():
 
 
 GRID24 = Path(__file__).parent / "data" / "grid24.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_point_text_is_the_coordinate_text():
@@ -117,13 +123,117 @@ def test_lattice_is_in_fraction_order(covectors, extra):
 @example((0, 0, 5), -1)
 @example((0, -4, 6), -3)
 def test_point_key_is_the_same_for_every_multiple(p, k):
-    # the lattice's integer path keys a pair's point by _primitive_point of
+    # the lattice's integer path keys a pair's point by _primitive_vector of
     # the cross product, whose sign and scale vary from pair to pair
     assume(any(p))
-    key = _primitive_point(p)
-    assert _primitive_point(tuple(k * x for x in p)) == key
+    key = _primitive_vector(p)
+    assert _primitive_vector(tuple(k * x for x in p)) == key
     assert normalize(key) == normalize(tuple(map(FieldElement, p)))
-    assert _primitive_point((0, 0, 0)) is None
+    assert _primitive_vector((0, 0, 0)) is None
+
+
+@given(st.tuples(*3 * [st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)]),
+       st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(1, 10 ** 6))
+def test_a_rational_vector_has_its_primitive_vector(p, k, d):
+    # the common denominator is cleared, then the gcd and the sign of the
+    # lead; an irrational entry leaves the vector in the field
+    assume(any(p))
+    g = math.gcd(*p)
+    if next(a for a in p if a) < 0:
+        g = -g
+    vec = tuple(FieldElement(Fraction(k * a, d)) for a in p)
+    assert _primitive_vector(_rational_ints(vec)) == tuple(a // g for a in p)
+    assert _rational_ints(vec[:2] + (R,)) is None
+    assert _rational_ints(tuple(Fraction(k * a, d) for a in p)) \
+        == _rational_ints(vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*3 * [st.integers(-5, 5) | st.integers(-10 ** 30, 10 ** 30)]),
+       st.fractions().filter(bool), st.integers(1, 10 ** 6))
+def test_a_line_has_one_key_in_every_form(p, q, d):
+    """The same line as ints, Fractions, a rational multiple, or a multiple
+    by r or by s is one key, one covector and one text."""
+    assume(any(p))
+    forms = [p,
+             tuple(Fraction(a, d) for a in p),
+             tuple(FieldElement(q) * a for a in p),
+             tuple(R * a for a in p),
+             tuple(S * FieldElement(q) * a for a in p),
+             tuple((R + S) * a for a in p)]
+    lines = [Line(f"h{i}", form) for i, form in enumerate(forms)]
+    key = lines[0]._vector
+    assert all(type(x) is int for x in key)
+    want_text = [serialize_element(c) for c in normalize(p)]
+    for ln, form in zip(lines, forms):
+        assert ln._vector == key
+        assert ln.covector == normalize(form)
+        doc = arrangement_to_json(Arrangement([ln]))
+        assert doc["lines"][0]["covector"] == want_text
+    for a, b in combinations(forms, 2):
+        with pytest.raises(DuplicateLine):
+            build([("a", a), ("b", b)])
+
+
+def test_a_mixed_arrangement_keeps_its_golden_output(capsys):
+    # the double star's z is rational, l1..l10 are not: the lattice takes
+    # the field path, from the ints of z and the field elements of the rest
+    A = builtin("double_star")
+    assert [type(ln._vector[0]) is int for ln in A.lines] \
+        == [False] * 10 + [True]
+    for argv in (("lattice", "--builtin", "double_star"),
+                 ("aomoto", "--builtin", "double_star",
+                  "--omega=1,1,1,1,1,-1,-1,-1,-1,-1")):
+        assert main([*argv, "--format", "json"]) == 0
+        golden = GOLDEN / f"{argv[0]}_double_star.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("cov", [(1, 2), (1, 2, 3, 4), ()])
+def test_a_covector_has_three_entries(cov):
+    with pytest.raises(ValueError, match="line 'a'"):
+        build([("a", cov), ("b", (0, 1, 0))])
+
+
+def _counted(monkeypatch, fn):
+    """The list of the argument tuples of every call to fn, under each
+    name a starnet module binds it to, from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "starnet" or name.startswith("starnet."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_a_rational_file_is_parsed_once_per_text_and_never_normalized(
+        monkeypatch, capsys):
+    normalized = _counted(monkeypatch, field.normalize)
+    parsed = _counted(monkeypatch, exprs.parse_field_element)
+    doc = json.loads(GRID24.read_text(encoding="utf-8"))
+    texts = sorted({e for line in doc["lines"] for e in line["covector"]})
+    assert len(texts) < 3 * len(doc["lines"])
+    for argv in (("lattice",), ("aomoto", "--omega=-2,1,1,0,0,0,-2,-1,-2,"
+                                "1,2,0,2,1,2,2,0,-1,0,0,1,0,-1,-1")):
+        parsed.clear()
+        assert main([*argv, "--file", str(GRID24), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert sorted(text for text, in parsed) == texts
+    assert not normalized
+
+
+def test_a_bad_repeated_entry_is_named_at_its_first_occurrence():
+    bad = {"lines": [{"label": "a", "covector": ["1", "0", "0"]},
+                     {"label": "b", "covector": ["1", "2?", "1"]},
+                     {"label": "c", "covector": ["2?", "1", "0"]}]}
+    with pytest.raises(ParseError, match="line 'b': covector entry 2: "):
+        arrangement_from_json(bad)
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from oracles import (ref_add, ref_inverse, ref_mul, ref_serialize_element,
                      ref_sign, ref_sub)
 from starnet import parse_element
-from starnet.field import (FieldElement, from_ints, integer_vector,
-                           normalize, serialize_element, to_ints,
-                           trig_constants)
+from starnet.field import (FieldElement, from_ints, normalize,
+                           serialize_element, to_ints, trig_constants)
 from starnet.mpoly import MultiPoly
 
 rationals = st.builds(Fraction,
@@ -324,16 +323,11 @@ def test_equal_values_hash_equal(x, y):
 int_entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
 
 
-@given(st.tuples(int_entries, int_entries, int_entries),
-       st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
-def test_integer_vector_and_integer_normalize(p, k, d):
+@given(st.tuples(int_entries, int_entries, int_entries))
+def test_integer_normalize(p):
     if not any(p):
         assert normalize(p) is None
         return
-    g = math.gcd(*p)
-    vec = tuple(FieldElement(Fraction(k * a, d)) for a in p)
-    assert integer_vector(vec) == tuple(a // g for a in p)
-    assert integer_vector(vec + (R,)) is None
     # a vector of ints normalizes as the same vector of field elements
     ints = normalize(p)
     assert ints == normalize(tuple(map(FieldElement, p)))
