@@ -108,24 +108,31 @@ def _write_json(doc, pad, write):
         raise TypeError(f"cannot write {type(doc).__name__} as JSON")
 
 
-def _print_human(doc, indent=0):
+def _print_human(doc, indent=0, lead=None):
+    """Print doc as indented "key: value" lines and "- " list items.  A
+    nonempty dict or list inside a list is printed one level deeper, its
+    first line starting with lead, the "- " that marks it as an item."""
     pad = "  " * indent
+    if lead is None:
+        lead = pad
     if isinstance(doc, dict):
         for key in doc:
             val = doc[key]
             if isinstance(val, (dict, list)) and val:
-                print(f"{pad}{key}:")
+                print(f"{lead}{key}:")
                 _print_human(val, indent + 1)
             else:
-                print(f"{pad}{key}: {val}")
+                print(f"{lead}{key}: {val}")
+            lead = pad
     elif isinstance(doc, list):
         for val in doc:
-            if isinstance(val, (dict, list)):
-                _print_human(val, indent + 1)
+            if isinstance(val, (dict, list)) and val:
+                _print_human(val, indent + 1, f"{lead}- ")
             else:
-                print(f"{pad}- {val}")
+                print(f"{lead}- {val}")
+            lead = pad
     else:
-        print(f"{pad}{doc}")
+        print(f"{lead}{doc}")
 
 
 def cmd_lattice(args) -> int:

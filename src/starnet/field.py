@@ -300,11 +300,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self._v == _ZERO_V
 
-    @property
-    def is_rational(self) -> bool:
-        _, b, c, d, _ = self._v
-        return not (b or c or d)
-
     def __bool__(self) -> bool:
         return self._v != _ZERO_V
 

@@ -3,6 +3,14 @@
 Everything here is deliberately naive: brute force over pairs, exhaustive
 search over partitions, determinantal divisors via minors.  Slow but
 obviously correct on the small instances the tests use.
+
+K's arithmetic here is perfbench/tower.py's, on 4-tuples of Fractions; that
+module imports nothing from starnet.  brute_lattice, the duplicate key of
+random_rational_arrangement, ref_sign and the row-kernel references
+(ref_terms_*, ref_uni_*) run on it.  sylvester_resultant,
+lagrange_interpolate, ref_restrict_to_line, ref_divide_out, ref_kth_root,
+ref_line_lambdas and ref_discriminant_lambdas still compose starnet's
+MultiPoly, UniPoly and FieldElement operations.
 """
 
 from dataclasses import dataclass
@@ -12,6 +20,7 @@ from math import gcd
 import random
 
 import mpmath
+import tower
 
 from starnet.arrangement import Arrangement, build
 from starnet.errors import DegeneratePencil, NotAPower, NotDivisible
@@ -22,21 +31,15 @@ from starnet.mpoly import (MultiPoly, UniPoly, exact_divide, interpolate,
 
 
 def brute_lattice(A: Arrangement):
-    """Intersection points as {normalized coords: frozenset of line indices}."""
+    """Intersection points as {normalized coords: frozenset of line indices},
+    each point the cross product of two covectors in tower arithmetic."""
+    covs = [tuple(c.coords() for c in ln.covector) for ln in A.lines]
     points = {}
     for i, j in combinations(range(A.n), 2):
-        u = A.lines[i].covector
-        v = A.lines[j].covector
-        p = (u[1] * v[2] - u[2] * v[1],
-             u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0])
-        for c in p:
-            if not c.is_zero:
-                inv = c.inverse()
-                p = tuple(x * inv for x in p)
-                break
-        key = tuple(x.coords() for x in p)
-        points.setdefault(key, set()).update((i, j))
+        u, v = covs[i], covs[j]
+        p = tuple(tower.sub(tower.mul(u[a], v[b]), tower.mul(u[b], v[a]))
+                  for a, b in ((1, 2), (2, 0), (0, 1)))
+        points.setdefault(tower.normalize(p), set()).update((i, j))
     return {k: frozenset(v) for k, v in points.items()}
 
 
@@ -239,67 +242,15 @@ def random_rational_arrangement(rng: random.Random, max_lines: int = 7):
     lines = []
     seen = set()
     while len(lines) < n:
-        cov = tuple(FieldElement(Fraction(rng.randint(-3, 3)))
-                    for _ in range(3))
-        if all(c.is_zero for c in cov):
+        cov = tuple(rng.randint(-3, 3) for _ in range(3))
+        if not any(cov):
             continue
-        first = next(c for c in cov if not c.is_zero)
-        key = tuple((c * first.inverse()).coords() for c in cov)
+        key = tower.normalize(tuple(tower.el(c) for c in cov))
         if key in seen:
             continue
         seen.add(key)
         lines.append((f"h{len(lines)}", cov))
     return build(lines, name=f"random-{n}")
-
-
-# -- field tower arithmetic on Fraction coordinates ------------------------
-# Elements are 4-tuples (a, b, c, d) of Fractions meaning
-# a + b*r + c*s + d*r*s, with r^2 = 5 and s^2 = 5/8 + r/8.
-
-_S2 = (Fraction(5, 8), Fraction(1, 8))
-
-
-def _qr_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c + 5 * b * d, a * d + b * c)
-
-
-def _qr_inv(x):
-    a, b = x
-    n = a * a - 5 * b * b
-    if n == 0:
-        raise ZeroDivisionError("zero element of Q(r)")
-    return (a / n, -b / n)
-
-
-def ref_add(x, y):
-    return tuple(u + v for u, v in zip(x, y))
-
-
-def ref_sub(x, y):
-    return tuple(u - v for u, v in zip(x, y))
-
-
-def ref_mul(x, y):
-    # (A + B*s)(C + D*s) = A*C + B*D*s^2 + (A*D + B*C)*s over Q(r)
-    A, B, C, D = x[:2], x[2:], y[:2], y[2:]
-    ac = _qr_mul(A, C)
-    q = _qr_mul(_qr_mul(B, D), _S2)
-    ad = _qr_mul(A, D)
-    bc = _qr_mul(B, C)
-    return (ac[0] + q[0], ac[1] + q[1], ad[0] + bc[0], ad[1] + bc[1])
-
-
-def ref_inverse(x):
-    # (A + B*s)^-1 = (A - B*s) / (A^2 - B^2 * s^2), the norm down to Q(r)
-    A, B = x[:2], x[2:]
-    a2 = _qr_mul(A, A)
-    b2q = _qr_mul(_qr_mul(B, B), _S2)
-    n = _qr_inv((a2[0] - b2q[0], a2[1] - b2q[1]))
-    na = _qr_mul(A, n)
-    nb = _qr_mul((-B[0], -B[1]), n)
-    return (na[0], na[1], nb[0], nb[1])
 
 
 def ref_sign(x):
@@ -619,40 +570,11 @@ def ref_snf(M) -> RefSNF:
                   diagonal=diagonal)
 
 
-# -- lattice order and element text on Fraction coordinates ----------------
+# -- lattice order on Fraction coordinates ---------------------------------
 
 def ref_point_key(point):
     """Sort key of a lattice point: its coordinates as Fraction 4-tuples."""
     return tuple(c.coords() for c in point.coords)
-
-
-def _format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def ref_serialize_element(x: FieldElement) -> str:
-    """Text form on the basis {1, r, s, r*s}, built from Fraction coords."""
-    parts = []
-    for coef, sym in zip(x.coords(), ("", "r", "s", "r*s")):
-        if coef == 0:
-            continue
-        mag = abs(coef)
-        if not sym:
-            body = _format_fraction(mag)
-        elif mag == 1:
-            body = sym
-        else:
-            body = f"{_format_fraction(mag)}*{sym}"
-        parts.append(("-" if coef < 0 else "+", body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
 
 
 # -- the Galois group of K ------------------------------------------------
@@ -664,45 +586,47 @@ def tau(x):
     return FieldElement(a, -b) + FieldElement(c, -d) * S * (R - 1) / 2
 
 
-# -- plain field-element references for mpoly's row kernels -----------------
-# Polynomials as {exponent: FieldElement} dicts and lists of FieldElements,
-# one field operation per coefficient operation, with no shared denominator.
+# -- tower references for mpoly's row kernels -------------------------------
+# Polynomials as {exponent: element} dicts and low-to-high lists of
+# elements, each a tower 4-tuple, one tower operation per coefficient
+# operation.  ref_terms_mul is tower.poly_mul.
+
+def terms_of(p):
+    """The terms of a MultiPoly as tower elements."""
+    return {e: c.coords() for e, c in p.terms.items()}
+
+
+def coeffs_of(f):
+    """The coefficients of a UniPoly, low to high, as tower elements."""
+    return [c.coords() for c in f.coeffs]
+
 
 def ref_terms_add(a, b, sign=1):
+    op = tower.add if sign > 0 else tower.sub
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, FieldElement(0)) + c * sign
-    return {e: c for e, c in out.items() if not c.is_zero}
-
-
-def ref_terms_mul(a, b):
-    out = {}
-    for (i, j, k), c in a.items():
-        for (l, m, n), d in b.items():
-            e = (i + l, j + m, k + n)
-            out[e] = out.get(e, FieldElement(0)) + c * d
-    return {e: c for e, c in out.items() if not c.is_zero}
+        out[e] = op(out.get(e, tower.ZERO), c)
+    return {e: c for e, c in out.items() if not tower.is_zero(c)}
 
 
 def ref_terms_evaluate(a, point):
-    point = [v if isinstance(v, FieldElement) else FieldElement(v)
-             for v in point]
-    total = FieldElement(0)
+    total = tower.ZERO
     for exp, c in a.items():
         for v, e in zip(point, exp):
-            c = c * v ** e
-        total = total + c
+            for _ in range(e):
+                c = tower.mul(c, v)
+        total = tower.add(total, c)
     return total
 
 
 def ref_terms_partial(a, i):
-    return {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
-            for exp, c in a.items() if exp[i]}
+    return {exp[:i] + (exp[i] - 1,) + exp[i + 1:]:
+            tower.mul(c, tower.el(exp[i])) for exp, c in a.items() if exp[i]}
 
 
 def ref_uni_trim(cs):
     cs = list(cs)
-    while cs and cs[-1].is_zero:
+    while cs and tower.is_zero(cs[-1]):
         cs.pop()
     return cs
 
@@ -710,35 +634,35 @@ def ref_uni_trim(cs):
 def ref_uni_mul(f, g):
     if not f or not g:
         return []
-    out = [FieldElement(0)] * (len(f) + len(g) - 1)
+    out = [tower.ZERO] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
+            out[i + j] = tower.add(out[i + j], tower.mul(a, b))
     return ref_uni_trim(out)
 
 
 def ref_uni_add(f, g, sign=1):
-    n = max(len(f), len(g))
-    zero = FieldElement(0)
-    return ref_uni_trim([(f[i] if i < len(f) else zero)
-                         + (g[i] if i < len(g) else zero) * sign
-                         for i in range(n)])
+    op = tower.add if sign > 0 else tower.sub
+    return ref_uni_trim([op(f[i] if i < len(f) else tower.ZERO,
+                            g[i] if i < len(g) else tower.ZERO)
+                         for i in range(max(len(f), len(g)))])
 
 
 def ref_uni_evaluate(f, v):
-    acc = FieldElement(0)
+    acc = tower.ZERO
     for c in reversed(f):
-        acc = acc * v + c
+        acc = tower.add(tower.mul(acc, v), c)
     return acc
 
 
 def ref_uni_divmod(f, d):
-    """Schoolbook division on lists of FieldElements, low to high."""
-    rem, quot = list(f), [FieldElement(0)] * max(len(f) - len(d) + 1, 0)
-    inv = d[-1].inverse()
+    """Schoolbook division on lists of tower elements, low to high."""
+    rem, quot = list(f), [tower.ZERO] * max(len(f) - len(d) + 1, 0)
+    inv = tower.inverse(d[-1])
     for i in range(len(rem) - 1, len(d) - 2, -1):
-        q = rem[i] * inv
+        q = tower.mul(rem[i], inv)
         quot[i - len(d) + 1] = q
         for j, c in enumerate(d):
-            rem[i - len(d) + 1 + j] = rem[i - len(d) + 1 + j] - q * c
+            k = i - len(d) + 1 + j
+            rem[k] = tower.sub(rem[k], tower.mul(q, c))
     return ref_uni_trim(quot), ref_uni_trim(rem[:len(d) - 1])

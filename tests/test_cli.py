@@ -407,6 +407,15 @@ def test_human_format_runs(capsys):
     assert "small" in out
 
 
+def test_human_format_marks_each_record(capsys):
+    # each point of the b3 lattice, a record in a list, starts with "- ",
+    # so consecutive points do not run together
+    code, out, _ = run(capsys, "lattice", "--builtin", "b3")
+    assert code == 0
+    points = out[out.index("\n  points:\n"):]
+    assert points.count("\n    - ") == points.count("\n    - coords:\n") == 13
+
+
 def test_analyze_does_not_import_sympy():
     # the package has no runtime dependency
     script = ("import sys\n"

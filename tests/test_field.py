@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (ref_add, ref_inverse, ref_mul, ref_serialize_element,
-                     ref_sign, ref_sub)
+import tower
+from oracles import ref_sign
 from starnet import parse_element
 from starnet.field import (FieldElement, from_ints, normalize,
                            serialize_element, to_ints, trig_constants)
@@ -156,7 +156,7 @@ unit_elements = st.builds(
                  st.sampled_from((FieldElement(0), R, -R, S, -S, R * S,
                                   -(R * S)))))
 def test_serialize_matches_fraction_reference(x):
-    assert serialize_element(x) == ref_serialize_element(x)
+    assert serialize_element(x) == tower.to_text(x.coords())
 
 
 @given(high_rationals)
@@ -266,13 +266,14 @@ def test_to_ints_is_the_canonical_t_row(x):
 def test_kernel_matches_fraction_reference(x, y):
     cx, cy = x.coords(), y.coords()
     assert FieldElement(*cx) == x
-    for got, want in ((x + y, ref_add(cx, cy)), (x - y, ref_sub(cx, cy)),
-                      (x * y, ref_mul(cx, cy))):
+    for got, want in ((x + y, tower.add(cx, cy)),
+                      (x - y, tower.sub(cx, cy)),
+                      (x * y, tower.mul(cx, cy))):
         assert got.coords() == want
         _assert_canonical(got)
     if not x.is_zero:
         inv = x.inverse()
-        assert inv.coords() == ref_inverse(cx)
+        assert inv.coords() == tower.inverse(cx)
         _assert_canonical(inv)
 
 
@@ -288,7 +289,7 @@ def test_sign_matches_interval_reference(x):
 def test_sqrt_matches_reference(x):
     sq = x * x
     root = sq.sqrt()
-    assert ref_mul(root.coords(), root.coords()) == sq.coords()
+    assert tower.mul(root.coords(), root.coords()) == sq.coords()
     assert root == (x if ref_sign(x.coords()) >= 0 else -x)
     _assert_canonical(root)
 
@@ -358,7 +359,7 @@ def test_normalize_by_a_rational_lead(zeros, lead, rest):
 
 
 irrational_leads = st.one_of(high_elements, near_zero).filter(
-    lambda x: not x.is_rational)
+    lambda x: any(x.coords()[1:]))
 zero_entries = st.sampled_from((0, Fraction(0), FieldElement(0)))
 mixed_entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30),
                           high_rationals, any_elements)

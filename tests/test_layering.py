@@ -11,11 +11,14 @@ Nothing is dead: every module-level import is used in its module, and
 every private module-level def, class or assigned name is used in the
 package.  Every
 absolute import is of the standard library: the package has no runtime
-dependency.
+dependency.  The tests' reference arithmetic for K, perfbench/tower.py,
+loads no module of the package.
 """
 
 import ast
+import os
 from pathlib import Path
+import subprocess
 import sys
 
 import pytest
@@ -115,3 +118,20 @@ def test_every_private_definition_is_used():
                 assert any(name in names
                            for _, other, names in tops if other is not node), \
                     f"{module}.py:{node.lineno}: nothing uses {name}"
+
+
+def test_tower_loads_no_starnet_module():
+    """The oracles check starnet against tower, so tower shares no code
+    with it: in a fresh interpreter that can import both, importing tower
+    leaves no starnet module in sys.modules."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(root / d) for d in ("perfbench", "src")))
+    script = ("import sys\n"
+              "import tower\n"
+              "loaded = [m for m in sys.modules\n"
+              "          if m.partition('.')[0] == 'starnet']\n"
+              "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -18,11 +18,12 @@ from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
                            partial, poly_product, poly_sum, restrict_to_line,
                            resultant, squarefree_part, uni_gcd, uni_roots)
 
-from oracles import (lagrange_interpolate, ref_divide_out, ref_kth_root,
-                     ref_restrict_to_line, ref_terms_add, ref_terms_evaluate,
-                     ref_terms_mul, ref_terms_partial, ref_uni_add,
+import tower
+from oracles import (coeffs_of, lagrange_interpolate, ref_divide_out,
+                     ref_kth_root, ref_restrict_to_line, ref_terms_add,
+                     ref_terms_evaluate, ref_terms_partial, ref_uni_add,
                      ref_uni_divmod, ref_uni_evaluate, ref_uni_mul,
-                     ref_uni_trim, sylvester_resultant)
+                     ref_uni_trim, sylvester_resultant, terms_of)
 
 coeffs = st.builds(FieldElement,
                    st.integers(min_value=-9, max_value=9),
@@ -30,12 +31,12 @@ coeffs = st.builds(FieldElement,
 exps = st.tuples(*(st.integers(min_value=0, max_value=3),) * 3)
 polys = st.dictionaries(exps, coeffs, min_size=0, max_size=5).map(MultiPoly)
 big = st.integers(-10 ** 30, 10 ** 30)
-tower = st.one_of(
+k_coeffs = st.one_of(
     coeffs,
     st.builds(lambda a, b, c, d, den: FieldElement(
         *(Fraction(v, den) for v in (a, b, c, d))),
         big, big, big, big, st.integers(1, 10 ** 30)))
-nonzero_tower = tower.filter(bool)
+nonzero_k_coeffs = k_coeffs.filter(bool)
 
 
 @given(polys, polys, polys)
@@ -65,7 +66,7 @@ def _assert_clean(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys, polys, tower)
+@given(polys, polys, k_coeffs)
 def test_results_hold_no_zero(p, r, c):
     """Every result skips the constructor's checks, so a term that cancels
     must be dropped by the arithmetic itself; q = -p + r makes p + q and
@@ -189,11 +190,11 @@ def test_factor_multiplicity():
 
 # the pivot of a line is its first variable with a nonzero coefficient
 line_forms = st.one_of(
-    st.tuples(nonzero_tower, tower, tower),
-    st.tuples(st.just(0), nonzero_tower, tower),
-    st.tuples(st.just(0), st.just(0), nonzero_tower),
+    st.tuples(nonzero_k_coeffs, k_coeffs, k_coeffs),
+    st.tuples(st.just(0), nonzero_k_coeffs, k_coeffs),
+    st.tuples(st.just(0), st.just(0), nonzero_k_coeffs),
 ).map(lambda cov: MultiPoly.linear(*cov))
-cofactors = st.dictionaries(st.tuples(*(st.integers(0, 2),) * 3), tower,
+cofactors = st.dictionaries(st.tuples(*(st.integers(0, 2),) * 3), k_coeffs,
                             min_size=1, max_size=4).map(MultiPoly)
 
 
@@ -326,9 +327,9 @@ def lines_with_mixed(draw, n_mixed):
     """(point, direction) with exactly n_mixed coordinates a + b*t, a and b
     nonzero; each other coordinate is 1, a constant or a multiple of t."""
     mixed = draw(st.permutations(range(3)))[:n_mixed]
-    other = st.one_of(st.just((1, 0)), st.tuples(tower, st.just(0)),
-                      st.tuples(st.just(0), nonzero_tower))
-    coords = [draw(st.tuples(nonzero_tower, nonzero_tower) if i in mixed
+    other = st.one_of(st.just((1, 0)), st.tuples(k_coeffs, st.just(0)),
+                      st.tuples(st.just(0), nonzero_k_coeffs))
+    coords = [draw(st.tuples(nonzero_k_coeffs, nonzero_k_coeffs) if i in mixed
                    else other) for i in range(3)]
     point, direction = zip(*coords)
     assume(any(direction))
@@ -337,7 +338,7 @@ def lines_with_mixed(draw, n_mixed):
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(polys, homogeneous_polys,
-                 st.dictionaries(exps, tower, max_size=5).map(MultiPoly)),
+                 st.dictionaries(exps, k_coeffs, max_size=5).map(MultiPoly)),
        st.integers(0, 3).flatmap(lines_with_mixed))
 def test_restrict_to_line_pointwise(p, line):
     """With 0 to 3 coordinates of the form a + b*t, Horner's rule in the
@@ -466,38 +467,46 @@ row_terms = st.dictionaries(row_exps, nonzero_elements, max_size=4) \
 row_polys = row_terms.map(MultiPoly)
 
 
+def _poly(terms):
+    """The MultiPoly with tower-element terms."""
+    return MultiPoly({e: FieldElement(*c) for e, c in terms.items()})
+
+
 @settings(max_examples=80, deadline=None)
 @given(row_polys, row_polys, nonzero_elements)
 def test_row_arithmetic_matches_field_reference(p, q, c):
-    a, b = p.terms, q.terms
-    assert (p + q).terms == ref_terms_add(a, b)
-    assert (p - q).terms == ref_terms_add(a, b, -1)
-    assert (-p).terms == {e: -v for e, v in a.items()}
-    assert (p * q).terms == ref_terms_mul(a, b)
-    assert (p ** 2).terms == ref_terms_mul(a, a)
-    assert p.scale(c).terms == {e: v * c for e, v in a.items()}
-    assert (p / c).terms == {e: v / c for e, v in a.items()}
+    a, b, k = terms_of(p), terms_of(q), c.coords()
+    ab = tower.poly_mul(a, b)
+    assert terms_of(p + q) == ref_terms_add(a, b)
+    assert terms_of(p - q) == ref_terms_add(a, b, -1)
+    assert terms_of(-p) == {e: tower.neg(v) for e, v in a.items()}
+    assert terms_of(p * q) == ab
+    assert terms_of(p ** 2) == tower.poly_mul(a, a)
+    assert terms_of(p.scale(c)) == {e: tower.mul(v, k) for e, v in a.items()}
+    assert terms_of(p / c) == {e: tower.mul(v, tower.inverse(k))
+                               for e, v in a.items()}
     assert poly_sum([p, q, -p]) == q
-    assert poly_product([X, p, Y ** 2, q], c).terms == {
-        (i + 1, j + 2, k): v * c for (i, j, k), v in
-        ref_terms_mul(a, b).items()}
-    assert poly_product([X, Y], c).terms == {(1, 1, 0): c}
+    assert terms_of(poly_product([X, p, Y ** 2, q], c)) == {
+        (i + 1, j + 2, h): tower.mul(v, k) for (i, j, h), v in ab.items()}
+    assert terms_of(poly_product([X, Y], c)) == {(1, 1, 0): k}
     for i in range(3):
-        assert partial(p, i).terms == ref_terms_partial(a, i)
+        assert terms_of(partial(p, i)) == ref_terms_partial(a, i)
 
 
 @settings(max_examples=60, deadline=None)
 @given(row_polys, st.tuples(*(elements,) * 3))
 def test_row_evaluate_matches_field_reference(p, point):
-    assert p.evaluate(point) == ref_terms_evaluate(p.terms, point)
+    assert p.evaluate(point).coords() == ref_terms_evaluate(
+        terms_of(p), [v.coords() for v in point])
 
 
 @settings(max_examples=40, deadline=None)
 @given(row_polys.filter(bool), row_polys.filter(bool))
 def test_row_division_matches_field_reference(p, q):
-    prod = MultiPoly(ref_terms_mul(p.terms, q.terms))
+    a = terms_of(p)
+    prod = _poly(tower.poly_mul(a, terms_of(q)))
     assert exact_divide(prod, q) == p
-    assert kth_root(MultiPoly(ref_terms_mul(p.terms, p.terms)), 2) in (p, -p)
+    assert kth_root(_poly(tower.poly_mul(a, a)), 2) in (p, -p)
     if p.degree > 0:
         with pytest.raises(NotDivisible):
             exact_divide(prod + 1, p)
@@ -508,14 +517,15 @@ def test_row_division_matches_field_reference(p, q):
        st.integers(0, 3))
 def test_row_divide_out_matches_field_reference(cov, q, k):
     f = MultiPoly.linear(*cov)
-    p = q.terms
+    lin = terms_of(f)
+    p = terms_of(q)
     for _ in range(k):
-        p = ref_terms_mul(p, f.terms)
-    e, cofactor = divide_out(MultiPoly(p), f)
+        p = tower.poly_mul(p, lin)
+    e, cofactor = divide_out(_poly(p), f)
     assert e >= k
-    back = cofactor.terms
+    back = terms_of(cofactor)
     for _ in range(e):
-        back = ref_terms_mul(back, f.terms)
+        back = tower.poly_mul(back, lin)
     assert back == p
 
 
@@ -523,15 +533,15 @@ def test_row_divide_out_matches_field_reference(cov, q, k):
 @given(row_polys, st.tuples(*(elements,) * 3),
        st.tuples(*(elements,) * 3).filter(any))
 def test_row_restriction_matches_field_reference(p, point, direction):
-    lin = [[a, b] for a, b in zip(point, direction)]
+    lin = [[a.coords(), b.coords()] for a, b in zip(point, direction)]
     total = []
-    for exp, c in p.terms.items():
+    for exp, c in terms_of(p).items():
         term = [c]
         for i in range(3):
             for _ in range(exp[i]):
                 term = ref_uni_mul(term, lin[i])
         total = ref_uni_add(total, term)
-    assert list(restrict_to_line(p, point, direction).coeffs) == total
+    assert coeffs_of(restrict_to_line(p, point, direction)) == total
 
 
 uni_lists = st.lists(elements, max_size=5) | st.builds(
@@ -544,21 +554,24 @@ uni_lists = st.lists(elements, max_size=5) | st.builds(
 @given(uni_lists, uni_lists, nonzero_elements, elements)
 def test_unipoly_rows_match_field_reference(fs, gs, c, v):
     f, g = UniPoly(fs), UniPoly(gs)
-    fs, gs = ref_uni_trim(fs), ref_uni_trim(gs)
-    assert list(f.coeffs) == fs
-    assert list((f + g).coeffs) == ref_uni_add(fs, gs)
-    assert list((f - g).coeffs) == ref_uni_add(fs, gs, -1)
-    assert list((-f).coeffs) == [-x for x in fs]
-    assert list((f * g).coeffs) == ref_uni_mul(fs, gs)
-    assert list((f * c).coeffs) == [x * c for x in fs]
-    assert list(f.derivative().coeffs) == [x * i for i, x in enumerate(fs)
-                                           if i]
-    assert f.evaluate(v) == ref_uni_evaluate(fs, v)
+    fs = ref_uni_trim([x.coords() for x in fs])
+    gs = ref_uni_trim([x.coords() for x in gs])
+    k = c.coords()
+    assert coeffs_of(f) == fs
+    assert coeffs_of(f + g) == ref_uni_add(fs, gs)
+    assert coeffs_of(f - g) == ref_uni_add(fs, gs, -1)
+    assert coeffs_of(-f) == [tower.neg(x) for x in fs]
+    assert coeffs_of(f * g) == ref_uni_mul(fs, gs)
+    assert coeffs_of(f * c) == [tower.mul(x, k) for x in fs]
+    assert coeffs_of(f.derivative()) == [tower.mul(x, tower.el(i))
+                                         for i, x in enumerate(fs) if i]
+    assert f.evaluate(v).coords() == ref_uni_evaluate(fs, v.coords())
     if fs:
-        assert list(f.monic().coeffs) == [x / fs[-1] for x in fs]
+        inv = tower.inverse(fs[-1])
+        assert coeffs_of(f.monic()) == [tower.mul(x, inv) for x in fs]
     if gs:
         q, r = f.divmod(g)
-        assert (list(q.coeffs), list(r.coeffs)) == ref_uni_divmod(fs, gs)
+        assert (coeffs_of(q), coeffs_of(r)) == ref_uni_divmod(fs, gs)
     assert resultant(f, g) == sylvester_resultant(f, g)
 
 
@@ -575,8 +588,8 @@ def test_unipoly_roots_gcd_and_interpolation_on_rows(rts, lc):
     nodes = [Fraction(i, 3) + i for i in range(len(rts))]
     poly = interpolate(nodes, rts)
     assert poly == lagrange_interpolate(nodes, rts)
-    assert [ref_uni_evaluate(list(poly.coeffs), FieldElement(x))
-            for x in nodes] == rts
+    assert [ref_uni_evaluate(coeffs_of(poly), tower.el(x))
+            for x in nodes] == [x.coords() for x in rts]
 
 
 @given(row_terms, row_exps)
@@ -595,6 +608,6 @@ def test_views_equality_and_hash(terms, e):
         assert p.leading() == (lead, p.terms[lead])
         assert p.sorted_terms()[0] == p.leading()
     u = UniPoly(list(terms.values()))
-    assert u.coeffs == tuple(ref_uni_trim(terms.values()))
+    assert coeffs_of(u) == ref_uni_trim([c.coords() for c in terms.values()])
     assert u == UniPoly(u.coeffs) and hash(u) == hash(u.coeffs)
     assert hessian(p).terms == hessian(MultiPoly(dict(p.terms))).terms
