@@ -5,8 +5,8 @@ complex torsion, all in exact arithmetic over Q(sqrt 5)(sin 2pi/5).
 """
 
 from .field import FieldElement, serialize_element, trig_constants
-from .mpoly import (MultiPoly, UniPoly, dehomogenize, exact_divide,
-                    homogenize, kth_root, restrict_to_line)
+from .mpoly import (MultiPoly, UniPoly, exact_divide, kth_root,
+                    restrict_to_line)
 from .exprs import parse_field_element as parse_element
 from .arrangement import (Arrangement, IntersectionPoint, Line, build,
                           builtin, delete, render_svg)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
                      ZeroCovector)
 from .field import (ONE, ZERO, FieldElement, normalize, order_keys,
                     rational_text, scalar_row, serialize_element,
                     trig_constants)
-from .mpoly import MultiPoly, dehomogenize
+from .mpoly import MultiPoly
 from .exprs import parse_field_element
 
 
@@ -371,59 +371,6 @@ def double_star_affine_covectors():
         (-(sin_2t - sin_t), cos_2t - cos_t, sin_t),
     ]
     return covs
-
-
-def double_star_data():
-    """Exact data of the double star: h1, h2, c, group resolution.
-
-    Returns a dict with the affine products of the two groups of five
-    lines, the printed polynomials h1 and h2 (with their 1/c normalization),
-    the constant c, and which label group multiplies to which h.  The
-    matching of the two 5-line groups against h1 and h2 is established by
-    exact computation, not assumed.
-    """
-    covs = double_star_affine_covectors()
-    forms = [dehomogenize(MultiPoly.linear(a, b, c)) for (a, b, c) in covs]
-    s = FieldElement(0, 0, 1)
-    c_const = (FieldElement(5) + FieldElement(0, 3)) * s \
-        * FieldElement(32) / FieldElement(125)
-
-    def _printed(sign):
-        # the parenthesized quintic with +/- sqrt(5) coefficients
-        f = FieldElement
-        x, y, z = (MultiPoly.variable(v) for v in "xyz")
-        sq5 = f(0, 1) if sign > 0 else -f(0, 1)
-        return (x ** 5 * f(2) / f(5) - x ** 3 * y ** 2 * 4 + x * y ** 4 * 2
-                + x ** 4 * (1 + sq5) / f(2) + x ** 2 * y ** 2 * (1 + sq5)
-                + y ** 4 * (1 + sq5) / f(2)
-                - x ** 2 * (2 + sq5) - y ** 2 * (2 + sq5)
-                + MultiPoly.constant((f(11) + sq5 * 5) / f(10)))
-
-    p1 = _printed(+1)
-    p2 = _printed(-1)
-    cinv = c_const.inverse()
-    h1 = p1.scale(cinv)
-    h2 = p2.scale(cinv)
-    prod_first, prod_last = prod(forms[:5]), prod(forms[5:])
-    if prod_last == h1 and prod_first == h2:
-        h1_group, h2_group = ["l6", "l7", "l8", "l9", "l10"], \
-            ["l1", "l2", "l3", "l4", "l5"]
-    elif prod_first == h1 and prod_last == h2:
-        h1_group, h2_group = ["l1", "l2", "l3", "l4", "l5"], \
-            ["l6", "l7", "l8", "l9", "l10"]
-    else:
-        raise AssertionError("line groups do not match h1/h2")
-    return {
-        "h1": h1,
-        "h2": h2,
-        "printed_poly_1": p1,
-        "printed_poly_2": p2,
-        "c": c_const,
-        "h1_group": h1_group,
-        "h2_group": h2_group,
-        "product_first_five": prod_first,
-        "product_last_five": prod_last,
-    }
 
 
 def _double_star_lines(include_infinity: bool):

@@ -23,10 +23,10 @@ Its roots in K, those of its squarefree part, are found through an inert
 prime (mpoly.uni_roots, field.row_roots).  A line lies in a fiber only if
 exact division of the fiber by it (mpoly.divide_out) succeeds, so a
 per-line lambda that no other search found is a candidate only if one of
-its lines divides its fiber, and that first quotient travels with it.
-Each candidate carries its lines, the fixed lines and those given its
-lambda, and its fiber is divided by those alone; the report's removed
-fibers, multiple fibers and class are read off the analyzed fibers.
+its lines divides its fiber.  Each candidate carries its lines, the fixed
+lines and those given its lambda, and its fiber is divided by those alone;
+the report's removed fibers, multiple fibers and class are read off the
+analyzed fibers.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -292,59 +292,48 @@ def _line_fibers(A: Arrangement, pencil: Pencil):
 
 
 def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
-    """Sound candidate list of special parameters, as (lam, lines, peeled)
-    triples in lambda_key order.
+    """Sound candidate list of special parameters, as (lam, lines) pairs in
+    lambda_key order.
 
     The candidates are the two base members [0:1], [1:0], the parameters
     of the fibers through the zeros of the pencil's Jacobian form on a
     probe line (_discriminant_lambdas), caller extras, and each other
     per-line lambda whose fiber a line given it divides (_line_fibers).
     lines are the fixed lines and the lines given lam, the only lines that
-    can lie in its fiber.  peeled is (i, e, quotient) for a lambda found
-    by dividing its fiber by line i, e times, and None otherwise.
+    can lie in its fiber.
     """
     if is_proportional(pencil.g1, pencil.g2):
         raise DegeneratePencil("g1 and g2 are proportional")
     on_line, fixed = _line_fibers(A, pencil)
-    found = {normalize_lambda(lam): None for lam in chain(
+    found = {normalize_lambda(lam) for lam in chain(
         ((ZERO, ONE), (ONE, ZERO)), _discriminant_lambdas(pencil), extra)}
     for lam, lines in on_line.items():
         if lam not in found:
             fiber = fiber_polynomial(pencil, lam)
-            for i in lines:
-                e, quotient = divide_out(fiber, A.lines[i].linear_form())
-                if e:
-                    found[lam] = (i, e, quotient)
-                    break
-    return [(lam, fixed + on_line.get(lam, []), found[lam])
+            if any(divides(A.lines[i].linear_form(), fiber) for i in lines):
+                found.add(lam)
+    return [(lam, fixed + on_line.get(lam, []))
             for lam in sorted(found, key=lambda_key)]
 
 
 # -- per-fiber analysis -----------------------------------------------------
 
-def analyze_fiber(A: Arrangement, pencil: Pencil, lam, lines,
-                  peeled=None) -> FiberAnalysis:
+def analyze_fiber(A: Arrangement, pencil: Pencil, lam, lines) -> FiberAnalysis:
     """Peel arrangement lines off the fiber over lam and find its mu.
 
     lines are the indices of the lines to try, as lambda_candidates gives
     them or range(A.n); a line outside them must not divide the fiber, and
     a line among them that does not divide it peels with exponent 0 and is
-    not reported.  peeled, as lambda_candidates gives it, is (i, e, the
-    fiber over line i to the e) for a line i already peeled.
+    not reported.
     """
     lam = normalize_lambda(lam)
-    if peeled is None:
-        residual, parts = fiber_polynomial(pencil, lam), []
-        if residual.is_zero:
-            raise DegeneratePencil("fiber polynomial vanished identically")
-    else:
-        i, e, residual = peeled
-        lines, parts = [j for j in lines if j != i], [(i, e)]
+    residual, parts = fiber_polynomial(pencil, lam), []
+    if residual.is_zero:
+        raise DegeneratePencil("fiber polynomial vanished identically")
     for i in sorted(lines):
         e, residual = divide_out(residual, A.lines[i].linear_form())
         if e:
             parts.append((i, e))
-    parts.sort()
     # mu: the largest k with residual = lc * root^k for a monic root; as
     # lc * root^k has degree k * deg(root), only the k dividing the degree
     _, lc = residual.leading()

@@ -502,12 +502,6 @@ def scalar_inverse(inverse, den: int):
     return (den * y[0], den * y[1], den * y[2], den * y[3]), n
 
 
-def to_ints(x: FieldElement) -> tuple:
-    """(a, b, c, d, den) with x = (a + b*r + c*t + d*r*t)/den, t = 4s,
-    den > 0 and the five integers coprime: the canonical row, as stored."""
-    return x._v
-
-
 def from_ints(a: int, b: int, c: int, d: int, den: int) -> FieldElement:
     """The element (a + b*r + c*t + d*r*t)/den, t = 4s, for integers with
     den != 0, reduced to its canonical form."""

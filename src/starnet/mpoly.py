@@ -8,7 +8,7 @@ Coefficients are stored as field's integer rows over one denominator per
 polynomial (Cohen, A Course in Computational Algebraic Number Theory, 4.2):
 a row (a, b, c, d) over the polynomial's den > 0 is the coefficient
 (a + b*r + c*t + d*r*t)/den on the basis {1, r, t, r*t}, t = 4s, as
-field.to_ints gives an element.  Every scalar kernel is field's, on the
+field.scalar_row reads an element.  Every scalar kernel is field's, on the
 same rows (reading, product, inverse, power, evaluation and roots), so a
 sum or product of polynomials is integer arithmetic on rows.  A
 polynomial is canonical: no zero row, den > 0, and the integers of all
@@ -716,30 +716,6 @@ def hessian(p: MultiPoly) -> MultiPoly:
     a, b, c = (partial(px, i) for i in range(3))
     e, f, i = partial(py, 1), partial(py, 2), partial(pz, 2)
     return a * (e * i - f * f) - b * (b * i - c * f) + c * (b * f - c * e)
-
-
-# -- homogenization ---------------------------------------------------------
-
-def homogenize(p: MultiPoly, target_deg: int | None = None) -> MultiPoly:
-    """The form of degree target_deg, p's degree by default, that is p at
-    z = 1, for p in x and y."""
-    if any(exp[2] for exp in p._rows):
-        raise ValueError("homogenize takes a polynomial in x and y")
-    deg = max(p.degree, 0)
-    if target_deg is None:
-        target_deg = deg
-    elif target_deg < deg:
-        raise ValueError("target degree below the degree of the input")
-    return _wrap({(a, b, target_deg - a - b): x
-                  for (a, b, _), x in p._rows.items()}, p._den)
-
-
-def dehomogenize(p: MultiPoly) -> MultiPoly:
-    """Substitute z = 1."""
-    out = {}
-    for (a, b, _), x in p._rows.items():
-        _add_into(out, {(a, b, 0): x})
-    return _poly(out, p._den)
 
 
 # -- univariate polynomials over the field ---------------------------------

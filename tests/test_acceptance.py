@@ -10,10 +10,11 @@ import time
 from fractions import Fraction
 
 from starnet.aomoto import aomoto_complex, h2_torsion, snf
-from starnet.arrangement import builtin, double_star_data
+from starnet.arrangement import builtin
+from starnet.exprs import parse_field_element, parse_poly
 from starnet.field import FieldElement
 from starnet.fibration import analyze, pointed_vs_fiber, translated_component
-from starnet.mpoly import MultiPoly, X, Y, Z, exact_divide, homogenize, kth_root
+from starnet.mpoly import MultiPoly, X, Y, Z, exact_divide, kth_root
 from starnet.multinet import (builtin_pencil, enumerate_multinets,
                               find_pointed, multinet_pencil)
 
@@ -26,18 +27,24 @@ def _verdict(num, desc, ok):
     assert ok, f"criterion {num} failed: {desc}"
 
 
+# The paper's printed quintics c*h1 (S5 = r) and c*h2 (S5 = -r), r = sqrt 5:
+# with w = z they are forms, with w = 1 affine polynomials.
+_PRINTED = ("2/5*x^5 - 4*x^3*y^2 + 2*x*y^4 + (1 + S5)/2*x^4*w"
+            " + (1 + S5)*x^2*y^2*w + (1 + S5)/2*y^4*w - (2 + S5)*x^2*w^3"
+            " - (2 + S5)*y^2*w^3 + (11 + 5*S5)/10*w^5")
+_C = "32/125*(5 + 3*r)*s"
+
+
+def _printed(sqrt5, w):
+    return parse_poly(_PRINTED.replace("S5", sqrt5).replace("w", w))
+
+
 def test_criterion_1_group_products():
     start = time.monotonic()
-    d = double_star_data()
-    prods = {"first": d["product_first_five"], "last": d["product_last_five"]}
-    group_of = {"h1": d["h1_group"], "h2": d["h2_group"]}
-    ok = True
-    for h_name, printed in (("h1", d["printed_poly_1"]),
-                            ("h2", d["printed_poly_2"])):
-        prod = prods["first" if "l1" in group_of[h_name] else "last"]
-        ok = ok and prod.scale(d["c"]) == printed
-    ok = ok and sorted(d["h1_group"] + d["h2_group"]) == sorted(
-        f"l{i}" for i in range(1, 11))
+    c = parse_field_element(_C)
+    pen = builtin_pencil("double_star")  # g1 = l1 ... l5, g2 = l6 ... l10
+    ok = (pen.g2.scale(c) == _printed("r", "z")
+          and pen.g1.scale(c) == _printed("(-r)", "z"))
     elapsed = time.monotonic() - start
     _verdict(1, "5-line group products equal c*h1 and c*h2 exactly "
                 f"({elapsed:.2f}s)", ok and elapsed < 1.0)
@@ -45,13 +52,16 @@ def test_criterion_1_group_products():
 
 def test_criterion_2_key_identity():
     start = time.monotonic()
-    d = double_star_data()
-    sq5_over_c = FieldElement(0, 1) * d["c"].inverse()
+    c = parse_field_element(_C)
+    sq5_over_c = FieldElement(0, 1) * c.inverse()
+
+    def h1_minus_h2(w):
+        return (_printed("r", w) - _printed("(-r)", w)).scale(c.inverse())
+
     q = X * X + Y * Y - MultiPoly.constant(1)
-    affine_ok = d["h1"] - d["h2"] == (q * q).scale(sq5_over_c)
+    affine_ok = h1_minus_h2("1") == (q * q).scale(sq5_over_c)
     qh = X * X + Y * Y - Z * Z
-    hom_ok = (homogenize(d["h1"], 5) - homogenize(d["h2"], 5)
-              == (Z * qh * qh).scale(sq5_over_c))
+    hom_ok = h1_minus_h2("z") == (Z * qh * qh).scale(sq5_over_c)
     elapsed = time.monotonic() - start
     _verdict(2, "h1 - h2 and its homogenization match the key identity "
                 f"({elapsed:.2f}s)", affine_ok and hom_ok and elapsed < 1.0)

@@ -18,7 +18,6 @@ from starnet.arrangement import (BUILTIN_NAMES, Arrangement, Line,
                                  arrangement_from_json,
                                  arrangement_to_json, build, builtin, delete,
                                  double_star_affine_covectors,
-                                 double_star_data,
                                  load_arrangement, render_svg)
 from starnet.cli import main
 from starnet.errors import DuplicateLine, ParseError, UnknownBuiltin
@@ -357,13 +356,6 @@ def test_double_star_line3_is_vertical():
     a, b, c = (float(v) for v in ln.covector)
     assert abs(b) < 1e-15
     assert abs((-c / a) - (math.sqrt(5) - 1) / 4) < 1e-12
-
-
-def test_double_star_groups_share_a_pencil_structure():
-    d = double_star_data()
-    assert sorted(d["h1_group"] + d["h2_group"]) == sorted(
-        f"l{i}" for i in range(1, 11))
-    assert len(set(d["h1_group"]) & set(d["h2_group"])) == 0
 
 
 def test_duplicate_line_rejected():

@@ -20,7 +20,7 @@ from starnet.fibration import (_PROBES, _discriminant_lambdas,
                                analyze_fiber, fiber_polynomial,
                                lambda_candidates, lambda_key,
                                normalize_lambda,
-                               orbifold_v1_shape, pointed_vs_fiber,
+                               orbifold_v1_shape, pointed_vs_fiber, radical,
                                splits_into_linear_factors,
                                translated_component)
 from starnet.multinet import (Pencil, builtin_pencil, enumerate_multinets,
@@ -65,7 +65,7 @@ def test_b3_candidates_cover_special_fibers():
     A = builtin("b3")
     pen = builtin_pencil("b3")
     keys = {tuple(str(c) for c in lam)
-            for lam, _, _ in lambda_candidates(A, pen)}
+            for lam, _ in lambda_candidates(A, pen)}
     assert {("0", "1"), ("1", "0"), ("1", "1")} <= keys
 
 
@@ -290,7 +290,7 @@ def _keys(lams):
 
 
 def _candidate_keys(A, pencil):
-    return {lambda_key(lam) for lam, _, _ in lambda_candidates(A, pencil)}
+    return {lambda_key(lam) for lam, _ in lambda_candidates(A, pencil)}
 
 
 def _check_within_reference(pencil):
@@ -531,9 +531,9 @@ def check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed):
     except DegeneratePencil:
         return
     fibers = tuple(analyze_fiber(A, pen, lam, lines)
-                   for lam, lines, _ in candidates)
+                   for lam, lines in candidates)
     assert fibers == tuple(analyze_fiber(A, pen, lam, range(n))
-                           for lam, _, _ in candidates)
+                           for lam, _ in candidates)
     assert analyze(A, pen).fibers == fibers
 
 
@@ -722,6 +722,16 @@ def test_squares_of_line_products_split():
     assert not splits_into_linear_factors(X ** 4 + Y ** 4 + Z ** 4)
     assert not splits_into_linear_factors(conic * conic)
     assert not splits_into_linear_factors((conic * l1 * l1) ** 2)
+
+
+def test_radical_interpolates_a_curved_component():
+    # no restriction of these is squarefree, so radical interpolates a form
+    # with a component of degree 2
+    conic = X * X + Y * Y - Z * Z
+    assert not splits_into_linear_factors(conic ** 2 * X)
+    assert is_proportional(radical(conic ** 2 * X), X * conic)
+    # lines over C, not over K
+    assert splits_into_linear_factors((X * X + Y * Y) ** 2 * Z)
 
 
 heights = st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15),

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import tower
 from oracles import ref_sign
 from starnet import parse_element
-from starnet.field import (FieldElement, from_ints, normalize,
-                           serialize_element, to_ints, trig_constants)
+from starnet.field import (FieldElement, from_ints, normalize, scalar_row,
+                           serialize_element, trig_constants)
 from starnet.mpoly import MultiPoly
 
 rationals = st.builds(Fraction,
@@ -92,12 +92,12 @@ def test_embedding_is_a_homomorphism(a):
 def test_integer_constructor_matches_the_general_path(n):
     """FieldElement(n) for an int sets its tuple directly; a bool is not
     an int for that path, and both give the general path's tuple."""
-    general = to_ints(FieldElement(Fraction(n)))
+    general = _canonical_row(FieldElement(Fraction(n)))
     assert general == (int(n), 0, 0, 0, 1)
     for x in (FieldElement(n), FieldElement(n, 0, 0, 0),
               FieldElement(n, Fraction(0))):
-        assert to_ints(x) == general
-        assert all(type(v) is int for v in to_ints(x))
+        assert _canonical_row(x) == general
+        assert all(type(v) is int for v in _canonical_row(x))
 
 
 def test_integer_constructor_still_checks_its_arguments():
@@ -110,7 +110,7 @@ def test_integer_constructor_still_checks_its_arguments():
         FieldElement(1, 0.0)
     with pytest.raises(TypeError):
         FieldElement(1, FieldElement(0))
-    assert to_ints(FieldElement(2, 1)) == (2, 1, 0, 0, 1)
+    assert _canonical_row(FieldElement(2, 1)) == (2, 1, 0, 0, 1)
 
 
 def test_trig_constants_numeric():
@@ -239,8 +239,15 @@ def test_pow_negative():
     assert a ** 0 == FieldElement(1)
 
 
+def _canonical_row(x):
+    """(a, b, c, d, den), x's canonical row and den as scalar_row reads
+    them."""
+    row, den = scalar_row(x)
+    return (*row, den)
+
+
 def _assert_canonical(x):
-    *nums, den = to_ints(x)
+    *nums, den = _canonical_row(x)
     assert den > 0
     assert math.gcd(*nums, den) == 1
 
@@ -251,9 +258,9 @@ def _assert_canonical(x):
 @example(S)
 @example(FieldElement(0, 0, Fraction(1, 2), Fraction(-3, 4)))
 def test_to_ints_is_the_canonical_t_row(x):
-    """to_ints(x) is the row (a, b, c, d) over den on {1, r, t, r*t},
+    """scalar_row(x) is the row (a, b, c, d) over den on {1, r, t, r*t},
     t = 4s, as mpoly stores it, and both ways back give x."""
-    a, b, c, d, den = to_ints(x)
+    a, b, c, d, den = _canonical_row(x)
     assert x * den == a + b * R + 4 * c * S + 4 * d * R * S
     _assert_canonical(x)
     assert from_ints(a, b, c, d, den) == x

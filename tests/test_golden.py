@@ -47,6 +47,12 @@ CASES = {
     # third, (1:1:0), puts z in the fiber over [1:1], z^2
     "analyze_b3_z_squared": ("analyze", "--builtin", "b3",
                              "--pencil", "x*y; x*y+z^2"),
+    # the composite pencil: its resultant R(lambda), of degree 2, has the
+    # roots 1 and 9 + 4*r, the fibers [1:1] (y^2) and [1 : 9 - 4*r]
+    # ((x - z)^2), which row_roots splits apart mod p
+    "analyze_b3_composite": ("analyze", "--builtin", "b3", "--pencil",
+                             "x^2-2*x*z+(-5-2*r)*y^2+z^2; "
+                             "x^2-2*x*z+(-5+2*r)*y^2+z^2"),
     "analyze_b3_from_multinet": ("analyze", "--builtin", "b3",
                                  "--from-multinet", "0", "--max-mult", "2"),
     "multinets_b3_mult2": ("multinets", "--builtin", "b3", "--max-mult", "2"),
@@ -92,6 +98,22 @@ def test_analyze_uses_no_floating_point(monkeypatch, capsys):
     assert kth_root((2 * X * Y + Z * Z) ** 3, 3) == 2 * X * Y + Z * Z
     x = field.FieldElement(3, -2, 5, 7)
     assert (x ** 3).kth_root(3) == x and (x * x).sqrt() == x
+
+
+def test_composite_pencil_splits_a_quadratic(monkeypatch, capsys):
+    # the only case on the nonlinear path of row_roots: the others split a
+    # g of degree at most 1
+    degrees = []
+    split = field._Ring.split
+
+    def recording(ring, g, rng):
+        degrees.append(len(g) - 1)
+        return split(ring, g, rng)
+
+    monkeypatch.setattr(field._Ring, "split", recording)
+    assert main([*CASES["analyze_b3_composite"], "--format", "json"]) == 0
+    capsys.readouterr()
+    assert max(degrees) == 2
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ Modules import only from lower layers, in the order
 
 (__init__ re-exports from all of them).  No module imports a private name
 of another, and every import sits at module level, not in a function.
-Nothing is dead: every module-level import is used in its module, and
-every private module-level def, class or assigned name is used in the
-package.  Every
-absolute import is of the standard library: the package has no runtime
-dependency.  The tests' reference arithmetic for K, perfbench/tower.py,
-loads no module of the package.
+Nothing is dead: every module-level import is used in its module, every
+private module-level def, class or assigned name is used in the package,
+and every public module-level def or class is used in the package or
+re-exported by __init__, so the package holds no code that only tests
+call.  Every absolute import is of the standard library: the package has
+no runtime dependency.  The tests' reference arithmetic for K,
+perfbench/tower.py, loads no module of the package.
 """
 
 import ast
@@ -106,18 +107,42 @@ def _defined(node):
             if isinstance(n, ast.Name)]
 
 
+def _tops():
+    """(module, statement, the names it uses or imports) for each
+    module-level statement of the package."""
+    return [(module, node, _names_used(node) | {
+                alias.name for n in ast.walk(node)
+                if isinstance(n, ast.ImportFrom) for alias in n.names})
+            for module, tree in _trees().items() for node in tree.body]
+
+
+def _named_elsewhere(name, node, tops):
+    return any(name in names for _, other, names in tops if other is not node)
+
+
 def test_every_private_definition_is_used():
     """A private module-level def, class or assigned name is named by code
     outside its own statement, in its module or another one of the
     package."""
-    tops = [(module, node, _names_used(node))
-            for module, tree in _trees().items() for node in tree.body]
+    tops = _tops()
     for module, node, _ in tops:
         for name in _defined(node):
             if name.startswith("_") and not name.startswith("__"):
-                assert any(name in names
-                           for _, other, names in tops if other is not node), \
+                assert _named_elsewhere(name, node, tops), \
                     f"{module}.py:{node.lineno}: nothing uses {name}"
+
+
+def test_every_public_definition_is_reached():
+    """A public module-level def or class is named by package code outside
+    its own statement: in its module, in another module, or in __init__'s
+    re-exports.  cli's cmd_* are exempt, as main looks them up by name."""
+    tops = _tops()
+    for module, node, _ in tops:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                not node.name.startswith("_") and \
+                not (module == "cli" and node.name.startswith("cmd_")):
+            assert _named_elsewhere(node.name, node, tops), \
+                f"{module}.py:{node.lineno}: nothing reaches {node.name}"
 
 
 def test_tower_loads_no_starnet_module():

@@ -12,11 +12,11 @@ from starnet import field, mpoly
 from starnet.errors import NotAPower, NotDivisible
 from starnet.exprs import parse_poly
 from starnet.field import ZERO, FieldElement
-from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, dehomogenize,
-                           divide_out, divides, exact_divide, hessian,
-                           homogenize, interpolate, is_proportional, kth_root,
-                           partial, poly_product, poly_sum, restrict_to_line,
-                           resultant, squarefree_part, uni_gcd, uni_roots)
+from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
+                           exact_divide, hessian, interpolate, is_proportional,
+                           kth_root, partial, poly_product, poly_sum,
+                           restrict_to_line, resultant, squarefree_part,
+                           uni_gcd, uni_roots)
 
 import tower
 from oracles import (coeffs_of, lagrange_interpolate, ref_divide_out,
@@ -271,26 +271,6 @@ def test_divide_out_takes_only_a_linear_form():
             divide_out(p, f)
     with pytest.raises(ValueError):
         divide_out(MultiPoly(), X)
-
-
-@given(polys)
-def test_homogenize_round_trip(p):
-    if p.is_zero:
-        return
-    # kill z so the affine polynomial determines the homogenization
-    affine = MultiPoly({(e[0], e[1], 0): c for e, c in p.terms.items()})
-    if affine.is_zero:
-        return
-    h = homogenize(affine)
-    assert h.is_homogeneous
-    assert dehomogenize(h) == affine
-
-
-def test_homogenize_rejects_z():
-    # x + x*z and x*z - x would each collapse onto one term x*z
-    for p in (X + X * Z, X * Z - X):
-        with pytest.raises(ValueError, match="in x and y"):
-            homogenize(p)
 
 
 homogeneous_polys = st.integers(min_value=0, max_value=4).flatmap(
