@@ -164,8 +164,7 @@ def cmd_multinets(args) -> int:
     results = []
     for net in nets:
         doc = net.describe()
-        doc["pointed_lines"] = [A.lines[i].label
-                                for i in find_pointed(A, net)]
+        doc["pointed_lines"] = [A.lines[i].label for i in find_pointed(net)]
         results.append(doc)
     report = {
         "command": "multinets",
@@ -195,7 +194,7 @@ def _resolve_pencil(args, A) -> Pencil:
         if not 0 <= args.from_multinet < len(nets):
             raise UsageError(
                 f"--from-multinet index out of range: {len(nets)} found")
-        return multinet_pencil(A, nets[args.from_multinet])
+        return multinet_pencil(nets[args.from_multinet])
     raise UsageError("a pencil is required: --pencil or --from-multinet")
 
 

@@ -4,11 +4,17 @@ A multinet is a partition of the lines into k >= 3 classes with positive
 multiplicities whose class polynomials all lie in one pencil
 (Falk-Yuzvinsky).  The base locus is derived, not supplied: it is exactly
 the set of intersection points meeting lines from at least two classes,
-which makes the cross-class condition definitional.  Condition (c) asks for
-one n_x at each base point over every class, so the base locus meets all k
-classes.  A base point therefore has multiplicity >= k >= 3, and the two
-lines through a double point always share a class: the search enumerates
-partitions of these forced blocks of lines, not of single lines.
+which makes the cross-class condition definitional, and one helper,
+_base_locus, computes it for the checker and the enumerator.  Condition (c)
+asks for one n_x at each base point over every class, so the base locus
+meets all k classes.  A base point therefore has multiplicity >= k >= 3,
+and the two lines through a double point always share a class: the search
+enumerates partitions of these forced blocks of lines, not of single lines.
+
+check_multinet returns one record, MultinetReport: the five conditions with
+their witnesses, and the Multinet when all of them hold.  The enumerator
+checks each solution with it.  A Multinet carries its arrangement, so
+find_pointed, class_polynomial and multinet_pencil take the multinet alone.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ def _resolve_mult(A: Arrangement, mult):
         vals = [None] * A.n
         for key, v in mult.items():
             idx = key if isinstance(key, int) else A.index_of(key)
+            if idx not in range(A.n) or vals[idx] is not None:
+                raise NotAPartition(f"multiplicity key {key!r} names no "
+                                    f"line, or a line given before")
             vals[idx] = v
         if any(v is None for v in vals):
             raise NotAPartition("multiplicity map does not cover every line")
@@ -60,12 +69,6 @@ class Multinet(namedtuple("Multinet", "arrangement classes mult kappa "
     def k(self) -> int:
         return len(self.classes)
 
-    def class_of(self, line_index: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if line_index in cls:
-                return i
-        raise ValueError(f"line {line_index} not in any class")
-
     def describe(self) -> dict:
         A = self.arrangement
         return {
@@ -78,42 +81,25 @@ class Multinet(namedtuple("Multinet", "arrangement classes mult kappa "
         }
 
 
-class MultinetReport:
-    """Outcome of checking the five multinet conditions, with witnesses."""
-
-    def __init__(self, arrangement, classes, mult):
-        self.arrangement = arrangement
-        self.classes = classes
-        self.mult = mult
-        self.conditions = {}
-        self.kappa = None
-        self.base_locus = ()
-        self.n_x = {}
+class MultinetReport(namedtuple("MultinetReport", "conditions multinet")):
+    """conditions: "a"-"e" -> (holds, witness); multinet: the Multinet when
+    all five hold, else None."""
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
-        return all(ok for ok, _ in self.conditions.values())
-
-    def set(self, cond, ok, witness=None):
-        self.conditions[cond] = (ok, witness)
+        return self.multinet is not None
 
     def to_multinet(self) -> Multinet:
-        if not self.valid:
+        if self.multinet is None:
             raise ValueError("not a valid multinet")
-        return Multinet(self.arrangement, self.classes, self.mult,
-                        self.kappa, self.base_locus, dict(self.n_x))
-
-    def describe(self) -> dict:
-        return {
-            "valid": self.valid,
-            "conditions": {c: {"holds": ok, "witness": w}
-                           for c, (ok, w) in sorted(self.conditions.items())},
-            "kappa": self.kappa,
-            "base_locus_size": len(self.base_locus),
-        }
+        return self.multinet
 
 
 def check_multinet(A: Arrangement, classes, mult) -> MultinetReport:
+    """The five conditions (a)-(e) on A, each with its witness, and the
+    Multinet when all of them hold.  Lines are named by label or index; mult
+    is a map over the lines or a vector."""
     classes = _resolve_classes(A, classes)
     mult = _resolve_mult(A, mult)
     flat = [i for cls in classes for i in cls]
@@ -126,58 +112,41 @@ def check_multinet(A: Arrangement, classes, mult) -> MultinetReport:
     if any(not isinstance(m, int) or m < 1 for m in mult):
         raise NonPositiveMultiplicity("multiplicities must be positive ints")
 
-    report = MultinetReport(A, classes, mult)
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for i in cls:
-            class_of[i] = ci
-
+    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
     points = A.lattice()
-    base = []
-    for pi, pt in enumerate(points):
-        if len({class_of[i] for i in pt.incident}) >= 2:
-            base.append(pi)
-    base_set = set(base)
-    report.base_locus = tuple(base)
-
-    # (b) holds by construction of the base locus: every point on lines of
-    # two or more classes is in it.
-    report.set("b", True, "base locus derived as all cross-class points")
-
-    # (a) equal class weights
+    base = tuple(_base_locus(points, class_of, 2))
     weights = [sum(mult[i] for i in cls) for cls in classes]
-    if len(set(weights)) == 1:
-        report.kappa = weights[0]
-        report.set("a", True)
-    else:
-        report.set("a", False, {"class_weights": weights})
+    equal = len(set(weights)) == 1
 
     # (c) n_x is the same for every class, absent classes counting 0: the
     # base locus meets all k classes
-    ok_c = True
+    n_x = {}
     witness_c = None
     for pi in base:
         sums = [0] * len(classes)
         for i in points[pi].incident:
             sums[class_of[i]] += mult[i]
-        if len(set(sums)) == 1:
-            report.n_x[pi] = sums[0]
-        else:
-            ok_c = False
+        if len(set(sums)) > 1:
             witness_c = {"point": repr(points[pi]),
                          "class_sums": dict(enumerate(sums))}
             break
-    report.set("c", ok_c, witness_c)
+        n_x[pi] = sums[0]
 
-    # (d) each class connected through intersections outside the base locus
-    split = _disconnected_class(A, classes, base_set)
-    report.set("d", split is None, None if split is None else
-               {"class": split[0], "components": split[1]})
-
-    # (e) gcd of all multiplicities is 1
+    split = _disconnected_class(A, classes, set(base))
     g = gcd(*mult)
-    report.set("e", g == 1, None if g == 1 else {"gcd": g})
-    return report
+    # (a) equal class weights; (b) holds by construction of the base locus;
+    # (d) each class connected through points off it; (e) gcd 1
+    conditions = {
+        "a": (equal, None if equal else {"class_weights": weights}),
+        "b": (True, "base locus derived as all cross-class points"),
+        "c": (witness_c is None, witness_c),
+        "d": (split is None, None if split is None else
+              {"class": split[0], "components": split[1]}),
+        "e": (g == 1, None if g == 1 else {"gcd": g}),
+    }
+    valid = all(ok for ok, _ in conditions.values())
+    return MultinetReport(conditions, Multinet(
+        A, classes, mult, weights[0], base, n_x) if valid else None)
 
 
 def _disconnected_class(A: Arrangement, classes, base_set):
@@ -278,7 +247,9 @@ def _mult_constraints(A, classes, base, class_of):
 
 def _base_locus(points, class_of, k):
     """Positions of the points meeting two or more classes, or None as soon
-    as one of them misses a class, which no multiplicities can repair."""
+    as one of them meets fewer than k classes, which no multiplicities can
+    repair.  With k = 2 nothing is cut: the result is the whole base locus,
+    as check_multinet takes it."""
     base = []
     for pi, pt in enumerate(points):
         met = len({class_of[i] for i in pt.incident})
@@ -319,9 +290,9 @@ def enumerate_multinets(A: Arrangement, max_k: int = 4, max_mult: int = 4):
         rows = _mult_constraints(A, classes, base, class_of)
         basis = _nullspace(rows, n)
         for m in _integer_solutions(basis, n, max_mult):
-            report = check_multinet(A, classes, m)
-            if report.valid:
-                results.append(report.to_multinet())
+            net = check_multinet(A, classes, m).multinet
+            if net is not None:
+                results.append(net)
     return results
 
 
@@ -362,12 +333,12 @@ def _integer_solutions(basis, n, max_mult):
 
 # -- pointed multinets ------------------------------------------------------
 
-def find_pointed(A: Arrangement, net: Multinet):
-    """Indices of lines H with m_H > 1 and m_H | n_x at every base point on H."""
-    points = A.lattice()
+def find_pointed(net: Multinet):
+    """Indices of the lines H of net's arrangement with m_H > 1 and m_H | n_x
+    at every base point on H."""
+    points = net.arrangement.lattice()
     out = []
-    for i in range(A.n):
-        m = net.mult[i]
+    for i, m in enumerate(net.mult):
         if m <= 1:
             continue
         ok = True
@@ -400,8 +371,10 @@ class Pencil(namedtuple("Pencil", "g1 g2 combos")):
         return self.g1.degree
 
 
-def class_polynomial(A: Arrangement, net: Multinet, ci: int) -> MultiPoly:
-    return prod((A.lines[i].linear_form() ** net.mult[i]
+def class_polynomial(net: Multinet, ci: int) -> MultiPoly:
+    """The product of l_H ** m_H over the lines H of net's class ci."""
+    lines = net.arrangement.lines
+    return prod((lines[i].linear_form() ** net.mult[i]
                  for i in net.classes[ci]), start=MultiPoly.constant(1))
 
 
@@ -426,14 +399,14 @@ def _solve_combo(g1: MultiPoly, g2: MultiPoly, gi: MultiPoly):
     return None
 
 
-def multinet_pencil(A: Arrangement, net: Multinet) -> Pencil:
-    """The pencil spanned by the first two class polynomials.
+def multinet_pencil(net: Multinet) -> Pencil:
+    """The pencil spanned by net's first two class polynomials.
 
     Every further class polynomial must be an exact field-linear combination
     of the first two; failure signals input that is not a multinet in the
     pencil sense.
     """
-    gs = [class_polynomial(A, net, ci) for ci in range(net.k)]
+    gs = [class_polynomial(net, ci) for ci in range(net.k)]
     g1, g2 = gs[0], gs[1]
     if is_proportional(g1, g2):
         raise NotAPencil("the first two class polynomials are proportional")

@@ -95,12 +95,12 @@ def test_criterion_4_b3_chain():
     ok = len(nets) == 1
     net = nets[0]
     ok = ok and net.k == 3 and net.kappa == 4
-    pen = multinet_pencil(A, net)
+    pen = multinet_pencil(net)
     rep = analyze(A, pen)
     ok = ok and rep.k == 3
     removed = {tuple(str(c) for c in lam) for lam in rep.removed}
     ok = ok and removed == {("0", "1"), ("1", "0"), ("1", "1")}
-    pointed = {A.lines[i].label for i in find_pointed(A, net)}
+    pointed = {A.lines[i].label for i in find_pointed(net)}
     ok = ok and "z" in pointed
     B = builtin("b3_del_z")
     rep_b = analyze(B, pen)
@@ -159,7 +159,7 @@ def test_criterion_7_oracle_equivalences():
         found = {(net.classes, net.mult) for net in nets}
         ok = ok and found == exhaustive_multinets(A, max_mult=2)
         for net in nets:
-            multinet_pencil(A, net)  # raises unless the classes span a pencil
+            multinet_pencil(net)  # raises unless the classes span a pencil
     # (b) SNF vs determinantal divisors on random matrices
     for _ in range(50):
         M = [[rng.randint(-8, 8) for _ in range(rng.randint(1, 5))]]

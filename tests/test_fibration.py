@@ -126,7 +126,7 @@ def test_double_star_small_not_explained():
 
 def _b3_multinet_pencil():
     A = builtin("b3")
-    return A, multinet_pencil(A, enumerate_multinets(A, max_mult=2)[0])
+    return A, multinet_pencil(enumerate_multinets(A, max_mult=2)[0])
 
 
 @pytest.mark.parametrize("setup", [

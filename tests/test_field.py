@@ -257,7 +257,7 @@ def _assert_canonical(x):
                  st.builds(lambda x, y: x + y * S, near_zero, near_zero)))
 @example(S)
 @example(FieldElement(0, 0, Fraction(1, 2), Fraction(-3, 4)))
-def test_to_ints_is_the_canonical_t_row(x):
+def test_scalar_row_is_the_canonical_t_row(x):
     """scalar_row(x) is the row (a, b, c, d) over den on {1, r, t, r*t},
     t = 4s, as mpoly stores it, and both ways back give x."""
     a, b, c, d, den = _canonical_row(x)

@@ -12,7 +12,8 @@ private module-level def, class or assigned name is used in the package,
 and every public module-level def or class is used in the package or
 re-exported by __init__, so the package holds no code that only tests
 call.  Every absolute import is of the standard library: the package has
-no runtime dependency.  The tests' reference arithmetic for K,
+no runtime dependency.  The sources parse with Python 3.10's grammar, the
+floor pyproject.toml declares.  The tests' reference arithmetic for K,
 perfbench/tower.py, loads no module of the package.
 """
 
@@ -71,6 +72,16 @@ def test_absolute_imports_are_of_the_standard_library(path):
         for name in names:
             assert name.split(".")[0] in sys.stdlib_module_names, \
                 f"{path.name}:{node.lineno}: {name} is not of the stdlib"
+
+
+def test_sources_parse_as_python_3_10():
+    """Every module of the package, and perfbench/tower.py, which the tests
+    import, parses with feature_version (3, 10).  This checks syntax only,
+    not the library calls the code makes."""
+    tower = Path(__file__).resolve().parents[1] / "perfbench" / "tower.py"
+    for path in sorted(SRC.glob("*.py")) + [tower]:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 def _trees():

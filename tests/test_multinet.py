@@ -41,7 +41,7 @@ B3_MULT = {"x": 2, "y": 2, "z": 2, "x-y": 1, "x+y": 1,
 def test_b3_multinet_valid():
     A = builtin("b3")
     report = check_multinet(A, B3_CLASSES, B3_MULT)
-    assert report.valid, report.describe()
+    assert report.valid, report.conditions
     net = report.to_multinet()
     assert net.k == 3
     assert net.kappa == 4
@@ -84,13 +84,26 @@ def test_bad_inputs():
     with pytest.raises(InputError, match="max_mult"):
         enumerate_multinets(A, max_mult=0)
 
+def test_multiplicity_map_names_each_line_once():
+    # on b3, index -1 would name the last line, y+z, which is given by label
+    A = builtin("b3")
+    for key in (-1, 9, 8):
+        with pytest.raises(NotAPartition, match=f"key {key!r} "):
+            check_multinet(A, B3_CLASSES, {**B3_MULT, key: 1})
+    partial = {label: m for label, m in B3_MULT.items() if label != "x"}
+    with pytest.raises(NotAPartition, match="cover every line"):
+        check_multinet(A, B3_CLASSES, partial)
+    with pytest.raises(NotAPartition, match="wrong length"):
+        check_multinet(A, B3_CLASSES, (1,) * 8)
+
+
 def test_enumerator_matches_exhaustive_small():
     for A in (triangle(), hexagon_net()):
         nets = enumerate_multinets(A, max_k=A.n, max_mult=2)
         found = {(net.classes, net.mult) for net in nets}
         assert found == exhaustive_multinets(A, max_mult=2)
         for net in nets:
-            multinet_pencil(A, net)  # every multinet spans a pencil
+            multinet_pencil(net)  # every multinet spans a pencil
     assert enumerate_multinets(hexagon_net(), max_mult=2)
 
 
@@ -121,7 +134,8 @@ def test_enumerated_multinets_obey_the_theorems(covs):
     A = build([(f"h{i}", c) for i, c in enumerate(covs)], name="small")
     points = A.lattice()
     for net in enumerate_multinets(A, max_k=A.n, max_mult=2):
-        class_of = {i: net.class_of(i) for i in range(A.n)}
+        class_of = {i: c for c, cls in enumerate(net.classes) for i in cls}
+        assert check_multinet(A, net.classes, net.mult).to_multinet() == net
         # the base locus meets every class
         for pi in net.base_locus:
             assert {class_of[i] for i in points[pi].incident} == \
@@ -134,7 +148,7 @@ def test_enumerated_multinets_obey_the_theorems(covs):
         # Pereira-Yuzvinsky: k <= 4 once the base locus has two points
         if len(net.base_locus) > 1:
             assert net.k <= 4
-        multinet_pencil(A, net)  # Falk-Yuzvinsky: the classes span a pencil
+        multinet_pencil(net)  # Falk-Yuzvinsky: the classes span a pencil
 
 
 @st.composite
@@ -232,7 +246,7 @@ def test_double_star_has_no_multinet():
 def test_find_pointed_b3():
     A = builtin("b3")
     net = check_multinet(A, B3_CLASSES, B3_MULT).to_multinet()
-    pointed = {A.lines[i].label for i in find_pointed(A, net)}
+    pointed = {A.lines[i].label for i in find_pointed(net)}
     assert pointed == {"x", "y", "z"}
 
 
@@ -240,17 +254,17 @@ def test_find_pointed_none_on_hexagon():
     A = hexagon_net()
     net = check_multinet(A, [["x-y", "x+y"], ["y-z", "y+z"],
                              ["x-z", "x+z"]], (1,) * 6).to_multinet()
-    assert find_pointed(A, net) == []   # needs a multiplicity > 1
+    assert find_pointed(net) == []   # needs a multiplicity > 1
 
 
 def test_b3_pencil_combo():
     A = builtin("b3")
     net = check_multinet(A, B3_CLASSES, B3_MULT).to_multinet()
-    pen = multinet_pencil(A, net)
+    pen = multinet_pencil(net)
     assert pen.degree == 4
     # third class polynomial is g2 - g1
     (alpha, beta), = pen.combos
-    g3 = class_polynomial(A, net, 2)
+    g3 = class_polynomial(net, 2)
     assert pen.g1.scale(alpha) + pen.g2.scale(beta) == g3
 
 
@@ -259,7 +273,7 @@ def test_not_a_pencil():
                ("w", (1, 1, 1))], name="frame")
     net = Multinet(A, ((0,), (1,), (2,), (3,)), (1, 1, 1, 1), 1, (), {})
     with pytest.raises(NotAPencil):
-        multinet_pencil(A, net)
+        multinet_pencil(net)
 
 
 def test_builtin_pencils():

@@ -1,7 +1,7 @@
 """The package's records: immutable, compared by their fields, and light to
 import.
 
-Nine records are namedtuple subclasses with no instance dict; SNFResult is
+Ten records are namedtuple subclasses with no instance dict; SNFResult is
 a plain class whose == and hash leave out its operation logs.  Importing
 the CLI loads none of dataclasses, inspect and typing.  Pencil's check of
 its degrees is tested in test_fibration.
@@ -19,7 +19,8 @@ from starnet.aomoto import (SNFResult, aomoto_complex, h2_torsion, os2_basis,
 from starnet.arrangement import builtin
 from starnet.field import trig_constants
 from starnet.fibration import analyze, translated_component
-from starnet.multinet import builtin_pencil, enumerate_multinets
+from starnet.multinet import (builtin_pencil, check_multinet,
+                              enumerate_multinets)
 
 SRC = Path(starnet.__file__).parent.parent
 
@@ -28,6 +29,11 @@ def _double_star():
     A = builtin("double_star")
     rep = analyze(A, builtin_pencil("double_star"))
     return A, rep
+
+
+def _b3_report():
+    net = enumerate_multinets(builtin("b3"))[0]
+    return check_multinet(net.arrangement, net.classes, net.mult)
 
 
 def _h2():
@@ -39,6 +45,7 @@ def _h2():
 RECORDS = {
     "Multinet": (lambda: enumerate_multinets(builtin("b3"))[0],
                  "arrangement classes mult kappa base_locus n_x"),
+    "MultinetReport": (_b3_report, "conditions multinet"),
     "Pencil": (lambda: builtin_pencil("b3"), "g1 g2 combos"),
     "FiberAnalysis": (lambda: _double_star()[1].fibers[0],
                       "lam arrangement_part residual mu root"),
