@@ -10,7 +10,7 @@ with their incidences.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from collections import namedtuple
 from math import gcd, lcm
 
 from .errors import (DuplicateLine, ParseError, UnknownBuiltin, UnknownLine,
@@ -116,34 +116,24 @@ def _vector_text(vector) -> list:
     return texts
 
 
-class IntersectionPoint:
+class IntersectionPoint(namedtuple("IntersectionPoint", "vector incident")):
     """A multiple point and its incident lines, given in increasing order.
 
-    The point is given either by its normalized coordinates, a tuple of
-    field elements, or, in a rational arrangement, by a tuple of ints, its
-    primitive integer vector with a positive first nonzero entry.  From
-    ints, `coords` is made only when it is first read.  `is_at_infinity`
-    reads the given tuple, so it needs no field element."""
-    __slots__ = ("_vector", "_coords", "incident")
-
-    def __init__(self, vector, incident):
-        vector = tuple(vector)
-        _set_vector(self, vector)
-        _set_coords(self, None if type(vector[0]) is int else vector)
-        _set_incident(self, tuple(incident))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntersectionPoint is immutable")
+    vector is the point's normalized coordinates, a tuple of field
+    elements, or, in a rational arrangement, its primitive integer vector
+    with a positive first nonzero entry, a tuple of ints.  coords
+    normalizes an integer vector when it is read.  `is_at_infinity` reads
+    the vector, so it needs no field element."""
+    __slots__ = ()
 
     @property
     def coords(self):
-        if self._coords is None:
-            _set_coords(self, normalize(self._vector))
-        return self._coords
+        vector = self.vector
+        return normalize(vector) if type(vector[0]) is int else vector
 
     def coords_text(self) -> list:
         """[str(c) for c in self.coords], printed from the vector."""
-        return _vector_text(self._vector)
+        return _vector_text(self.vector)
 
     @property
     def multiplicity(self) -> int:
@@ -151,7 +141,7 @@ class IntersectionPoint:
 
     @property
     def is_at_infinity(self) -> bool:
-        return not self._vector[2]
+        return not self.vector[2]
 
     def __repr__(self):
         cs = ":".join(self.coords_text())
@@ -163,25 +153,19 @@ _set_label = Line.label.__set__
 _set_line_vector = Line._vector.__set__
 _set_covector = Line._covector.__set__
 _set_form = Line._form.__set__
-_set_vector = IntersectionPoint._vector.__set__
-_set_coords = IntersectionPoint._coords.__set__
-_set_incident = IntersectionPoint.incident.__set__
 
 
 class Arrangement:
+    """Lines, a tuple, and their lattice, computed once when first read."""
+
     def __init__(self, lines, name: str = ""):
-        self.lines = list(lines)
+        self.lines = tuple(lines)
         self.name = name
         self._lattice = None
-        self._point_of_pair = None
-        self._double_point_blocks = None
 
     @property
     def n(self) -> int:
         return len(self.lines)
-
-    def labels(self):
-        return [ln.label for ln in self.lines]
 
     def index_of(self, label: str) -> int:
         for i, ln in enumerate(self.lines):
@@ -193,26 +177,6 @@ class Arrangement:
         if self._lattice is None:
             self._lattice = _compute_lattice(self)
         return self._lattice
-
-    def point_of_pair(self):
-        """{(i, j): position in lattice()} for every pair of lines i < j."""
-        if self._point_of_pair is None:
-            self._point_of_pair = {
-                pair: pi for pi, pt in enumerate(self.lattice())
-                for pair in combinations(pt.incident, 2)}
-        return self._point_of_pair
-
-    def double_point_blocks(self):
-        """The lines joined through double points, as sorted blocks.
-
-        Blocks are the components of the graph whose edges are the points
-        of multiplicity 2, ordered by their smallest line.
-        """
-        if self._double_point_blocks is None:
-            self._double_point_blocks = components(
-                range(self.n), (pt.incident for pt in self.lattice()
-                                if pt.multiplicity == 2))
-        return self._double_point_blocks
 
     def __repr__(self):
         return f"Arrangement({self.name!r}, {self.n} lines)"
@@ -239,9 +203,11 @@ def build(lines, name: str = "") -> Arrangement:
     return Arrangement(out, name=name)
 
 
-def components(items, edges):
-    """Union-find: the classes of `items` joined by `edges`, each sorted,
-    ordered by their smallest item."""
+def components(items, groups):
+    """Union-find: the classes of `items` when the members of each group
+    are joined, each class sorted, ordered by their smallest item.  A
+    group is any nonempty iterable of items, such as a point's incident
+    lines, so the lattice's points give every incidence of the lines."""
     parent = {i: i for i in items}
 
     def find(i):
@@ -250,10 +216,12 @@ def components(items, edges):
             i = parent[i]
         return i
 
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    for a, *rest in groups:
+        ra = find(a)
+        for b in rest:
+            rb = find(b)
+            if rb != ra:
+                parent[rb] = ra
     out = {}
     for i in parent:
         out.setdefault(find(i), []).append(i)
@@ -309,7 +277,7 @@ def _compute_lattice(A: Arrangement):
     # integer keys over one common denominator (no Fractions)
     keys = (_integer_order_keys if rational else order_keys)(incident)
     keyed = sorted(zip(keys, incident.items()), key=lambda kv: kv[0])
-    return [IntersectionPoint(pt, inc) for _, (pt, inc) in keyed]
+    return [IntersectionPoint(pt, tuple(inc)) for _, (pt, inc) in keyed]
 
 
 def _integer_order_keys(points):

@@ -23,10 +23,12 @@ Its roots in K, those of its squarefree part, are found through an inert
 prime (mpoly.uni_roots, field.row_roots).  A line lies in a fiber only if
 exact division of the fiber by it (mpoly.divide_out) succeeds, so a
 per-line lambda that no other search found is a candidate only if one of
-its lines divides its fiber.  Each candidate carries its lines, the fixed
-lines and those given its lambda, and its fiber is divided by those alone;
-the report's removed fibers, multiple fibers and class are read off the
-analyzed fibers.
+its lines divides its fiber.  A multinet's pencil carries each further
+class polynomial as an exact combination of its generators, so those
+fibers are candidates with no division.  Each candidate carries its lines,
+the fixed lines and those given its lambda, and its fiber is divided by
+those alone; the report's removed fibers, multiple fibers and class are
+read off the analyzed fibers.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -295,18 +297,22 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
     """Sound candidate list of special parameters, as (lam, lines) pairs in
     lambda_key order.
 
-    The candidates are the two base members [0:1], [1:0], the parameters
-    of the fibers through the zeros of the pencil's Jacobian form on a
-    probe line (_discriminant_lambdas), caller extras, and each other
-    per-line lambda whose fiber a line given it divides (_line_fibers).
+    The candidates are the two base members [0:1], [1:0], the fiber of
+    each further class polynomial the pencil carries in combos, the
+    parameters of the fibers through the zeros of the pencil's Jacobian
+    form on a probe line (_discriminant_lambdas), caller extras, and each
+    other per-line lambda whose fiber a line given it divides
+    (_line_fibers).
     lines are the fixed lines and the lines given lam, the only lines that
     can lie in its fiber.
     """
     if is_proportional(pencil.g1, pencil.g2):
         raise DegeneratePencil("g1 and g2 are proportional")
     on_line, fixed = _line_fibers(A, pencil)
+    # g_i = alpha*g1 + beta*g2 is the fiber over [-beta : alpha]
     found = {normalize_lambda(lam) for lam in chain(
-        ((ZERO, ONE), (ONE, ZERO)), _discriminant_lambdas(pencil), extra)}
+        ((ZERO, ONE), (ONE, ZERO)), ((-b, a) for a, b in pencil.combos),
+        _discriminant_lambdas(pencil), extra)}
     for lam, lines in on_line.items():
         if lam not in found:
             fiber = fiber_polynomial(pencil, lam)

@@ -11,6 +11,11 @@ meets all k classes.  A base point therefore has multiplicity >= k >= 3,
 and the two lines through a double point always share a class: the search
 enumerates partitions of these forced blocks of lines, not of single lines.
 
+Every incidence is read from the lattice's points, by one union-find over
+point groups (arrangement.components): the blocks join the lines of each
+double point, and condition (d), each class connected through points off
+the base locus, joins the lines of each such point, which meets one class.
+
 check_multinet returns one record, MultinetReport: the five conditions with
 their witnesses, and the Multinet when all of them hold.  The enumerator
 checks each solution with it.  A Multinet carries its arrangement, so
@@ -19,9 +24,9 @@ find_pointed, class_polynomial and multinet_pencil take the multinet alone.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm, prod
 
 from .arrangement import Arrangement, components, double_star_affine_covectors
@@ -32,13 +37,8 @@ from .mpoly import MultiPoly, X, Y, Z, is_proportional
 
 
 def _resolve_classes(A: Arrangement, classes):
-    out = []
-    for cls in classes:
-        idxs = []
-        for item in cls:
-            idxs.append(item if isinstance(item, int) else A.index_of(item))
-        out.append(tuple(sorted(idxs)))
-    return tuple(out)
+    return tuple(tuple(sorted(i if isinstance(i, int) else A.index_of(i)
+                              for i in cls)) for cls in classes)
 
 
 def _resolve_mult(A: Arrangement, mult):
@@ -132,7 +132,7 @@ def check_multinet(A: Arrangement, classes, mult) -> MultinetReport:
             break
         n_x[pi] = sums[0]
 
-    split = _disconnected_class(A, classes, set(base))
+    split = _disconnected_class(points, class_of, set(base))
     g = gcd(*mult)
     # (a) equal class weights; (b) holds by construction of the base locus;
     # (d) each class connected through points off it; (e) gcd 1
@@ -149,17 +149,17 @@ def check_multinet(A: Arrangement, classes, mult) -> MultinetReport:
         A, classes, mult, weights[0], base, n_x) if valid else None)
 
 
-def _disconnected_class(A: Arrangement, classes, base_set):
+def _disconnected_class(points, class_of, base_set):
     """(class index, component count) of the first class whose lines are
-    not connected through points outside the base locus, or None."""
-    pair_point = A.point_of_pair()
-    for ci, cls in enumerate(classes):
-        joined = (pair for pair in combinations(cls, 2)
-                  if pair_point[pair] not in base_set)
-        count = len(components(cls, joined))
-        if count > 1:
-            return ci, count
-    return None
+    not connected through points outside the base locus, or None.
+
+    The base locus is every point meeting two or more classes, so a point
+    off it meets one class only: each component of one union-find over the
+    incident sets of those points lies in one class."""
+    joined = components(class_of, (pt.incident for pi, pt in enumerate(points)
+                                   if pi not in base_set))
+    counts = Counter(class_of[c[0]] for c in joined)
+    return min(((ci, m) for ci, m in counts.items() if m > 1), default=None)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -272,7 +272,8 @@ def enumerate_multinets(A: Arrangement, max_k: int = 4, max_mult: int = 4):
         raise UsageError("max_mult must be at least 1")
     n = A.n
     points = A.lattice()
-    blocks = A.double_point_blocks()
+    blocks = components(range(n), (pt.incident for pt in points
+                                   if pt.multiplicity == 2))
     results = []
     for rgs in _restricted_growth_strings(len(blocks), max_k):
         k = max(rgs) + 1
@@ -285,7 +286,7 @@ def enumerate_multinets(A: Arrangement, max_k: int = 4, max_mult: int = 4):
         classes = tuple(tuple(i for i in range(n) if class_of[i] == c)
                         for c in range(k))
         # condition (d) is multiplicity-free: check it before solving
-        if _disconnected_class(A, classes, set(base)) is not None:
+        if _disconnected_class(points, class_of, set(base)) is not None:
             continue
         rows = _mult_constraints(A, classes, base, class_of)
         basis = _nullspace(rows, n)
@@ -337,18 +338,9 @@ def find_pointed(net: Multinet):
     """Indices of the lines H of net's arrangement with m_H > 1 and m_H | n_x
     at every base point on H."""
     points = net.arrangement.lattice()
-    out = []
-    for i, m in enumerate(net.mult):
-        if m <= 1:
-            continue
-        ok = True
-        for pi in net.base_locus:
-            if i in points[pi].incident and net.n_x[pi] % m != 0:
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return out
+    return [i for i, m in enumerate(net.mult) if m > 1 and all(
+        net.n_x[pi] % m == 0 for pi in net.base_locus
+        if i in points[pi].incident)]
 
 
 # -- the associated pencil --------------------------------------------------
@@ -365,10 +357,6 @@ class Pencil(namedtuple("Pencil", "g1 g2 combos")):
             raise InvalidPencil("a pencil wants two nonzero homogeneous "
                                 "polynomials of one degree")
         return super().__new__(cls, g1, g2, combos)
-
-    @property
-    def degree(self) -> int:
-        return self.g1.degree
 
 
 def class_polynomial(net: Multinet, ci: int) -> MultiPoly:

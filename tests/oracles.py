@@ -57,17 +57,42 @@ def set_partitions(items, min_classes=1):
     return
 
 
-def _connected(lines, adjacent):
-    """Whether `lines` form one component under the relation `adjacent`."""
-    seen = {lines[0]}
-    stack = [lines[0]]
-    while stack:
-        i = stack.pop()
-        for j in lines:
-            if j not in seen and adjacent(i, j):
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(lines)
+def _component_count(lines, adjacent):
+    """The number of components of `lines` under the relation `adjacent`."""
+    seen, count = set(), 0
+    for first in lines:
+        if first in seen:
+            continue
+        count += 1
+        seen.add(first)
+        stack = [first]
+        while stack:
+            i = stack.pop()
+            for j in lines:
+                if j not in seen and adjacent(i, j):
+                    seen.add(j)
+                    stack.append(j)
+    return count
+
+
+def ref_disconnected_class(points, classes):
+    """Condition (d) by pairs: (class index, component count) of the first
+    class not connected through points off the base locus, or None.
+
+    points are brute_lattice's incident sets; the base locus is every point
+    on lines of two or more classes, and two lines of a class are adjacent
+    when their common point is off it."""
+    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
+    base = [p for p in points if len({class_of[i] for i in p}) >= 2]
+
+    def adjacent(i, j):
+        return not any(i in p and j in p for p in base)
+
+    for ci, cls in enumerate(classes):
+        count = _component_count(cls, adjacent)
+        if count > 1:
+            return ci, count
+    return None
 
 
 def exhaustive_multinets(A: Arrangement, max_mult: int):
@@ -79,7 +104,8 @@ def exhaustive_multinets(A: Arrangement, max_mult: int):
     (a) every class has the same total multiplicity;
     (c) at each point of X, every class (absent ones counting 0) has the
         same total multiplicity n_x;
-    (d) each class is connected through points outside X;
+    (d) each class is connected through points outside X
+        (ref_disconnected_class);
     (e) the multiplicities have gcd 1.
     """
     points = list(brute_lattice(A).values())
@@ -88,14 +114,10 @@ def exhaustive_multinets(A: Arrangement, max_mult: int):
         if len(part) < 3:
             continue
         classes = tuple(sorted(tuple(sorted(c)) for c in part))
+        if ref_disconnected_class(points, classes) is not None:
+            continue
         class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
         base = [p for p in points if len({class_of[i] for i in p}) >= 2]
-
-        def adjacent(i, j):
-            return not any(i in p and j in p for p in base)
-
-        if not all(_connected(cls, adjacent) for cls in classes):
-            continue
         for mult in product(range(1, max_mult + 1), repeat=A.n):
             if gcd(*mult) != 1:
                 continue

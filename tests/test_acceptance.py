@@ -229,7 +229,7 @@ def test_criterion_8_kernel_properties():
         pen = builtin_pencil(pencil_name)
         for f in analyze(B, pen).fibers:
             lines = sum(e for _, e in f.arrangement_part)
-            ok = ok and lines + max(f.residual.degree, 0) == pen.degree
+            ok = ok and lines + max(f.residual.degree, 0) == pen.g1.degree
     elapsed = time.monotonic() - start
     _verdict(8, "field and ring axioms, root/divide round trips, d2*d1=0, "
                 f"fiber degree bookkeeping ({elapsed:.2f}s)",

@@ -16,7 +16,8 @@ from starnet import exprs, field
 from starnet.arrangement import (BUILTIN_NAMES, Arrangement, Line,
                                  _primitive_vector, _rational_ints,
                                  arrangement_from_json,
-                                 arrangement_to_json, build, builtin, delete,
+                                 arrangement_to_json, build, builtin,
+                                 components, delete,
                                  double_star_affine_covectors,
                                  load_arrangement, render_svg)
 from starnet.cli import main
@@ -311,15 +312,15 @@ def test_lattice_with_quadruple_points_matches_brute_force(covs):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_pair_map_and_double_point_blocks(name):
+    # the blocks of lines joined through double points, as the multinet
+    # enumerator takes them: one union-find over the double points' lines
     A = builtin(name)
     pts = A.lattice()
-    pair_point = A.point_of_pair()
-    assert len(pair_point) == math.comb(A.n, 2)
-    for (i, j), pi in pair_point.items():
-        assert i < j and {i, j} <= set(pts[pi].incident)
-    blocks = A.double_point_blocks()
+    blocks = components(range(A.n), (pt.incident for pt in pts
+                                     if pt.multiplicity == 2))
     assert sorted(i for b in blocks for i in b) == list(range(A.n))
     assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    assert all(list(b) == sorted(b) for b in blocks)
     block_of = {i: bi for bi, b in enumerate(blocks) for i in b}
     for pt in pts:
         if pt.multiplicity == 2:
@@ -329,6 +330,31 @@ def test_pair_map_and_double_point_blocks(name):
         doubles = [pt for pt in pts if pt.multiplicity == 2
                    and pt.incident[0] in b]
         assert len(doubles) >= len(b) - 1
+
+
+def _ref_components(items, groups):
+    """Classes of items, merged while two classes share a member of one
+    group: the fixed point of pairwise merging."""
+    classes = [{i} for i in items]
+    for group in map(set, groups):
+        touched = [c for c in classes if c & group]
+        classes = [c for c in classes if not c & group]
+        classes.append(set().union(*touched))
+    return sorted(tuple(sorted(c)) for c in classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=5), max_size=6))))
+def test_components_joins_each_group(case):
+    # groups of one to five items, repeats allowed: a group of three or
+    # more joins all its members, not only its first two
+    n, groups = case
+    got = components(range(n), groups)
+    assert list(got) == _ref_components(range(n), groups)
+    for group in groups:
+        assert len({c for c in got if set(group) & set(c)}) == 1
 
 
 def test_b3_census():
@@ -372,7 +398,7 @@ def test_delete():
     A = builtin("b3")
     B = delete(A, "z")
     assert B.n == 8
-    assert "z" not in B.labels()
+    assert "z" not in [ln.label for ln in B.lines]
 
 
 def test_json_round_trip():

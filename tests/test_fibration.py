@@ -165,6 +165,28 @@ def test_swap_invariance():
     assert fb.mu == 2
 
 
+def test_class_fibers_of_a_multinet_pencil_need_no_division(monkeypatch):
+    # A3's (3,2)-net: the third class polynomial is a combination of the
+    # first two, which multinet_pencil proved exactly, so its fiber is a
+    # candidate without dividing it by a line
+    A = build([("x-y", (1, -1, 0)), ("x+y", (1, 1, 0)),
+               ("y-z", (0, 1, -1)), ("y+z", (0, 1, 1)),
+               ("x-z", (1, 0, -1)), ("x+z", (1, 0, 1))])
+    net, = enumerate_multinets(A, max_mult=1)
+    pen = multinet_pencil(net)
+    expected = lambda_candidates(A, pen)
+
+    def refuse(*args):
+        raise AssertionError("divides was called")
+
+    monkeypatch.setattr(fibration, "divides", refuse)
+    got = lambda_candidates(A, pen)
+    assert got == expected
+    (alpha, beta), = pen.combos
+    assert normalize_lambda((-beta, alpha)) in [lam for lam, _ in got]
+    assert sorted(len(lines) for _, lines in got) == [2, 2, 2]
+
+
 def test_extra_lambda_is_analyzed():
     A = builtin("b3")
     pen = builtin_pencil("b3")
@@ -183,7 +205,7 @@ def test_degree_bookkeeping(builtin_name, pencil_name):
     rep = analyze(A, pen)
     for f in rep.fibers:
         lines = sum(e for _, e in f.arrangement_part)
-        assert lines + max(f.residual.degree, 0) == pen.degree
+        assert lines + max(f.residual.degree, 0) == pen.g1.degree
 
 
 def test_translated_component_values():

@@ -9,15 +9,18 @@ Modules import only from lower layers, in the order
 of another, and every import sits at module level, not in a function.
 Nothing is dead: every module-level import is used in its module, every
 private module-level def, class or assigned name is used in the package,
-and every public module-level def or class is used in the package or
-re-exported by __init__, so the package holds no code that only tests
-call.  Every absolute import is of the standard library: the package has
-no runtime dependency.  The sources parse with Python 3.10's grammar, the
-floor pyproject.toml declares.  The tests' reference arithmetic for K,
+every public module-level def or class is used in the package or
+re-exported by __init__, and every public method or property of a package
+class is named by package code outside its own def, or kept for a stated
+reason, so the package holds no code that only tests call.  Every
+absolute import is of the standard library: the package has no runtime
+dependency.  The sources parse with Python 3.10's grammar, the floor
+pyproject.toml declares.  The tests' reference arithmetic for K,
 perfbench/tower.py, loads no module of the package.
 """
 
 import ast
+from collections import Counter
 import os
 from pathlib import Path
 import subprocess
@@ -154,6 +157,49 @@ def test_every_public_definition_is_reached():
                 not (module == "cli" and node.name.startswith("cmd_")):
             assert _named_elsewhere(node.name, node, tops), \
                 f"{module}.py:{node.lineno}: nothing reaches {node.name}"
+
+
+# public methods and properties no package code names, each kept for a
+# reader outside the package
+METHODS_KEPT = {
+    ("aomoto", "SNFResult", "U"): "perfbench's snf_max_entry and the SNF "
+                                  "tests read the transforms",
+    ("aomoto", "SNFResult", "V"): "perfbench's snf_max_entry and the SNF "
+                                  "tests read the transforms",
+    ("multinet", "MultinetReport", "valid"): "the record's API: whether "
+                                             "all five conditions hold",
+    ("multinet", "MultinetReport", "to_multinet"): "the record's API: the "
+                                                   "Multinet, or ValueError",
+}
+
+
+def _names_mentioned(node):
+    """Counter of the attribute names and string constants under node."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.value
+                   for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) or
+                   isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_every_public_method_is_named():
+    """A public method or property of a package class is named, as an
+    attribute or a string, by package code outside its own def, unless
+    METHODS_KEPT gives the reason it is kept.  Dunder methods are exempt,
+    as Python calls them."""
+    trees = _trees()
+    mentioned = sum((_names_mentioned(t) for t in trees.values()), Counter())
+    unnamed = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and \
+                        not node.name.startswith("_") and \
+                        mentioned[node.name] <= \
+                        _names_mentioned(node)[node.name]:
+                    unnamed.add((module, cls.name, node.name))
+    assert unnamed == set(METHODS_KEPT)
 
 
 def test_tower_loads_no_starnet_module():

@@ -3,12 +3,13 @@
 from fractions import Fraction
 from itertools import product
 from math import gcd
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starnet.arrangement import build, builtin
+from starnet.arrangement import build, builtin, components
 from starnet.errors import (InputError, NonPositiveMultiplicity,
                             NotAPartition, NotAPencil, UnknownBuiltin,
                             UsageError)
@@ -18,7 +19,9 @@ from starnet.multinet import (Multinet, _integer_solutions, _nullspace,
                               find_pointed, multinet_pencil)
 from starnet.mpoly import X, Y, Z
 
-from oracles import exhaustive_multinets, ref_nullspace
+from oracles import (brute_lattice, exhaustive_multinets,
+                     random_rational_arrangement,
+                     ref_disconnected_class, ref_nullspace)
 
 
 def triangle():
@@ -95,6 +98,42 @@ def test_multiplicity_map_names_each_line_once():
         check_multinet(A, B3_CLASSES, partial)
     with pytest.raises(NotAPartition, match="wrong length"):
         check_multinet(A, B3_CLASSES, (1,) * 8)
+
+
+def _random_partition(rng, n):
+    """A random partition of range(n) into 3 to n classes, in random
+    order."""
+    k = rng.randint(3, n)
+    order = list(range(n))
+    rng.shuffle(order)
+    labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    return [[i for i, c in zip(order, labels) if c == ci] for ci in range(k)]
+
+
+def test_condition_d_matches_the_pairwise_reference():
+    # random partitions into three or more classes, every multiplicity 1:
+    # (d)'s verdict and its witness, the first class not connected through
+    # points off the base locus and its component count, match the
+    # reference, which joins two lines of a class when their common point
+    # is off the base locus
+    rng = random.Random(3939)
+    arrangements = [random_rational_arrangement(rng) for _ in range(40)]
+    arrangements += [builtin("b3"), builtin("b3_del_z")]
+    witnesses = []
+    for A in arrangements:
+        points = list(brute_lattice(A).values())
+        for _ in range(4):
+            classes = _random_partition(rng, A.n)
+            ref = ref_disconnected_class(points, classes)
+            d = check_multinet(A, classes, (1,) * A.n).conditions["d"]
+            assert d == (ref is None, None if ref is None else
+                         {"class": ref[0], "components": ref[1]}), classes
+            witnesses.append(ref)
+    # both verdicts occur, with witnesses past the first class and of
+    # three or more components
+    assert None in witnesses
+    assert any(w and w[0] > 0 for w in witnesses)
+    assert any(w and w[1] >= 3 for w in witnesses)
 
 
 def test_enumerator_matches_exhaustive_small():
@@ -239,7 +278,9 @@ def test_double_star_has_no_multinet():
     # only partition into three classes adds z alone, and z misses the
     # base points off the line at infinity
     A = builtin("double_star")
-    assert len(A.double_point_blocks()) == 3
+    blocks = components(range(A.n), (pt.incident for pt in A.lattice()
+                                     if pt.multiplicity == 2))
+    assert len(blocks) == 3
     assert enumerate_multinets(A) == []
 
 
@@ -261,7 +302,7 @@ def test_b3_pencil_combo():
     A = builtin("b3")
     net = check_multinet(A, B3_CLASSES, B3_MULT).to_multinet()
     pen = multinet_pencil(net)
-    assert pen.degree == 4
+    assert pen.g1.degree == 4
     # third class polynomial is g2 - g1
     (alpha, beta), = pen.combos
     g3 = class_polynomial(net, 2)

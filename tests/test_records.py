@@ -1,7 +1,7 @@
 """The package's records: immutable, compared by their fields, and light to
 import.
 
-Ten records are namedtuple subclasses with no instance dict; SNFResult is
+Eleven records are namedtuple subclasses with no instance dict; SNFResult is
 a plain class whose == and hash leave out its operation logs.  Importing
 the CLI loads none of dataclasses, inspect and typing.  Pencil's check of
 its degrees is tested in test_fibration.
@@ -43,6 +43,8 @@ def _h2():
 
 # record name -> (instance, the fields == and hash cover)
 RECORDS = {
+    "IntersectionPoint": (lambda: builtin("b3").lattice()[0],
+                          "vector incident"),
     "Multinet": (lambda: enumerate_multinets(builtin("b3"))[0],
                  "arrangement classes mult kappa base_locus n_x"),
     "MultinetReport": (_b3_report, "conditions multinet"),
