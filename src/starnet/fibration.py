@@ -12,7 +12,9 @@ Special fibers are found in two ways.  A line in the fiber over mu has
 [g1(P) : g2(P)] = mu at each of its points P off the base locus, so each
 line is given that ratio at the first such point among d + 1 points of a
 frame of the line; a line on which g1 and g2 vanish at all d + 1 is fixed,
-as a form of degree d with d + 1 zeros on a line vanishes on it.  A
+as a form of degree d with d + 1 zeros on a line vanishes on it.  The
+frame's base point and point at infinity each have a 0 and a 1
+coordinate, at which MultiPoly.evaluate sums by one Horner's rule.  A
 multiple fiber C^m * B is found where its component C meets one probe
 line: there the Jacobian form g1*dg2 - g2*dg1, divisible by C^(m - 1),
 vanishes.  The zeros on the line are those of one univariate gcd of two of
@@ -27,8 +29,10 @@ its lines divides its fiber.  A multinet's pencil carries each further
 class polynomial as an exact combination of its generators, so those
 fibers are candidates with no division.  Each candidate carries its lines,
 the fixed lines and those given its lambda, and its fiber is divided by
-those alone; the report's removed fibers, multiple fibers and class are
-read off the analyzed fibers.
+those alone: once by their product, as distinct lines are coprime, and
+the exponents of 2 or more are peeled off the residual (mpoly.divide_out);
+the report's removed fibers, multiple fibers and class are read off the
+analyzed fibers.
 
 A multiple fiber comes from a pointed multinet only if its residual is a
 product of lines over C, which holds iff its radical Q divides the Hessian
@@ -49,8 +53,8 @@ from .errors import (DegeneratePencil, InvalidOrbifoldData,
 from .field import ONE, ZERO, normalize, serialize_element
 from .mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out, divides,
                     exact_divide, hessian, interpolate, is_proportional,
-                    kth_root, partial, restrict_to_line, resultant,
-                    squarefree_part, uni_gcd, uni_roots)
+                    kth_root, partial, poly_product, restrict_to_line,
+                    resultant, squarefree_part, uni_gcd, uni_roots)
 from .multinet import Pencil
 
 
@@ -324,22 +328,45 @@ def lambda_candidates(A: Arrangement, pencil: Pencil, extra=()):
 
 # -- per-fiber analysis -----------------------------------------------------
 
+def _divide_by_lines(fiber: MultiPoly, pairs):
+    """The fiber over the product of the linear forms of the (index, form)
+    pairs, or None when that product does not divide it."""
+    if not pairs:
+        return fiber
+    try:
+        return exact_divide(fiber, poly_product(f for _, f in pairs))
+    except NotDivisible:
+        return None
+
+
 def analyze_fiber(A: Arrangement, pencil: Pencil, lam, lines) -> FiberAnalysis:
     """Peel arrangement lines off the fiber over lam and find its mu.
 
     lines are the indices of the lines to try, as lambda_candidates gives
     them or range(A.n); a line outside them must not divide the fiber, and
     a line among them that does not divide it peels with exponent 0 and is
-    not reported.
+    not reported.  The fiber is divided once by the product of the lines,
+    distinct lines being coprime, and divide_out finds on the residual the
+    exponents of 2 or more, with no division of a constant residual.  When
+    that one division fails, the lines kept are those that divide the
+    fiber.
     """
     lam = normalize_lambda(lam)
-    residual, parts = fiber_polynomial(pencil, lam), []
-    if residual.is_zero:
+    fiber = fiber_polynomial(pencil, lam)
+    if fiber.is_zero:
         raise DegeneratePencil("fiber polynomial vanished identically")
-    for i in sorted(lines):
-        e, residual = divide_out(residual, A.lines[i].linear_form())
-        if e:
-            parts.append((i, e))
+    pairs = [(i, A.lines[i].linear_form()) for i in sorted(lines)]
+    residual = _divide_by_lines(fiber, pairs)
+    if residual is None:
+        # a listed line lies outside the fiber
+        pairs = [(i, f) for i, f in pairs if divides(f, fiber)]
+        residual = _divide_by_lines(fiber, pairs)
+    parts = []
+    for i, f in pairs:
+        e = 0
+        if residual.degree > 0:
+            e, residual = divide_out(residual, f)
+        parts.append((i, e + 1))
     # mu: the largest k with residual = lc * root^k for a monic root; as
     # lc * root^k has degree k * deg(root), only the k dividing the degree
     _, lc = residual.leading()

@@ -351,27 +351,34 @@ class MultiPoly:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point) -> FieldElement:
-        """p(point) on rows.  With coordinate i = X_i/L_i and E_i its top
-        power in p, the term of exponent e is taken times the product of
-        L_i^(E_i - e_i), over the one denominator den * prod L_i^E_i, whose
-        single gcd makes the result; a term with a positive power of a zero
-        coordinate is skipped, and a coordinate equal to 1 is never
-        multiplied."""
+        """p(point) on rows.  At a point with one coordinate 0 and another
+        1, as the frame points of fibration's lines, p is the polynomial
+        in the third coordinate of the terms free of the zero one, summed
+        by one Horner's rule (_frame_value).  Elsewhere, with coordinate
+        i = X_i/L_i and E_i its top power in p, the term of exponent e is
+        taken times the product of L_i^(E_i - e_i), from tables of powers,
+        over the one denominator den * prod L_i^E_i, whose single gcd makes
+        the result; a coordinate equal to 1 is never multiplied."""
         rows = self._rows
         if not rows:
             return ZERO
+        scalars = [scalar_row(v) for v in point]
+        zero = next((i for i, (x, _) in enumerate(scalars)
+                     if x == _ZERO_ROW), None)
+        if zero is not None:
+            one = next((i for i, s in enumerate(scalars)
+                        if i != zero and s == (_ONE_ROW, 1)), None)
+            if one is not None:
+                return _frame_value(rows, self._den, zero,
+                                    3 - zero - one, *scalars[3 - zero - one])
         den = self._den
         tables = []
-        for v, top in zip(point, (max(col) for col in zip(*rows))):
-            x, L = scalar_row(v)
+        for (x, L), top in zip(scalars, (max(col) for col in zip(*rows))):
             if not top or (L == 1 and x == _ONE_ROW):
                 tables.append(None)
                 continue
             den *= L ** top
-            # pw[e] = X^e * L^(top - e); None for X = 0 and e > 0
-            if x == _ZERO_ROW:
-                tables.append([_ONE_ROW] + [None] * top)  # L = 1
-                continue
+            # pw[e] = X^e * L^(top - e)
             pw = [_ONE_ROW]
             for _ in range(top):
                 pw.append(row_mul(pw[-1], x))
@@ -381,14 +388,9 @@ class MultiPoly:
         a = b = c = d = 0
         for exp, row in rows.items():
             for e, pw in zip(exp, tables):
-                if pw is not None:
-                    f = pw[e]
-                    if f is None:
-                        break
-                    if f is not _ONE_ROW:
-                        row = row_mul(row, f)
-            else:
-                a, b, c, d = a + row[0], b + row[1], c + row[2], d + row[3]
+                if pw is not None and pw[e] is not _ONE_ROW:
+                    row = row_mul(row, pw[e])
+            a, b, c, d = a + row[0], b + row[1], c + row[2], d + row[3]
         return from_ints(a, b, c, d, den)
 
     # -- text ------------------------------------------------------------
@@ -461,6 +463,21 @@ def _scaled(p: MultiPoly, row, den) -> MultiPoly:
     if len(rows) == 1 and p._den == 1 and _ONE_ROW in rows.values():
         return _wrap({e: row for e in rows}, den)  # a monomial: canonical
     return _poly({e: row_mul(x, row) for e, x in rows.items()}, p._den * den)
+
+
+def _frame_value(rows: dict, den: int, zero: int, w: int, x, L: int):
+    """The polynomial rows/den at a point whose coordinate zero is 0, whose
+    coordinate w is x/L and whose third coordinate is 1: the terms free of
+    the zero coordinate, gathered by their power k of coordinate w into one
+    row each, and summed by Horner's rule (field.row_horner) over the one
+    denominator den * L^top, top the largest such k."""
+    coeffs = _merge((e[w], row) for e, row in rows.items() if not e[zero])
+    if not coeffs:
+        return ZERO
+    top = max(coeffs)
+    return from_ints(*row_horner([coeffs.get(k, _ZERO_ROW)
+                                  for k in range(top + 1)], x, L),
+                     den * L ** top)
 
 
 _ZERO_POLY = _wrap({}, 1)

@@ -43,8 +43,8 @@ def brute_lattice(A: Arrangement):
     return {k: frozenset(v) for k, v in points.items()}
 
 
-def set_partitions(items, min_classes=1):
-    """All set partitions of `items` into at least `min_classes` blocks."""
+def set_partitions(items):
+    """All set partitions of `items`, each once, as lists of blocks."""
     items = list(items)
     if not items:
         yield []

@@ -311,7 +311,7 @@ def test_lattice_with_quadruple_points_matches_brute_force(covs):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_pair_map_and_double_point_blocks(name):
+def test_double_point_blocks(name):
     # the blocks of lines joined through double points, as the multinet
     # enumerator takes them: one union-find over the double points' lines
     A = builtin(name)

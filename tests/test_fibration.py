@@ -30,7 +30,8 @@ from starnet.mpoly import (MultiPoly, UniPoly, X, Y, Z, divide_out,
                            restrict_to_line, resultant)
 
 from oracles import (lagrange_interpolate, ref_discriminant_lambdas,
-                     ref_line_lambdas, sylvester_resultant, tau)
+                     ref_divide_out, ref_line_lambdas, sylvester_resultant,
+                     tau)
 
 
 def test_normalize_lambda():
@@ -248,6 +249,31 @@ def test_fixed_line_is_peeled_from_every_fiber():
     assert all((0, 1) in f.arrangement_part for f in rep.fibers)
     assert list(rep.fibers) == [analyze_fiber(A, pen, f.lam, range(A.n))
                                 for f in rep.fibers]
+
+
+def test_removed_double_star_fibers_take_one_quotient(monkeypatch):
+    """The [0:1] and [1:0] fibers of the double star are products of five
+    lines each: one division by their product leaves a constant, so each
+    fiber takes one successful quotient, where a peel line by line takes
+    five."""
+    A, pen = builtin("double_star"), builtin_pencil("double_star")
+    candidates = dict(lambda_candidates(A, pen))
+    quotients = []
+    divide_monic = mpoly._divide_monic
+
+    def counted(*args):
+        quot = divide_monic(*args)
+        if quot is not None:
+            quotients.append(quot)
+        return quot
+
+    monkeypatch.setattr(mpoly, "_divide_monic", counted)
+    for lam in ((ZERO, ONE), (ONE, ZERO)):
+        quotients.clear()
+        f = analyze_fiber(A, pen, lam, candidates[lam])
+        assert f.removed
+        assert [e for _, e in f.arrangement_part] == [1] * 5
+        assert len(quotients) == 1
 
 
 # -- the special-fiber kernels ----------------------------------------------
@@ -589,6 +615,57 @@ def test_line_fibers_match_restriction_oracle_over_the_tower(
     check_line_fibers(covs, g1_lines, g1_extra, l_line, c, fixed)
 
 
+def ref_peel(A, fiber, lines):
+    """(parts, residual): each listed line peeled off the fiber in turn by
+    oracles.ref_divide_out, as in analyze_fiber."""
+    parts = []
+    for i in sorted(lines):
+        e, fiber = ref_divide_out(fiber, A.lines[i].linear_form())
+        if e:
+            parts.append((i, e))
+    return tuple(parts), fiber
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_covectors, min_size=2, max_size=5),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(1, 3)), min_size=1,
+                max_size=3),
+       st.lists(small_covectors, max_size=1),
+       st.sampled_from([(), ((0, 1),), ((3, 2),), ((7, 1), (4, 3))]),
+       st.lists(st.integers(0, 7), max_size=3),
+       st.fractions(min_value=-5, max_value=5, max_denominator=5))
+def test_analyze_fiber_matches_a_per_line_peel(covs, g1_lines, g1_extra,
+                                               fixed, listed, c):
+    """g1 is a product of lines with exponents 1 to 3 and perhaps a factor
+    off the arrangement, g2 a product of other lines, and both carry the
+    fixed lines with exponents 1 to 3.  At [0:1], [1:0], [1:1] and [1:c],
+    with the planted and fixed lines listed, and further lines that need
+    not divide the fiber, analyze_fiber peels what ref_peel peels."""
+    lines = {}
+    for cov in SPECIAL_LINES + covs:
+        ln = Line(f"h{len(lines)}", cov)
+        lines.setdefault(ln.covector, ln)
+    A = build(lines.values())
+    n = A.n
+    g1 = product_of_lines([A.lines[i % n].covector for i, e in g1_lines
+                           for _ in range(e)] + list(g1_extra))
+    start = g1_lines[0][0]
+    g2 = product_of_lines([A.lines[(start + 1 + k) % n].covector
+                           for k in range(g1.degree)])
+    for i, e in fixed:
+        g1 = g1 * MultiPoly.linear(*A.lines[i % n].covector) ** e
+        g2 = g2 * MultiPoly.linear(*A.lines[i % n].covector) ** e
+    pen = Pencil(g1, g2, ())
+    listed = sorted({i % n for i, _ in g1_lines} | {i % n for i, _ in fixed}
+                    | {i % n for i in listed})
+    for lam in ((0, 1), (1, 0), (1, 1), (1, c)):
+        fiber = fiber_polynomial(pen, lam)
+        if fiber.is_zero:
+            continue
+        f = analyze_fiber(A, pen, lam, listed)
+        assert (f.arrangement_part, f.residual) == ref_peel(A, fiber, listed)
+
+
 def test_line_fibers_on_lines_with_zero_entries():
     A = builtin("b3")   # holds x = 0, z = 0 and x - y = 0
     for pen in (builtin_pencil("b3"), Pencil(X * Y, X * Z, ()),
@@ -655,6 +732,30 @@ def test_line_fibers_restrict_nothing(name, monkeypatch):
     assert not calls
     analyze(A, builtin_pencil(name))
     assert calls  # the counter sees the probe line's restrictions
+
+
+def test_line_fibers_read_every_lambda_by_horner(monkeypatch):
+    """On the double star each line's lambda is read at its frame's base
+    point or point at infinity, each with a 0 and a 1 coordinate, so every
+    evaluation goes through mpoly._frame_value's one Horner's rule."""
+    points, routed = [], []
+    evaluate, frame_value = MultiPoly.evaluate, mpoly._frame_value
+
+    def counted_evaluate(p, point):
+        points.append(point)
+        return evaluate(p, point)
+
+    def counted_frame_value(*args):
+        routed.append(args)
+        return frame_value(*args)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counted_evaluate)
+    monkeypatch.setattr(mpoly, "_frame_value", counted_frame_value)
+    A = builtin("double_star")
+    fibers, fixed = _line_fibers(A, builtin_pencil("double_star"))
+    assert not fixed and sum(len(lines) for lines in fibers.values()) == A.n
+    assert len(points) >= 2 * A.n
+    assert len(routed) == len(points)
 
 
 small_ints = st.integers(min_value=-4, max_value=4)

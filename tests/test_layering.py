@@ -6,7 +6,8 @@ Modules import only from lower layers, in the order
            < {fibration, aomoto} < cli
 
 (__init__ re-exports from all of them).  No module imports a private name
-of another, and every import sits at module level, not in a function.
+of another or reads a private attribute (obj._name) that only another
+defines, and every import sits at module level, not in a function.
 Nothing is dead: every module-level import is used in its module, every
 private module-level def, class or assigned name is used in the package,
 every public module-level def or class is used in the package or
@@ -200,6 +201,47 @@ def test_every_public_method_is_named():
                         _names_mentioned(node)[node.name]:
                     unnamed.add((module, cls.name, node.name))
     assert unnamed == set(METHODS_KEPT)
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _private_names_defined(tree):
+    """The private names a module defines: at module level, in a class
+    body or its __slots__, and as attributes it assigns (obj._name = ...)."""
+    names = {name for node in tree.body for name in _defined(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                names.update(_defined(item))
+                if "__slots__" in _defined(item):
+                    names.update(n.value for n in ast.walk(item.value)
+                                 if isinstance(n, ast.Constant))
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {name for name in names if _is_private(name)}
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    """No module reads obj._name for a private name that another module of
+    the package defines and it does not, as README states for mpoly's
+    rows: a kernel that needs another module's private state belongs in
+    that module."""
+    trees = _trees()
+    defined = {module: _private_names_defined(tree)
+               for module, tree in trees.items()}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _is_private(node.attr) \
+                    and node.attr not in defined[module]:
+                owners = sorted(m for m, names in defined.items()
+                                if node.attr in names)
+                assert not owners, \
+                    f"{module}.py:{node.lineno}: reads {node.attr}, " \
+                    f"which {', '.join(owners)} defines"
 
 
 def test_tower_loads_no_starnet_module():

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import permutations, zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
@@ -404,6 +404,9 @@ def test_evaluate_partial_degrees():
     p = X ** 3 + Y * Z
     pt = tuple(FieldElement(v) for v in (2, 3, 5))
     assert p.evaluate(pt) == FieldElement(8 + 15)
+    # a zero coordinate and no coordinate 1: the tables of powers
+    assert p.evaluate((0, 3, 5)) == FieldElement(15)
+    assert p.evaluate((2, 0, 5)) == FieldElement(8)
 
 
 def test_serialize_stable():
@@ -478,6 +481,32 @@ def test_row_arithmetic_matches_field_reference(p, q, c):
 def test_row_evaluate_matches_field_reference(p, point):
     assert p.evaluate(point).coords() == ref_terms_evaluate(
         terms_of(p), [v.coords() for v in point])
+
+
+@pytest.mark.parametrize("zero, one, third", list(permutations(range(3))))
+@settings(max_examples=25, deadline=None)
+@given(row_polys, elements)
+def test_frame_point_evaluate_matches_field_reference(zero, one, third, p,
+                                                      w):
+    """A point with a 0 and a 1 coordinate, in each of the six placements,
+    goes through the one Horner's rule in the third coordinate
+    (mpoly._frame_value): the forms are not homogeneous, and w and the
+    coefficients reach height 10^30."""
+    point = [None] * 3
+    point[zero], point[one], point[third] = ZERO, FieldElement(1), w
+    calls = []
+    frame_value = mpoly._frame_value
+
+    def counted(*args):
+        calls.append(args)
+        return frame_value(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpoly, "_frame_value", counted)
+        got = p.evaluate(point)
+    assert got.coords() == ref_terms_evaluate(
+        terms_of(p), [v.coords() for v in point])
+    assert len(calls) == (0 if p.is_zero else 1)
 
 
 @settings(max_examples=40, deadline=None)
